@@ -7,16 +7,23 @@ With {i,j,k,l} = {1,2,3,4} the conversions are
     cos theta_ij = w_ij / sqrt(z_k z_l)     (lengths -> angles)
 
 where d_i, c_ij are polynomial in the cosines of the angles and z_i, w_ij
-mirror them in the hyperbolic cosines of the lengths.
+mirror them in the hyperbolic cosines of the lengths. Each polynomial is one
+kernel on (..., 6) arrays; the scalar functions validate their input and
+turn failed guards into typed errors, the batch function into NaN rows.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import domain
-from .errors import InconsistencyError, NotATetrahedronError, NotInClosureError
+from .errors import (
+    DomainError,
+    InconsistencyError,
+    InvalidArgumentError,
+    NotATetrahedronError,
+    NotInClosureError,
+)
 from .indexing import (
     EDGE_PAIRS,
     OPPOSITE,
@@ -26,59 +33,56 @@ from .indexing import (
 )
 from .specfun import EPS_CLAMP
 
+#: edge positions at each vertex (VERTEX_EDGES) and on each opposite face
+#: (OPPOSITE_FACE_EDGES), one row per member of the triple
+_VERTEX_EDGES = np.array(VERTEX_EDGES).T
+_OPPOSITE_FACE_EDGES = np.array(OPPOSITE_FACE_EDGES).T
 
-def _d_coeffs(cos_angles):
-    out = np.empty(4)
-    for vertex in range(4):
-        x, y, z = (cos_angles[p] for p in VERTEX_EDGES[vertex])
-        out[vertex] = 2.0 * x * y * z + x * x + y * y + z * z - 1.0
-    return out
+#: the opposite edge kl of each edge ij, as a vertex pair
+_OPPOSITE_PAIRS = [EDGE_PAIRS[opp] for opp in OPPOSITE]
 
+#: for each edge ij with opposite edge kl, the positions of ij, ik, il, jk,
+#: jl and kl (rows), edge by edge (columns)
+_EDGE_ROLES = np.array(
+    [
+        (pos, edge_position(i, k), edge_position(i, l), edge_position(j, k), edge_position(j, l), opp)
+        for pos, ((i, j), (k, l), opp) in enumerate(zip(EDGE_PAIRS, _OPPOSITE_PAIRS, OPPOSITE))
+    ]
+).T
 
-def _z_coeffs(cosh_lengths):
-    out = np.empty(4)
-    for vertex in range(4):
-        x, y, z = (cosh_lengths[p] for p in OPPOSITE_FACE_EDGES[vertex])
-        out[vertex] = 2.0 * x * y * z + x * x + y * y + z * z - 1.0
-    return out
-
-
-def _c_coeffs(cos_angles):
-    c = np.empty(6)
-    for pos, (i, j) in enumerate(EDGE_PAIRS):
-        k, l = EDGE_PAIRS[OPPOSITE[pos]]
-        cij = cos_angles[pos]
-        cik = cos_angles[edge_position(i, k)]
-        cil = cos_angles[edge_position(i, l)]
-        cjk = cos_angles[edge_position(j, k)]
-        cjl = cos_angles[edge_position(j, l)]
-        ckl = cos_angles[OPPOSITE[pos]]
-        c[pos] = (
-            cij * (cil * cjk + cik * cjl)
-            + cil * cjl
-            + cik * cjk
-            + ckl * (1.0 - cij * cij)
-        )
-    return c
+#: 0-based endpoints of each edge, and of its opposite edge
+_ENDS = np.array(EDGE_PAIRS).T - 1
+_OPPOSITE_ENDS = np.array(_OPPOSITE_PAIRS).T - 1
 
 
-def _w_coeffs(cosh_lengths):
-    w = np.empty(6)
-    for pos, (i, j) in enumerate(EDGE_PAIRS):
-        k, l = EDGE_PAIRS[OPPOSITE[pos]]
-        hij = cosh_lengths[pos]
-        hik = cosh_lengths[edge_position(i, k)]
-        hil = cosh_lengths[edge_position(i, l)]
-        hjk = cosh_lengths[edge_position(j, k)]
-        hjl = cosh_lengths[edge_position(j, l)]
-        hkl = cosh_lengths[OPPOSITE[pos]]
-        w[pos] = (
-            hij * (hil * hjk + hik * hjl)
-            + hik * hil
-            + hjk * hjl
-            - (hij * hij - 1.0) * hkl
-        )
-    return w
+def _gather(x, table):
+    # one (..., n) array per row of an index table with n columns
+    g = x[..., table]
+    return [g[..., row, :] for row in range(len(table))]
+
+
+def _vertex_poly(x, triples):
+    # 2xyz + x^2 + y^2 + z^2 - 1 over the edge triples of each vertex: the
+    # d_i of the angle cosines (_VERTEX_EDGES), or the z_i of the length
+    # hyperbolic cosines (_OPPOSITE_FACE_EDGES)
+    x, y, z = _gather(x, triples)
+    return 2.0 * x * y * z + x * x + y * y + z * z - 1.0
+
+
+def _c_poly(cos_angles):
+    cij, cik, cil, cjk, cjl, ckl = _gather(cos_angles, _EDGE_ROLES)
+    return cij * (cil * cjk + cik * cjl) + cil * cjl + cik * cjk + ckl * (1.0 - cij * cij)
+
+
+def _w_poly(cosh_lengths):
+    hij, hik, hil, hjk, hjl, hkl = _gather(cosh_lengths, _EDGE_ROLES)
+    return hij * (hil * hjk + hik * hjl) + hik * hil + hjk * hjl - (hij * hij - 1.0) * hkl
+
+
+def _pair_ratio(edge_coeffs, vertex_coeffs, ends):
+    # edge coefficient over the geometric mean of its two vertex coefficients
+    first, second = _gather(vertex_coeffs, ends)
+    return edge_coeffs / np.sqrt(first * second)
 
 
 @dataclass(frozen=True)
@@ -94,40 +98,37 @@ class ConversionCoefficients:
     @classmethod
     def from_pair(cls, angles, lengths):
         d, c = coefficients_from_angles(angles)
-        lengths = domain.as_vector(lengths, "lengths")
-        ch = np.cosh(lengths)
-        return cls(d=d, c=c, z=_z_coeffs(ch), w=_w_coeffs(ch))
+        ch = np.cosh(domain.as_vector(lengths, "lengths"))
+        return cls(d=d, c=c, z=_vertex_poly(ch, _OPPOSITE_FACE_EDGES), w=_w_poly(ch))
 
 
 def coefficients_from_angles(angles):
     """The vertex coefficients d_1..d_4 and edge coefficients c_ij."""
-    a = domain.as_vector(angles, "angles")
-    cos_angles = np.cos(a)
-    return _d_coeffs(cos_angles), _c_coeffs(cos_angles)
+    cos_angles = np.cos(domain.as_vector(angles, "angles"))
+    return _vertex_poly(cos_angles, _VERTEX_EDGES), _c_poly(cos_angles)
 
 
 def angles_to_lengths(angles, eps_clamp=EPS_CLAMP):
     """Edge lengths of the tetrahedron with the given dihedral angles."""
-    a = domain.as_vector(angles, "angles")
-    d, c = coefficients_from_angles(a)
-    if np.any(d <= 0.0):
+    d, c = coefficients_from_angles(angles)
+    if (d <= 0.0).any():
         vertex = int(np.argmin(d)) + 1
         raise NotATetrahedronError(
             f"vertex coefficient d_{vertex} = {d[vertex - 1]:.6g} is not positive",
             index=vertex,
             value=d[vertex - 1],
         )
-    lengths = np.empty(6)
-    for pos, (i, j) in enumerate(EDGE_PAIRS):
-        arg = c[pos] / math.sqrt(d[i - 1] * d[j - 1])
-        if arg < 1.0 - eps_clamp:
-            raise NotATetrahedronError(
-                f"cosh argument {arg:.6g} < 1 at edge {{{i},{j}}}",
-                index=(i, j),
-                value=arg,
-            )
-        lengths[pos] = math.acosh(max(arg, 1.0))
-    return lengths
+    arg = _pair_ratio(c, d, _ENDS)
+    low = arg < 1.0 - eps_clamp
+    if low.any():
+        pos = int(np.argmax(low))
+        i, j = EDGE_PAIRS[pos]
+        raise NotATetrahedronError(
+            f"cosh argument {arg[pos]:.6g} < 1 at edge {{{i},{j}}}",
+            index=(i, j),
+            value=arg[pos],
+        )
+    return np.arccosh(np.maximum(arg, 1.0))
 
 
 def lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=1e-9):
@@ -137,26 +138,25 @@ def lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=1e-9):
     the angle polytope; closure points (e.g. flattening families) land on
     its boundary and are accepted within ``closure_tol``.
     """
-    l = domain.as_vector(lengths, "lengths")
-    ch = np.cosh(l)
-    z = _z_coeffs(ch)
-    if np.any(z <= 0.0):
+    ch = np.cosh(domain.as_vector(lengths, "lengths"))
+    z = _vertex_poly(ch, _OPPOSITE_FACE_EDGES)
+    if (z <= 0.0).any():
         vertex = int(np.argmin(z)) + 1
         raise NotInClosureError(
             f"vertex coefficient z_{vertex} = {z[vertex - 1]:.6g} is not positive",
             value=z[vertex - 1],
         )
-    w = _w_coeffs(ch)
-    angles = np.empty(6)
-    for pos, (i, j) in enumerate(EDGE_PAIRS):
-        k, l_ = EDGE_PAIRS[OPPOSITE[pos]]
-        arg = w[pos] / math.sqrt(z[k - 1] * z[l_ - 1])
-        if abs(arg) > 1.0 + eps_clamp:
-            raise NotInClosureError(
-                f"cosine argument {arg:.6g} exceeds 1 at edge {{{i},{j}}}",
-                value=arg,
-            )
-        angles[pos] = math.acos(min(1.0, max(-1.0, arg)))
+    arg = _pair_ratio(_w_poly(ch), z, _OPPOSITE_ENDS)
+    # written so that a NaN argument (overflowing cosh) also fails
+    bad = ~(np.abs(arg) <= 1.0 + eps_clamp)
+    if bad.any():
+        pos = int(np.argmax(bad))
+        i, j = EDGE_PAIRS[pos]
+        raise NotInClosureError(
+            f"cosine argument {arg[pos]:.6g} exceeds 1 at edge {{{i},{j}}}",
+            value=arg[pos],
+        )
+    angles = np.arccos(np.minimum(np.maximum(arg, -1.0), 1.0))
     if not domain.in_O(angles, strict=False, tol=closure_tol):
         raise InconsistencyError(
             f"angles {angles!r} computed from lengths lie outside the closure "
@@ -165,24 +165,29 @@ def lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=1e-9):
     return angles
 
 
-def in_L(lengths, tol=1e-9):
-    """Operational membership in the length chart: the angle conversion must
-    succeed, land strictly inside the angle polytope, and convert back to the
-    input within ``tol``."""
+def chart_angles(lengths, tol=1e-9):
+    """The angles of ``lengths`` if they lie in the length chart, else None.
+
+    Operational membership: the angle conversion must succeed, land strictly
+    inside the angle polytope, and convert back to the input within ``tol``.
+    """
     try:
-        l = domain.as_vector(lengths, "lengths")
-        if np.any(l <= 0.0):
-            return False
-        angles = lengths_to_angles(l)
+        angles = lengths_to_angles(lengths)
         if not domain.in_O(angles, strict=True):
-            return False
+            return None
         back = angles_to_lengths(angles)
-    except (NotInClosureError, NotATetrahedronError, InconsistencyError):
-        return False
-    return bool(np.max(np.abs(back - l)) < tol)
+    except (DomainError, InvalidArgumentError, InconsistencyError):
+        return None
+    if np.abs(back - lengths).max() >= tol:
+        return None
+    return angles
 
 
-# --- vectorized batch conversion for the samplers -----------------------
+def in_L(lengths, tol=1e-9):
+    """Membership in the length chart, decided by ``chart_angles``."""
+    l = domain.as_vector(lengths, "lengths")
+    return bool(np.all(l > 0.0)) and chart_angles(l, tol) is not None
+
 
 def angles_to_lengths_batch(batch):
     """Vectorized angles -> lengths for an (m, 6) batch.
@@ -190,27 +195,15 @@ def angles_to_lengths_batch(batch):
     Rows that fail the positivity guards come back as NaN instead of
     raising; campaign samplers treat those rows as rejected.
     """
-    A = np.asarray(batch, dtype=float)
-    cos_angles = np.cos(A)
-    m = A.shape[0]
-    d = np.empty((m, 4))
-    for vertex in range(4):
-        x, y, z = (cos_angles[:, p] for p in VERTEX_EDGES[vertex])
-        d[:, vertex] = 2.0 * x * y * z + x * x + y * y + z * z - 1.0
-    lengths = np.full((m, 6), np.nan)
-    valid = np.all(d > 0.0, axis=1)
-    for pos, (i, j) in enumerate(EDGE_PAIRS):
-        k, l = EDGE_PAIRS[OPPOSITE[pos]]
-        cij = cos_angles[:, pos]
-        cik = cos_angles[:, edge_position(i, k)]
-        cil = cos_angles[:, edge_position(i, l)]
-        cjk = cos_angles[:, edge_position(j, k)]
-        cjl = cos_angles[:, edge_position(j, l)]
-        ckl = cos_angles[:, OPPOSITE[pos]]
-        c = cij * (cil * cjk + cik * cjl) + cil * cjl + cik * cjk + ckl * (1.0 - cij * cij)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            arg = np.where(valid, c / np.sqrt(d[:, i - 1] * d[:, j - 1]), np.nan)
-        row_ok = valid & (arg >= 1.0 - EPS_CLAMP)
-        lengths[row_ok, pos] = np.arccosh(np.maximum(arg[row_ok], 1.0))
-    lengths[~np.all(np.isfinite(lengths), axis=1)] = np.nan
+    cos_angles = np.cos(np.asarray(batch, dtype=float))
+    d = _vertex_poly(cos_angles, _VERTEX_EDGES)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        arg = _pair_ratio(_c_poly(cos_angles), d, _ENDS)
+    lengths = np.arccosh(np.maximum(arg, 1.0))
+    ok = (
+        np.all(d > 0.0, axis=-1)
+        & np.all(arg >= 1.0 - EPS_CLAMP, axis=-1)
+        & np.all(np.isfinite(lengths), axis=-1)
+    )
+    lengths[~ok] = np.nan
     return lengths

@@ -28,28 +28,43 @@ def as_vector(values, name="vector"):
     arr = np.asarray(values, dtype=float)
     if arr.shape != (6,):
         raise InvalidArgumentError(f"{name}: expected 6 entries, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name}: non-finite entries in {arr!r}")
     return arr
 
 
 def vertex_sums(angles):
     """The four sums of angles around each vertex, as a length-4 array."""
-    a = as_vector(angles, "angles")
-    return np.array([a[list(edges)].sum() for edges in VERTEX_EDGES])
+    return np.array(_vertex_sums(as_vector(angles, "angles").tolist()))
+
+
+def _vertex_sums(xs):
+    # left to right, in VERTEX_EDGES order
+    return [xs[p] + xs[q] + xs[r] for p, q, r in VERTEX_EDGES]
 
 
 def in_O(angles, strict=True, tol=0.0):
     """Membership in the angle polytope (its closure when strict=False).
 
     ``tol`` loosens every inequality by the given amount; it is used by
-    callers that must absorb round-trip noise near the boundary.
+    callers that must absorb round-trip noise near the boundary. Plain
+    floats, because this runs once per volume and per flow step, where
+    numpy's per-call overhead would dominate.
     """
-    a = as_vector(angles, "angles")
-    sums = vertex_sums(a)
+    if isinstance(angles, np.ndarray):
+        if angles.shape != (6,):
+            raise InvalidArgumentError(f"angles: expected 6 entries, got shape {angles.shape}")
+        angles = angles.tolist()
+    try:
+        xs = tuple(map(float, angles))
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"angles: expected 6 numbers, got {angles!r}") from exc
+    if len(xs) != 6 or not all(map(math.isfinite, xs)):
+        raise InvalidArgumentError(f"angles: expected 6 finite entries, got {angles!r}")
+    sums = _vertex_sums(xs)
     if strict:
-        return bool(np.all(a > -tol) and np.all(sums < math.pi + tol))
-    return bool(np.all(a >= -tol) and np.all(sums <= math.pi + tol))
+        return min(xs) > -tol and max(sums) < math.pi + tol
+    return min(xs) >= -tol and max(sums) <= math.pi + tol
 
 
 def acute_constraints_hold(angles):
@@ -57,16 +72,7 @@ def acute_constraints_hold(angles):
     tetrahedron of edge length l0: total angle sum at most pi, every angle
     acute, and angles of any two edges sharing a vertex summing below 7pi/12.
     """
-    a = as_vector(angles, "angles")
-    if a.sum() > math.pi:
-        return False
-    if np.any(a >= math.pi / 2):
-        return False
-    for edges in VERTEX_EDGES:
-        x, y, z = (a[p] for p in edges)
-        if x + y >= ACUTE_PAIR_BOUND or x + z >= ACUTE_PAIR_BOUND or y + z >= ACUTE_PAIR_BOUND:
-            return False
-    return True
+    return bool(acute_mask(as_vector(angles, "angles")[np.newaxis])[0])
 
 
 def _validate_permutation(sigma):

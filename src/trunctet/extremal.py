@@ -10,16 +10,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import convert, domain, volume
-from .errors import (
-    DomainError,
-    InconsistencyError,
-    InvalidArgumentError,
-    SamplingError,
-)
+from .errors import DomainError, InvalidArgumentError
 from .tetra import (
     Tetrahedron,
     regular_from_angle,
     regular_from_length,
+    rejection_sample,
+    uniform_proposals,
 )
 
 TIE_TOL = 1e-9
@@ -104,11 +101,8 @@ class VerificationReport:
 
 # --- sampling T_ell ------------------------------------------------------
 
-_BATCH = 4096
-
-
 def sample_T_ell(rng, ell, n, budget=None, require_volume_floor=None):
-    """n tetrahedra with all edge lengths >= ell.
+    """n tetrahedra with all edge lengths >= ell, by ``rejection_sample``.
 
     Proposals are drawn uniformly over the full angle polytope (the set of
     length vectors above the floor meets every angle-sum regime, so acute
@@ -116,51 +110,23 @@ def sample_T_ell(rng, ell, n, budget=None, require_volume_floor=None):
     floor, in which case proposals come from the acute region, which is a
     necessary condition for the floor at vol(l0) and above.
     """
-    if budget is None:
-        budget = max(1_000_000, 20_000 * n)
-    out = []
-    draws = 0
     acute = require_volume_floor is not None
-    high = math.pi / 2.0 if acute else math.pi
-    while len(out) < n:
-        if draws >= budget:
-            raise SamplingError(
-                f"T_ell sampler: budget {budget} exhausted after {len(out)}/{n}; "
-                "consider a wider proposal distribution"
-            )
-        batch = rng.uniform(0.0, high, size=(_BATCH, 6))
-        draws += _BATCH
-        mask = domain.acute_mask(batch) if acute else domain.in_O_mask(batch)
-        angles = batch[mask]
-        if angles.size == 0:
-            continue
+
+    def accept(batch):
+        angles = batch[domain.acute_mask(batch) if acute else domain.in_O_mask(batch)]
         lengths = convert.angles_to_lengths_batch(angles)
-        ok = np.all(np.isfinite(lengths), axis=1) & (np.nanmin(lengths, axis=1) >= ell)
+        ok = np.all(lengths >= ell, axis=1)  # NaN rows compare False
         for a, l in zip(angles[ok], lengths[ok]):
             vol = volume.ushijima_volume(a)
-            if require_volume_floor is not None and vol < require_volume_floor:
+            if acute and vol < require_volume_floor:
                 continue
-            out.append(Tetrahedron(tuple(a), tuple(l), vol))
-            if len(out) == n:
-                break
-    return out
+            yield Tetrahedron(tuple(a), tuple(l), vol)
+
+    high = math.pi / 2.0 if acute else math.pi
+    return rejection_sample(rng, n, uniform_proposals(high), accept, budget)
 
 
 # --- deformation flow ----------------------------------------------------
-
-def _tetra_from_lengths_checked(lengths, tol=1e-9):
-    # in-chart validation plus construction without duplicate conversions
-    try:
-        angles = convert.lengths_to_angles(lengths)
-        if not domain.in_O(angles, strict=True):
-            return None
-        back = convert.angles_to_lengths(angles)
-        if np.max(np.abs(back - lengths)) >= tol:
-            return None
-        return Tetrahedron(tuple(angles), tuple(lengths), volume.ushijima_volume(angles))
-    except (DomainError, InvalidArgumentError, InconsistencyError):
-        return None
-
 
 def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
     """Shrink the maximal-length edges in lockstep until the tetrahedron is
@@ -203,13 +169,14 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
             shift = min(sub * dt, seg_len)
             cand = current.copy()
             cand[tied] = second if sub == n_sub else lmax - shift
-            tet = _tetra_from_lengths_checked(cand)
+            angles = convert.chart_angles(cand)
             steps += 1
-            if tet is None:
+            if angles is None:
                 reason = TERMINATED_BOUNDARY
                 boundary_hit = True
                 break
             t_global = t_global + (shift - min((sub - 1) * dt, seg_len))
+            tet = Tetrahedron(tuple(angles), tuple(cand), volume.ushijima_volume(angles))
             points.append((t_global, tet))
             if steps >= max_steps:
                 break
@@ -262,23 +229,16 @@ def verify_fixed_angle_sum(theta_sum, n, seed, tol=MARGIN_TOL):
         seed=seed,
         params={"theta_sum": theta_sum, "n": n, "tol": tol, "reference_volume": reference},
     )
-    rng = np.random.default_rng(seed)
-    accepted = 0
-    budget = max(1_000_000, 10_000 * max(n, 1))
-    draws = 0
-    while accepted < n:
-        if draws >= budget:
-            raise SamplingError("fixed-angle-sum sampler exhausted its budget")
-        batch = rng.dirichlet(np.ones(6), size=_BATCH) * theta_sum
-        draws += _BATCH
-        mask = domain.in_O_mask(batch)
-        for angles in batch[mask]:
-            tet = Tetrahedron.from_angles(angles)
-            margin = reference - tet.volume
-            report.record(tet, margin, margin >= -tol)
-            accepted += 1
-            if accepted == n:
-                break
+
+    def propose(rng, size):
+        return rng.dirichlet(np.ones(6), size=size) * theta_sum
+
+    def accept(batch):
+        return map(Tetrahedron.from_angles, batch[domain.in_O_mask(batch)])
+
+    for tet in rejection_sample(np.random.default_rng(seed), n, propose, accept):
+        margin = reference - tet.volume
+        report.record(tet, margin, margin >= -tol)
     return report
 
 

@@ -7,9 +7,9 @@ All functions are pure and reentrant.
 import cmath
 import heapq
 import math
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import bernoulli
 
 from .errors import AccuracyError, DomainError, InvalidArgumentError
 
@@ -17,10 +17,20 @@ PI2_OVER_6 = math.pi * math.pi / 6.0
 
 EPS_CLAMP = 1e-12
 
-# Coefficients B_n / (n+1)! of the dilogarithm series in u = -log(1-z).
-# Odd-index coefficients vanish beyond n = 1.
+
+def _bernoulli(n_max):
+    # exact B_0..B_n_max (B_1 = -1/2) from sum_{k<=m} C(m+1, k) B_k = 0
+    b = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+# Coefficients B_n / (n+1)! of the dilogarithm series in u = -log(1-z),
+# each rounded once from its exact value. Odd-index coefficients vanish
+# beyond n = 1.
 _LOG_SERIES_COEFFS = tuple(
-    b / math.factorial(n + 1) for n, b in enumerate(bernoulli(48))
+    float(b / math.factorial(n + 1)) for n, b in enumerate(_bernoulli(48))
 )
 
 

@@ -7,10 +7,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from . import convert, domain, volume
-from .errors import AccuracyError, DomainError, InvalidArgumentError, SamplingError
+from .errors import (
+    AccuracyError,
+    DomainError,
+    InconsistencyError,
+    InvalidArgumentError,
+    SamplingError,
+)
 
 ROUND_TRIP_TOL = 1e-9
 
@@ -70,21 +75,17 @@ class Tetrahedron:
 
     @classmethod
     def from_json_dict(cls, record):
-        return cls(
-            tuple(float(x) for x in record["angles"]),
-            tuple(float(x) for x in record["lengths"]),
-            float(record["volume"]),
-        )
+        """Rebuild a record from its angles, rejecting stored lengths or a
+        stored volume that disagree with them beyond ``ROUND_TRIP_TOL``."""
+        tet = cls.from_angles(record["angles"])
+        lengths = domain.as_vector(record["lengths"], "lengths")
+        defect = max(np.max(np.abs(lengths - tet.lengths)), abs(record["volume"] - tet.volume))
+        if not defect <= ROUND_TRIP_TOL:
+            raise InconsistencyError(f"record differs from its angles' tetrahedron by {defect:.3g}")
+        return tet
 
 
 THETA_MAX = math.pi / 3.0
-
-
-def regular_length_of_angle(theta):
-    """Common edge length of the regular tetrahedron with angle theta."""
-    if not 0.0 < theta < THETA_MAX:
-        raise DomainError(f"regular angle must lie in (0, pi/3), got {theta!r}")
-    return float(convert.angles_to_lengths([theta] * 6)[0])
 
 
 def regular_from_angle(theta):
@@ -94,18 +95,17 @@ def regular_from_angle(theta):
     return Tetrahedron.from_angles([theta] * 6)
 
 
-def regular_from_length(ell, xtol=1e-12):
-    """Regular tetrahedron of edge length ell, by bisection on the strictly
-    increasing map theta -> common length."""
+def regular_from_length(ell):
+    """Regular tetrahedron of edge length ell, from the closed form
+    cos theta = cosh ell / (2 cosh ell - 1)."""
     ell = float(ell)
     if ell <= 0.0 or not math.isfinite(ell):
         raise DomainError(f"regular length must be positive, got {ell!r}")
-    lo, hi = 1e-9, THETA_MAX - 1e-9
-    if regular_length_of_angle(lo) >= ell:
-        raise DomainError(f"length {ell!r} below the resolvable range")
-    if regular_length_of_angle(hi) <= ell:
+    # the ratio has rounded to 1/2 long before cosh would overflow
+    ch = math.cosh(min(ell, 700.0))
+    theta = math.acos(ch / (2.0 * ch - 1.0))
+    if theta >= THETA_MAX:
         raise AccuracyError(f"length {ell!r} too close to the divergent flat limit")
-    theta = bisect(lambda t: regular_length_of_angle(t) - ell, lo, hi, xtol=xtol)
     return regular_from_angle(theta)
 
 
@@ -118,13 +118,40 @@ VOLUME_FLOOR = "volume_floor"
 _BATCH = 4096
 
 
-def _propose(rng, constraint):
-    high = math.pi if constraint == INTERIOR else math.pi / 2.0
-    return rng.uniform(0.0, high, size=(_BATCH, 6))
+def rejection_sample(rng, n, propose, accept, budget=None):
+    """The first n items that ``accept`` yields from batches of proposals.
+
+    ``propose(rng, size)`` draws a (size, 6) array of candidate rows;
+    ``accept(rows)`` returns an iterator over the accepted items of a batch.
+    The iterator is consumed lazily, so per-row work stops at the n-th item.
+    ``budget`` caps the number of rows drawn and defaults to
+    max(10^6, 2 * 10^4 * n).
+    """
+    if budget is None:
+        budget = max(1_000_000, 20_000 * n)
+    out = []
+    draws = 0
+    while len(out) < n:
+        if draws >= budget:
+            raise SamplingError(
+                f"rejection budget {budget} exhausted after {len(out)}/{n} accepted"
+            )
+        batch = propose(rng, _BATCH)
+        draws += _BATCH
+        for item in accept(batch):
+            out.append(item)
+            if len(out) == n:
+                break
+    return out
 
 
-def sample_O_batch(rng, n, constraint=INTERIOR, floor=None, budget=1_000_000):
-    """n angle rows satisfying the constraint, by rejection sampling.
+def uniform_proposals(high):
+    """Proposal rule drawing every entry uniformly from [0, high)."""
+    return lambda rng, size: rng.uniform(0.0, high, size=(size, 6))
+
+
+def sample_O_batch(rng, n, constraint=INTERIOR, floor=None, budget=None):
+    """n angle rows satisfying the constraint, by ``rejection_sample``.
 
     Deterministic for a given Generator state. ``floor`` is the volume floor
     for the ``volume_floor`` constraint, whose proposals are drawn from the
@@ -134,26 +161,19 @@ def sample_O_batch(rng, n, constraint=INTERIOR, floor=None, budget=1_000_000):
         raise InvalidArgumentError(f"unknown constraint {constraint!r}")
     if constraint == VOLUME_FLOOR and floor is None:
         raise InvalidArgumentError("volume_floor constraint requires a floor value")
-    rows = []
-    draws = 0
-    while len(rows) < n:
-        if draws >= budget:
-            raise SamplingError(
-                f"rejection budget {budget} exhausted after {len(rows)}/{n} accepted"
-            )
-        batch = _propose(rng, INTERIOR if constraint == INTERIOR else ACUTE)
-        draws += _BATCH
+
+    def accept(batch):
         if constraint == INTERIOR:
-            mask = domain.in_O_mask(batch)
-        else:
-            mask = domain.acute_mask(batch)
-        accepted = batch[mask]
-        if constraint == VOLUME_FLOOR:
-            accepted = [a for a in accepted if volume.ushijima_volume(a) >= floor]
-        rows.extend(np.asarray(a) for a in accepted)
-    return [np.asarray(r) for r in rows[:n]]
+            return iter(batch[domain.in_O_mask(batch)])
+        rows = batch[domain.acute_mask(batch)]
+        if constraint == ACUTE:
+            return iter(rows)
+        return (a for a in rows if volume.ushijima_volume(a) >= floor)
+
+    high = math.pi if constraint == INTERIOR else math.pi / 2.0
+    return rejection_sample(rng, n, uniform_proposals(high), accept, budget)
 
 
-def sample_O(rng, constraint=INTERIOR, floor=None, budget=1_000_000):
+def sample_O(rng, constraint=INTERIOR, floor=None, budget=None):
     """One point of the angle polytope satisfying the requested constraint."""
     return sample_O_batch(rng, 1, constraint, floor, budget)[0]

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import domain
-from .errors import EvaluationError
+from .errors import EvaluationError, InvalidArgumentError
 from .specfun import acosh_checked, dilog, integrate, lobachevsky
 
 #: cosh of the edge length of the regular tetrahedron with all angles pi/6
@@ -27,6 +27,9 @@ L0 = math.acosh(COSH_L0)
 
 _DENOMINATOR_GUARD = 1e-14
 _NEGATIVE_VOLUME_CLAMP = -1e-9
+
+#: slack of the closure test; the formula is analytic slightly past the boundary
+_CLOSURE_SLACK = 1e-6
 
 
 def gram(angles):
@@ -44,7 +47,7 @@ def gram(angles):
 
 
 def gram_det(angles):
-    return float(np.linalg.det(gram(angles)))
+    return float(_gram_det_fast(*np.cos(domain.as_vector(angles, "angles"))))
 
 
 def _det3(a11, a12, a13, a21, a22, a23, a31, a32, a33):
@@ -126,20 +129,15 @@ def _u_term(inter, z):
 def ushijima_volume(angles):
     """Volume from dihedral angles; valid on the closure of the angle
     polytope, nonnegative, and continuous up to the boundary."""
-    x1, x2, x3, x4, x5, x6 = (float(t) for t in angles)
-    slack = 1e-6  # small slack; the formula is analytic slightly past the boundary
-    if (
-        min(x1, x2, x3, x4, x5, x6) < -slack
-        or x1 + x2 + x3 > math.pi + slack
-        or x1 + x5 + x6 > math.pi + slack
-        or x2 + x4 + x6 > math.pi + slack
-        or x3 + x4 + x5 > math.pi + slack
-        or not all(map(math.isfinite, (x1, x2, x3, x4, x5, x6)))
-    ):
+    try:
+        inside = domain.in_O(angles, strict=False, tol=_CLOSURE_SLACK)
+    except InvalidArgumentError as exc:
+        raise EvaluationError(str(exc)) from exc
+    if not inside:
         raise EvaluationError(
             f"angles {angles!r} outside the closure of the angle polytope"
         )
-    inter = ushijima_intermediates((x1, x2, x3, x4, x5, x6))
+    inter = ushijima_intermediates(angles)
     if inter.z1 == 0 and inter.z2 == 0:
         return 0.0
     vol = 0.5 * (_u_term(inter, inter.z1) - _u_term(inter, inter.z2)).imag

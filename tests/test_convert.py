@@ -14,6 +14,7 @@ from trunctet import (
     in_L,
     lengths_to_angles,
     permute,
+    sample_T_ell,
 )
 from trunctet.convert import ConversionCoefficients, coefficients_from_angles
 from trunctet.errors import NotATetrahedronError
@@ -94,6 +95,16 @@ class TestAnglesToLengths:
         batch = angles_to_lengths_batch(block)
         for row, a in zip(batch, block):
             assert np.allclose(row, angles_to_lengths(a), atol=1e-14)
+
+    def test_scalar_is_bitwise_the_batch_row(self):
+        # one kernel serves both entry points, so length-floor decisions
+        # made on batch rows hold for the scalar lengths too
+        tets = sample_T_ell(np.random.default_rng(31), 0.3, 300)
+        block = np.array([tet.angles for tet in tets])
+        batch = angles_to_lengths_batch(block)
+        for row, a, tet in zip(batch, block, tets):
+            assert np.array_equal(angles_to_lengths(a), row)
+            assert np.array_equal(row, tet.lengths)
 
 
 class TestLengthsToAngles:

@@ -8,6 +8,7 @@ import pytest
 
 from trunctet import (
     ALL_PERMUTATIONS,
+    AccuracyError,
     L0,
     Tetrahedron,
     acute_constraints_hold,
@@ -21,7 +22,12 @@ from trunctet import (
     vertex_sums,
 )
 from trunctet.domain import compose
-from trunctet.errors import DomainError, InvalidArgumentError, SamplingError
+from trunctet.errors import (
+    DomainError,
+    InconsistencyError,
+    InvalidArgumentError,
+    SamplingError,
+)
 
 REGULAR = (math.pi / 6,) * 6
 FLAT = (0.0, 0.0, math.pi, 0.0, 0.0, math.pi)
@@ -128,6 +134,14 @@ class TestRegularFamily:
         ell = regular_from_angle(theta).lengths[0]
         assert regular_from_length(ell).angles[0] == pytest.approx(theta, abs=1e-10)
 
+    @pytest.mark.parametrize("ell", [0.05, 0.3, L0, 1.0, 2.5, 8.0])
+    def test_length_is_reproduced(self, ell):
+        assert abs(regular_from_length(ell).lengths[0] - ell) < 1e-11
+
+    def test_flat_limit_length_is_an_accuracy_error(self):
+        with pytest.raises(AccuracyError):
+            regular_from_length(40.0)
+
     def test_short_regular_angles_below_pi6(self):
         # theta(ell) is strictly increasing with theta(l0) = pi/6, so a
         # length below l0 must give six equal angles in (0, pi/6)
@@ -169,6 +183,12 @@ class TestSamplers:
         with pytest.raises(SamplingError):
             sample_O_batch(rng, 10, constraint="volume_floor", floor=3.66, budget=8192)
 
+    def test_default_budget_scales_with_n(self):
+        # about 1.4% of interior proposals are accepted, so 2 * 10^4 rows
+        # need more than a fixed 10^6 draws
+        rows = sample_O_batch(np.random.default_rng(0), 20_000, constraint="interior")
+        assert len(rows) == 20_000
+
     def test_unknown_constraint(self):
         with pytest.raises(InvalidArgumentError):
             sample_O(np.random.default_rng(20), constraint="nope")
@@ -193,6 +213,18 @@ class TestTetrahedronRecord:
         back = Tetrahedron.from_json_dict(record)
         assert np.allclose(back.angles, tet.angles, atol=1e-15)
         assert back.volume == pytest.approx(tet.volume, abs=1e-15)
+
+    def test_json_rejects_tampered_volume(self):
+        record = Tetrahedron.from_angles((0.3, 0.4, 0.5, 0.35, 0.45, 0.55)).to_json_dict()
+        record["volume"] += 1e-6
+        with pytest.raises(InconsistencyError):
+            Tetrahedron.from_json_dict(record)
+
+    def test_json_rejects_tampered_lengths(self):
+        record = Tetrahedron.from_angles((0.3, 0.4, 0.5, 0.35, 0.45, 0.55)).to_json_dict()
+        record["lengths"][2] *= 1.01
+        with pytest.raises(InconsistencyError):
+            Tetrahedron.from_json_dict(record)
 
     def test_rejects_exterior_angles(self):
         with pytest.raises(DomainError):

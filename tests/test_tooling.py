@@ -1,0 +1,42 @@
+"""Packaging and benchmark-tooling guards: the package imports without
+SciPy, and every name the benchmark's tracer wraps still exists."""
+
+import os
+import subprocess
+import sys
+
+import trunctet
+
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(trunctet.__file__))
+    code = (
+        "import sys, trunctet; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_tracer_points_exist_and_uninstall_restores(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.abspath(BENCH))
+    import tracer
+
+    originals = []
+    for name, owner, attr, _, _ in tracer.TRACE_POINTS:
+        assert attr in owner.__dict__, f"{name}: {owner.__name__}.{attr} is gone"
+        originals.append((owner, attr, owner.__dict__[attr]))
+    recorder = tracer.Recorder()
+    recorder.install()
+    try:
+        for owner, attr, original in originals:
+            assert owner.__dict__[attr] is not original
+    finally:
+        recorder.uninstall()
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original
