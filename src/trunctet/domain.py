@@ -110,12 +110,24 @@ def permutation_moving_edge_to_front(pos):
 
 # --- vectorized helpers for the samplers -------------------------------
 
-def in_O_mask(batch):
-    """Strict polytope membership for an (m, 6) batch of angle rows."""
+def in_O_mask(batch, strict=True, tol=0.0):
+    """Polytope membership, as ``in_O``, for an (m, 6) batch of angle rows.
+
+    The first vertex sum is tested on every row and the remaining tests
+    only on the rows that pass it (about 1/6 of uniform proposals); sums
+    run left to right, as in ``in_O``.
+    """
     A = np.asarray(batch, dtype=float)
-    ok = np.all(A > 0.0, axis=1)
-    for edges in VERTEX_EDGES:
-        ok &= A[:, list(edges)].sum(axis=1) < math.pi
+    below = np.less if strict else np.less_equal
+    bound = math.pi + tol
+    (p, q, r), *rest = VERTEX_EDGES
+    idx = np.flatnonzero(below(A[:, p] + A[:, q] + A[:, r], bound))
+    for p, q, r in rest:
+        idx = idx[below(A[idx, p] + A[idx, q] + A[idx, r], bound)]
+    rows = A[idx]
+    idx = idx[np.all(rows > -tol if strict else rows >= -tol, axis=1)]
+    ok = np.zeros(len(A), dtype=bool)
+    ok[idx] = True
     return ok
 
 

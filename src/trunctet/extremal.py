@@ -109,6 +109,10 @@ def sample_T_ell(rng, ell, n, budget=None, require_volume_floor=None):
     restriction would miss most of it). Optionally also enforces a volume
     floor, in which case proposals come from the acute region, which is a
     necessary condition for the floor at vol(l0) and above.
+
+    Without a floor the volumes of the n accepted rows come from one batch
+    call; with one, each batch's rows above the length floor are evaluated
+    in one call.
     """
     acute = require_volume_floor is not None
 
@@ -116,14 +120,33 @@ def sample_T_ell(rng, ell, n, budget=None, require_volume_floor=None):
         angles = batch[domain.acute_mask(batch) if acute else domain.in_O_mask(batch)]
         lengths = convert.angles_to_lengths_batch(angles)
         ok = np.all(lengths >= ell, axis=1)  # NaN rows compare False
-        for a, l in zip(angles[ok], lengths[ok]):
-            vol = volume.ushijima_volume(a)
-            if acute and vol < require_volume_floor:
-                continue
-            yield Tetrahedron(tuple(a), tuple(l), vol)
+        angles, lengths = angles[ok], lengths[ok]
+        if not acute:
+            return zip(angles, lengths)
+        vols = volume.ushijima_volume(angles)
+        keep = vols >= require_volume_floor
+        return zip(angles[keep], lengths[keep], vols[keep].tolist())
 
     high = math.pi / 2.0 if acute else math.pi
-    return rejection_sample(rng, n, uniform_proposals(high), accept, budget)
+    accepted = rejection_sample(rng, n, uniform_proposals(high), accept, budget)
+    if acute:
+        return [Tetrahedron(tuple(a), tuple(l), v) for a, l, v in accepted]
+    return _tetrahedra([a for a, _ in accepted], [l for _, l in accepted])
+
+
+def _tetrahedra(angles, lengths=None):
+    """The tetrahedra of accepted angle rows, as ``Tetrahedron.from_angles``
+    gives them, from one batch volume call and, when the lengths are not
+    given, one batch conversion."""
+    angles = np.array(angles, dtype=float).reshape(-1, 6)
+    if lengths is None:
+        lengths = convert.angles_to_lengths_batch(angles)
+        # rows the batch conversion marks NaN: the scalar conversion raises
+        # the typed error from_angles raises, or returns its lengths
+        for row in np.flatnonzero(np.isnan(lengths).any(axis=1)):
+            lengths[row] = convert.angles_to_lengths(angles[row])
+    vols = volume.ushijima_volume(angles).tolist()
+    return [Tetrahedron(tuple(a), tuple(l), v) for a, l, v in zip(angles, lengths, vols)]
 
 
 # --- deformation flow ----------------------------------------------------
@@ -234,9 +257,10 @@ def verify_fixed_angle_sum(theta_sum, n, seed, tol=MARGIN_TOL):
         return rng.dirichlet(np.ones(6), size=size) * theta_sum
 
     def accept(batch):
-        return map(Tetrahedron.from_angles, batch[domain.in_O_mask(batch)])
+        return iter(batch[domain.in_O_mask(batch)])
 
-    for tet in rejection_sample(np.random.default_rng(seed), n, propose, accept):
+    rows = rejection_sample(np.random.default_rng(seed), n, propose, accept)
+    for tet in _tetrahedra(rows):
         margin = reference - tet.volume
         report.record(tet, margin, margin >= -tol)
     return report

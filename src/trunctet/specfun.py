@@ -42,18 +42,19 @@ _LOG_EVEN_COEFFS = tuple(_LOG_SERIES_COEFFS[n] for n in range(48, 1, -2))
 
 
 def _dilog_taylor(z):
-    # Defining series sum z^k / k^2 by fixed-length Horner evaluation;
-    # used for |z| <= 1/4 where 32 terms reach full double precision.
+    # Defining series sum z^k / k^2 by fixed-length Horner evaluation, on a
+    # complex scalar or array; used for |z| <= 1/4 where 32 terms reach full
+    # double precision.
     acc = 0j
     for coeff in _TAYLOR_COEFFS:
         acc = (acc + coeff) * z
     return acc
 
 
-def _dilog_log_series(z):
-    # Series in u = -log(1-z); converges for |u| < 2*pi and is used on the
-    # region |z| <= 1, Re z <= 1/2 where |u| stays below ~1.8.
-    u = -cmath.log(1.0 - z)
+def _dilog_log_series(u):
+    # Series in u = -log(1-z), on a complex scalar or array; converges for
+    # |u| < 2*pi and is used on the region |z| <= 1, Re z <= 1/2 where |u|
+    # stays below ~1.8.
     u2 = u * u
     acc = 0j
     for coeff in _LOG_EVEN_COEFFS:
@@ -66,9 +67,15 @@ def dilog(z):
 
     Arguments of large modulus are mapped into the unit disc by the
     inversion identity and, when Re z > 1/2, reflected by Euler's identity;
-    the remaining region is summed by the defining series (|z| <= 1/2) or
+    the remaining region is summed by the defining series (|z| <= 1/4) or
     by the log-argument series otherwise.
+
+    A numpy array is evaluated elementwise with the same branch cuts and
+    thresholds, each element by one branch, and gives a complex array of
+    the same shape; any non-finite element raises InvalidArgumentError.
     """
+    if isinstance(z, np.ndarray):
+        return _dilog_array(z)
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise InvalidArgumentError(f"dilog: non-finite argument {z!r}")
@@ -92,8 +99,44 @@ def dilog(z):
         z = 1.0 - z
         if z == 0:
             return offset
-    core = _dilog_taylor(z) if abs(z) <= 0.25 else _dilog_log_series(z)
+    if abs(z) <= 0.25:
+        core = _dilog_taylor(z)
+    else:
+        core = _dilog_log_series(-cmath.log(1.0 - z))
     return offset + sign * core
+
+
+def _dilog_array(z):
+    # the scalar branches as index masks over a flat copy; both series give
+    # exactly 0 at 0, so only z = 1 (whose reflection needs log 0) is set
+    # aside, as 0 with offset pi^2/6
+    shape = z.shape
+    z = np.array(z, dtype=complex).reshape(-1)
+    if not np.isfinite(z).all():
+        bad = z[~np.isfinite(z)][0]
+        raise InvalidArgumentError(f"dilog: non-finite argument {bad!r}")
+    offset = np.zeros_like(z)
+    sign = np.ones(z.shape)
+    one = z == 1.0
+    offset[one] = PI2_OVER_6
+    z[one] = 0.0
+
+    inv = np.flatnonzero(np.abs(z) > 1.0)
+    log_neg = np.log(-z[inv])
+    offset[inv] = -PI2_OVER_6 - 0.5 * log_neg * log_neg
+    sign[inv] = -1.0
+    z[inv] = 1.0 / z[inv]
+    refl = np.flatnonzero(z.real > 0.5)
+    w = z[refl]
+    offset[refl] += sign[refl] * (PI2_OVER_6 - np.log(w) * np.log(1.0 - w))
+    sign[refl] = -sign[refl]
+    z[refl] = 1.0 - w
+
+    core = np.empty_like(z)
+    small = np.abs(z) <= 0.25
+    core[small] = _dilog_taylor(z[small])
+    core[~small] = _dilog_log_series(-np.log(1.0 - z[~small]))
+    return (offset + sign * core).reshape(shape)
 
 
 def lobachevsky(theta):

@@ -97,7 +97,12 @@ def regular_from_angle(theta):
 
 def regular_from_length(ell):
     """Regular tetrahedron of edge length ell, from the closed form
-    cos theta = cosh ell / (2 cosh ell - 1)."""
+    cos theta = cosh ell / (2 cosh ell - 1).
+
+    Raises AccuracyError when the returned edge length misses ell by more
+    than ``ROUND_TRIP_TOL``: near the flat limit theta -> pi/3 the length
+    diverges, and from ell ~ 17 the rounding of cos theta shows in it.
+    """
     ell = float(ell)
     if ell <= 0.0 or not math.isfinite(ell):
         raise DomainError(f"regular length must be positive, got {ell!r}")
@@ -106,7 +111,14 @@ def regular_from_length(ell):
     theta = math.acos(ch / (2.0 * ch - 1.0))
     if theta >= THETA_MAX:
         raise AccuracyError(f"length {ell!r} too close to the divergent flat limit")
-    return regular_from_angle(theta)
+    tet = regular_from_angle(theta)
+    defect = abs(tet.lengths[0] - ell)
+    if defect > ROUND_TRIP_TOL:
+        raise AccuracyError(
+            f"regular tetrahedron for length {ell!r} has edge length off by {defect:.3g}",
+            best_estimate=tet,
+        )
+    return tet
 
 
 # --- samplers -----------------------------------------------------------
@@ -168,7 +180,7 @@ def sample_O_batch(rng, n, constraint=INTERIOR, floor=None, budget=None):
         rows = batch[domain.acute_mask(batch)]
         if constraint == ACUTE:
             return iter(rows)
-        return (a for a in rows if volume.ushijima_volume(a) >= floor)
+        return iter(rows[volume.ushijima_volume(rows) >= floor])
 
     high = math.pi if constraint == INTERIOR else math.pi / 2.0
     return rejection_sample(rng, n, uniform_proposals(high), accept, budget)

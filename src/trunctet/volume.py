@@ -6,6 +6,11 @@ volume is Im(U(z1) - U(z2))/2 where U is an eight-term dilogarithm sum. The
 formula extends continuously to the closure of the angle polytope, which is
 what makes boundary evaluations (flat degenerations, ideal limits)
 meaningful.
+
+``ushijima_volume`` takes one 6-vector, evaluated in plain Python complex
+arithmetic, or an (m, 6) ndarray of rows, evaluated as arrays with one
+``dilog`` call for the 16 dilogarithms of every row of a block of rows; the
+scalar form is kept because it is the cheaper one for a single tetrahedron.
 """
 
 import cmath
@@ -128,7 +133,15 @@ def _u_term(inter, z):
 
 def ushijima_volume(angles):
     """Volume from dihedral angles; valid on the closure of the angle
-    polytope, nonnegative, and continuous up to the boundary."""
+    polytope, nonnegative, and continuous up to the boundary.
+
+    An (m, 6) ndarray of angle rows gives an (m,) array of volumes from an
+    array evaluation in blocks of rows, with every guard of the scalar path
+    applied row by row; the first failing row raises EvaluationError naming
+    that row.
+    """
+    if isinstance(angles, np.ndarray) and angles.ndim == 2:
+        return _volume_rows(angles)
     try:
         inside = domain.in_O(angles, strict=False, tol=_CLOSURE_SLACK)
     except InvalidArgumentError as exc:
@@ -152,6 +165,74 @@ def ushijima_volume(angles):
             diagnostics={"detG": inter.det_gram, "z1": inter.z1, "z2": inter.z2},
         )
     return max(vol, 0.0)
+
+
+#: rows evaluated together, which bounds the temporaries of a large batch
+#: to a few megabytes
+_BLOCK_ROWS = 4096
+
+
+def _volume_rows(angles):
+    if angles.shape[1] != 6:
+        raise EvaluationError(f"angles: expected (m, 6) rows, got shape {angles.shape}")
+    rows = np.asarray(angles, dtype=float)
+    vols = np.empty(len(rows))
+    for first in range(0, len(rows), _BLOCK_ROWS):
+        block = slice(first, first + _BLOCK_ROWS)
+        vols[block] = _volume_block(rows[block], first)
+    return vols
+
+
+def _volume_block(rows, first):
+    # ushijima_intermediates, _u_term and the scalar guards on (m, 6) rows,
+    # in the same order of operations; the 16 dilogarithm arguments of all
+    # rows go to one dilog call
+    def check(bad, message, **diagnostics):
+        if bad.any():
+            row = int(np.flatnonzero(bad)[0])
+            raise EvaluationError(
+                f"row {first + row}, angles {rows[row]!r}: {message}",
+                diagnostics={"row": first + row,
+                             **{k: v[row].item() for k, v in diagnostics.items()}},
+            )
+
+    check(~np.isfinite(rows).all(axis=1), "non-finite angles")
+    inside = domain.in_O_mask(rows, strict=False, tol=_CLOSURE_SLACK)
+    check(~inside, "outside the closure of the angle polytope")
+
+    cos, sin = np.cos(rows), np.sin(rows)
+    a, b, c, d, e, f = (cos + 1j * sin).T
+    det_g = _gram_det_fast(*cos.T)
+    sin_sum = sin[:, 0] * sin[:, 3] + sin[:, 1] * sin[:, 4] + sin[:, 2] * sin[:, 5]
+    sqrt_det = np.sqrt(det_g + 0j)
+    denom = a * d + b * e + c * f + a * b * f + a * c * e + b * c * d + d * e * f + a * b * c * d * e * f
+    vanishing = np.abs(denom) < _DENOMINATOR_GUARD
+    flat = vanishing & (np.abs(sin_sum) < 1e-9) & (np.abs(det_g) < 1e-9)
+    check(
+        vanishing & ~flat,
+        "degenerate configuration: vanishing denominator in the volume formula",
+        detG=det_g, denominator=denom, sin_sum=sin_sum,
+    )
+    # flat rows: both numerators vanish with the denominator, z1 = z2 = 0
+    # and the volume is its continuous extension 0
+    denom[flat] = 1.0
+    z = -2.0 * np.stack([sin_sum - sqrt_det, sin_sum + sqrt_det], axis=1) / denom[:, None]
+    z[flat] = 0.0
+
+    factors = np.stack(
+        [np.ones_like(a), a * b * d * e, a * c * d * f, b * c * e * f,
+         -a * b * c, -a * e * f, -b * d * f, -c * d * e],
+        axis=1,
+    )
+    li = dilog(z[:, :, None] * factors[:, None, :]).imag
+    u = 0.5 * (li[..., 0] + li[..., 1] + li[..., 2] + li[..., 3]
+               - li[..., 4] - li[..., 5] - li[..., 6] - li[..., 7])
+    vol = 0.5 * (u[:, 0] - u[:, 1])
+    diagnostics = {"detG": det_g, "z1": z[:, 0], "z2": z[:, 1]}
+    check(~np.isfinite(vol), "non-finite volume", **diagnostics)
+    check(vol < _NEGATIVE_VOLUME_CLAMP, "volume is negative beyond round-off",
+          volume=vol, **diagnostics)
+    return np.maximum(vol, 0.0)
 
 
 @lru_cache(maxsize=1)

@@ -142,6 +142,12 @@ class TestRegularFamily:
         with pytest.raises(AccuracyError):
             regular_from_length(40.0)
 
+    @pytest.mark.parametrize("ell", [25.0, 30.0, 35.0])
+    def test_inaccurate_length_is_an_accuracy_error(self, ell):
+        # the closed form returns an edge length off by 1e-5 to 0.09 here
+        with pytest.raises(AccuracyError):
+            regular_from_length(ell)
+
     def test_short_regular_angles_below_pi6(self):
         # theta(ell) is strictly increasing with theta(l0) = pi/6, so a
         # length below l0 must give six equal angles in (0, pi/6)

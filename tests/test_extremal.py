@@ -16,13 +16,16 @@ from trunctet import (
     regular_from_length,
     regular_volume_l0,
     regular_volume_scan,
+    sample_O_batch,
     sample_T_ell,
     truncation_area,
     verify_fixed_angle_sum,
     verify_theorem,
 )
+from trunctet.domain import acute_mask, in_O_mask
 from trunctet.errors import DomainError, InvalidArgumentError, SamplingError
 from trunctet.extremal import CSV_HEADER
+from trunctet.tetra import _BATCH
 
 
 def floor_start(seed, ell=0.3):
@@ -34,6 +37,81 @@ def floor_start(seed, ell=0.3):
         (tet,) = sample_T_ell(rng, ell, 1, require_volume_floor=floor)
         if not tet.is_regular():
             return tet
+
+
+def row_by_row(seed, n, propose, mask, keep):
+    """Reference for the samplers: the same proposals and masks, each masked
+    row made by ``Tetrahedron.from_angles`` and kept while ``keep`` holds."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        batch = propose(rng, _BATCH)
+        for a in batch[mask(batch)]:
+            try:
+                tet = Tetrahedron.from_angles(a)
+            except DomainError:
+                continue
+            if keep(tet):
+                out.append(tet)
+                if len(out) == n:
+                    break
+    return out
+
+
+def uniform(high):
+    return lambda rng, size: rng.uniform(0.0, high, size=(size, 6))
+
+
+def assert_same_tetrahedra(got, expected):
+    # identical angle rows and lengths; volumes from the batch evaluation
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.angles == e.angles
+        assert g.lengths == e.lengths
+        assert abs(g.volume - e.volume) < 1e-13
+
+
+def assert_same_report(report, tets, reference):
+    margins = sorted(((reference - tet.volume, tet) for tet in tets), key=lambda m: m[0])
+    assert report.samples == report.passes == len(tets)
+    assert_same_tetrahedra([t for _, t in report.witnesses], [t for _, t in margins[:5]])
+
+
+class TestBatchVolumesMatchRowByRow:
+    """The samplers evaluate volumes in batches; at fixed seeds they return
+    what a row-by-row ``from_angles`` loop over the same proposals returns."""
+
+    def test_sample_T_ell(self):
+        expected = row_by_row(70, 200, uniform(math.pi), in_O_mask, lambda t: t.min_length >= 0.3)
+        assert_same_tetrahedra(sample_T_ell(np.random.default_rng(70), 0.3, 200), expected)
+
+    def test_sample_T_ell_volume_floor(self):
+        floor = regular_volume_l0()
+        expected = row_by_row(
+            71, 4, uniform(math.pi / 2), acute_mask,
+            lambda t: t.min_length >= 0.3 and t.volume >= floor,
+        )
+        got = sample_T_ell(np.random.default_rng(71), 0.3, 4, require_volume_floor=floor)
+        assert_same_tetrahedra(got, expected)
+
+    def test_sample_O_batch_volume_floor(self):
+        floor = regular_volume_l0()
+        expected = row_by_row(72, 40, uniform(math.pi / 2), acute_mask, lambda t: t.volume >= floor)
+        rows = sample_O_batch(np.random.default_rng(72), 40, "volume_floor", floor=floor)
+        assert [tuple(a) for a in rows] == [t.angles for t in expected]
+
+    def test_verify_theorem(self):
+        report = verify_theorem(L0, 150, seed=73)
+        expected = row_by_row(73, 150, uniform(math.pi), in_O_mask, lambda t: t.min_length >= L0)
+        assert_same_report(report, expected, report.params["reference_volume"])
+
+    def test_verify_fixed_angle_sum(self):
+        report = verify_fixed_angle_sum(3.0, 150, seed=74)
+        expected = row_by_row(
+            74, 150, lambda rng, size: rng.dirichlet(np.ones(6), size=size) * 3.0,
+            in_O_mask, lambda t: True,
+        )
+        assert_same_report(report, expected, report.params["reference_volume"])
 
 
 class TestSampler:

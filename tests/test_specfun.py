@@ -65,6 +65,38 @@ class TestDilog:
             dilog(complex(1.0, float("inf")))
 
 
+class TestDilogArray:
+    @staticmethod
+    def branch_points():
+        # 0, 1, the unit circle, |z| just either side of 1/4 and of 1, the
+        # reflection half-plane Re z > 1/2, and large moduli
+        rng = np.random.default_rng(4)
+        phis = rng.uniform(0.0, 2 * math.pi, 64)
+        radii = (0.1, 0.25 * (1 - 1e-12), 0.25, 0.25 * (1 + 1e-12), 0.6,
+                 1 - 1e-12, 1.0, 1 + 1e-12, 1.7, 40.0, 1e9)
+        points = [r * cmath.exp(1j * phi) for r in radii for phi in phis]
+        points += [0.0, 1.0, -1.0, 0.5, 0.5 + 1e-16, 1j, -1j, 2.0, -3.0, 0.6 + 0.8j]
+        return np.array(points, dtype=complex)
+
+    def test_matches_scalar_on_every_branch(self):
+        z = self.branch_points()
+        got = dilog(z)
+        for zk, value in zip(z, got):
+            expected = dilog(complex(zk))
+            assert abs(value - expected) <= 1e-15 * max(1.0, abs(expected))
+
+    def test_keeps_shape(self):
+        z = self.branch_points()[:60].reshape(3, 4, 5)
+        got = dilog(z)
+        assert got.shape == (3, 4, 5)
+        assert abs(dilog(complex(z[1, 2, 3])) - got[1, 2, 3]) < 1e-15
+        assert dilog(np.zeros(0, dtype=complex)).shape == (0,)
+
+    def test_rejects_non_finite_element(self):
+        with pytest.raises(InvalidArgumentError):
+            dilog(np.array([0.5, complex(1.0, float("inf"))]))
+
+
 class TestLobachevsky:
     def test_zero(self):
         assert lobachevsky(0.0) == 0.0

@@ -15,6 +15,8 @@ from trunctet import (
     lobachevsky,
     permute,
     regular_volume_l0,
+    sample_O_batch,
+    sample_T_ell,
     truncation_area,
     ushijima_intermediates,
     ushijima_volume,
@@ -125,6 +127,55 @@ class TestVolume:
 
     def test_nonnegative_on_closure(self):
         assert ushijima_volume((0.0,) * 6) > 0.0
+
+
+class TestVolumeRows:
+    @staticmethod
+    def rows():
+        # 1000 interior rows, 1000 rows of T_0.1, the flat limit and rows
+        # near each kind of boundary of the polytope
+        rng = np.random.default_rng(41)
+        interior = sample_O_batch(rng, 1000)
+        short = [tet.angles for tet in sample_T_ell(rng, 0.1, 1000)]
+        eps = 1e-4
+        boundary = [
+            FLAT,
+            (eps, eps, math.pi - 2.5 * eps, eps, eps, math.pi - 2.5 * eps),
+            (0.0,) * 6,
+            (1e-9,) * 6,
+            ASYMMETRIC,
+            TWO_ANGLE,
+            (math.pi / 3 - 1e-9,) * 6,
+            (1.0, 1.0, math.pi - 2.0 - 1e-9, 0.5, 0.5, 0.5),
+        ]
+        return np.array(list(interior) + short + boundary, dtype=float)
+
+    def test_matches_scalar(self):
+        rows = self.rows()
+        got = ushijima_volume(rows)
+        assert got.shape == (len(rows),)
+        for a, value in zip(rows, got):
+            assert abs(value - ushijima_volume(a)) < 1e-13
+
+    def test_empty_batch(self):
+        got = ushijima_volume(np.zeros((0, 6)))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    def test_row_outside_closure_names_the_row(self):
+        rows = np.array([REGULAR, TWO_ANGLE, (2.0,) * 6, REGULAR])
+        with pytest.raises(EvaluationError, match="row 2"):
+            ushijima_volume(rows)
+        # large batches are evaluated in blocks; the row number is global
+        rows = np.tile(REGULAR, (5000, 1))
+        rows[4500] = 2.0
+        with pytest.raises(EvaluationError, match="row 4500"):
+            ushijima_volume(rows)
+
+    def test_rejects_non_finite_and_wrong_width(self):
+        with pytest.raises(EvaluationError, match="row 1"):
+            ushijima_volume(np.array([REGULAR, (math.nan,) * 6]))
+        with pytest.raises(EvaluationError):
+            ushijima_volume(np.zeros((3, 5)))
 
 
 class TestTruncationArea:
