@@ -7,6 +7,7 @@ yields byte-identical output. Exit codes: 0 success, 1 validation failure,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -73,7 +74,10 @@ def _add_output_flags(parser):
     group.add_argument("--csv", action="store_true", help="CSV output")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="trunctet",
         description="Compact truncated hyperbolic tetrahedra: charts, volumes, "

@@ -10,6 +10,11 @@ where d_i, c_ij are polynomial in the cosines of the angles and z_i, w_ij
 mirror them in the hyperbolic cosines of the lengths. Each polynomial is one
 kernel on (..., 6) arrays; the scalar functions validate their input and
 turn failed guards into typed errors, the batch function into NaN rows.
+
+Each kernel has a ``_grad`` twin holding its exact partial derivatives as a
+(..., rows, 6) array, entry (r, q) being d row_r / d x_q; ``lengths_jacobian``
+and ``angles_jacobian`` chain them into the exact Jacobians of the two
+conversions.
 """
 
 from dataclasses import dataclass
@@ -69,9 +74,44 @@ def _vertex_poly(x, triples):
     return 2.0 * x * y * z + x * x + y * y + z * z - 1.0
 
 
+def _vertex_poly_grad(x, triples):
+    # each member of a vertex triple has partial 2 (member + product of the
+    # other two); the three members of a triple are distinct edges
+    x, y, z = _gather(x, triples)
+    grad = np.zeros(x.shape[:-1] + (4, 6))
+    vertices = np.arange(4)
+    for members, partial in zip(triples, (x + y * z, y + x * z, z + x * y)):
+        grad[..., vertices, members] = 2.0 * partial
+    return grad
+
+
+def _edge_poly_grad(partials):
+    # scatter the partials of c_ij or w_ij in the roles ij, ik, il, jk, jl,
+    # kl (the rows of _EDGE_ROLES, a permutation of the edges for each ij)
+    grad = np.empty(partials[0].shape[:-1] + (6, 6))
+    edges = np.arange(6)
+    for roles, partial in zip(_EDGE_ROLES, partials):
+        grad[..., edges, roles] = partial
+    return grad
+
+
 def _c_poly(cos_angles):
     cij, cik, cil, cjk, cjl, ckl = _gather(cos_angles, _EDGE_ROLES)
     return cij * (cil * cjk + cik * cjl) + cil * cjl + cik * cjk + ckl * (1.0 - cij * cij)
+
+
+def _c_poly_grad(cos_angles):
+    cij, cik, cil, cjk, cjl, ckl = _gather(cos_angles, _EDGE_ROLES)
+    return _edge_poly_grad(
+        (
+            cil * cjk + cik * cjl - 2.0 * cij * ckl,
+            cij * cjl + cjk,
+            cij * cjk + cjl,
+            cij * cil + cik,
+            cij * cik + cil,
+            1.0 - cij * cij,
+        )
+    )
 
 
 def _w_poly(cosh_lengths):
@@ -79,10 +119,69 @@ def _w_poly(cosh_lengths):
     return hij * (hil * hjk + hik * hjl) + hik * hil + hjk * hjl - (hij * hij - 1.0) * hkl
 
 
+def _w_poly_grad(cosh_lengths):
+    hij, hik, hil, hjk, hjl, hkl = _gather(cosh_lengths, _EDGE_ROLES)
+    return _edge_poly_grad(
+        (
+            hil * hjk + hik * hjl - 2.0 * hij * hkl,
+            hij * hjl + hil,
+            hij * hjk + hik,
+            hij * hil + hjl,
+            hij * hik + hjk,
+            1.0 - hij * hij,
+        )
+    )
+
+
 def _pair_ratio(edge_coeffs, vertex_coeffs, ends):
     # edge coefficient over the geometric mean of its two vertex coefficients
     first, second = _gather(vertex_coeffs, ends)
     return edge_coeffs / np.sqrt(first * second)
+
+
+def _pair_ratio_grad(x, edge_poly, edge_poly_grad, triples, ends):
+    # _pair_ratio of the kernels at x and its derivative in x:
+    # d(e / sqrt(a b)) = de / sqrt(a b) - (e / sqrt(a b)) (da / a + db / b) / 2
+    vertex_coeffs = _vertex_poly(x, triples)
+    first, second = _gather(vertex_coeffs, ends)
+    root = np.sqrt(first * second)
+    ratio = edge_poly(x) / root
+    log_grad = _vertex_poly_grad(x, triples) / vertex_coeffs[..., None]
+    log_sum = log_grad[..., ends[0], :] + log_grad[..., ends[1], :]
+    return ratio, edge_poly_grad(x) / root[..., None] - 0.5 * ratio[..., None] * log_sum
+
+
+def lengths_jacobian(angles):
+    """Exact Jacobian d l / d theta of ``angles_to_lengths`` on (..., 6)
+    angle arrays: entry (ij, q) is d l_ij / d theta_q.
+
+    Differentiates cosh l_ij = c_ij / sqrt(d_i d_j) in the cosines and
+    chains with d cos theta = -sin theta d theta and d l = d cosh l / sinh l.
+    Inputs are not validated; rows off the polytope give NaN or inf.
+    """
+    angles = np.asarray(angles, dtype=float)
+    cosh_lengths, grad = _pair_ratio_grad(
+        np.cos(angles), _c_poly, _c_poly_grad, _VERTEX_EDGES, _ENDS
+    )
+    sinh_lengths = np.sqrt((cosh_lengths - 1.0) * (cosh_lengths + 1.0))
+    return grad * -np.sin(angles)[..., None, :] / sinh_lengths[..., None]
+
+
+def angles_jacobian(lengths):
+    """Exact Jacobian d theta / d l of ``lengths_to_angles`` on (..., 6)
+    length arrays: entry (ij, q) is d theta_ij / d l_q.
+
+    Differentiates cos theta_ij = w_ij / sqrt(z_k z_l) in the hyperbolic
+    cosines and chains with d cosh l = sinh l d l and
+    d theta = -d cos theta / sin theta. Inputs are not validated; rows off
+    the length chart give NaN or inf.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    cos_angles, grad = _pair_ratio_grad(
+        np.cosh(lengths), _w_poly, _w_poly_grad, _OPPOSITE_FACE_EDGES, _OPPOSITE_ENDS
+    )
+    sin_angles = np.sqrt((1.0 - cos_angles) * (1.0 + cos_angles))
+    return grad * np.sinh(lengths)[..., None, :] / -sin_angles[..., None]
 
 
 @dataclass(frozen=True)

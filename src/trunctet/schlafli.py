@@ -1,10 +1,12 @@
 """Volume gradients in both charts and the trigonometric expressions that
 control the sign of the length-derivative along a maximal edge.
 
-The angle-chart gradient is closed form (d vol = -1/2 * sum l_ij d theta_ij).
-The length-chart gradient needs the Jacobian d theta / d l, which is computed
-by Richardson-extrapolated central differences and cross-validated against
-the inverse of the opposite-direction Jacobian.
+The angle-chart gradient is closed form (d vol = -1/2 * sum l_ij d theta_ij,
+Schlafli's formula). The length-chart gradient chains it with the Jacobian
+d theta / d l, the exact derivative of the closed-form conversion in
+``convert.angles_jacobian``. With ``check`` set, that Jacobian is validated
+against the inverse of d l / d theta, differentiated independently from the
+angle side (``convert.lengths_jacobian``).
 """
 
 import math
@@ -15,7 +17,6 @@ import numpy as np
 from . import convert, domain, volume
 from .errors import InconsistencyError, NearDegenerateError
 
-FD_STEP = 1e-5
 JACOBIAN_CONSISTENCY_TOL = 1e-6
 CONDITION_LIMIT = 1e10
 
@@ -44,35 +45,39 @@ def volume_of_lengths(lengths):
     return volume.ushijima_volume(convert.lengths_to_angles(lengths))
 
 
-def _fd_jacobian(func, x, h=FD_STEP):
-    # 4th-order central differences: (f(x-2h) - 8 f(x-h) + 8 f(x+h) - f(x+2h)) / 12h
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for q in range(6):
-        step = np.zeros(6)
-        step[q] = h
-        f_m2 = func(x - 2 * step)
-        f_m1 = func(x - step)
-        f_p1 = func(x + step)
-        f_p2 = func(x + 2 * step)
-        cols.append((f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h))
-    return np.column_stack(cols)
+def _exact_jacobian(kernel, x, what):
+    # the kernels return inf or NaN where a sine or sinh vanishes
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        jac = kernel(x)
+    if not np.isfinite(jac).all():
+        raise NearDegenerateError(f"{what} Jacobian is not finite at {x!r}")
+    return jac
 
 
-def jacobian_lengths_of_angles(angles, h=FD_STEP):
-    """Matrix with entry (ij, hk) = d l_ij / d theta_hk, by central FD."""
-    return _fd_jacobian(convert.angles_to_lengths, angles, h)
+def jacobian_lengths_of_angles(angles):
+    """Matrix with entry (ij, hk) = d l_ij / d theta_hk, in closed form.
+
+    Outside the angle polytope the conversion's typed errors are raised;
+    where the Jacobian is not finite, NearDegenerateError.
+    """
+    a = domain.as_vector(angles, "angles")
+    convert.angles_to_lengths(a)  # only for its typed errors
+    return _exact_jacobian(convert.lengths_jacobian, a, "length/angle")
 
 
-def jacobian_angles_of_lengths(lengths, h=FD_STEP, check=True):
-    """Matrix with entry (ij, hk) = d theta_ij / d l_hk, by central FD.
+def jacobian_angles_of_lengths(lengths, check=True):
+    """Matrix with entry (ij, hk) = d theta_ij / d l_hk, in closed form.
 
     When ``check`` is set the result is validated against the inverse of the
-    opposite-direction Jacobian (chain rule), and rejected when the product
-    strays from the identity or the matrix is too ill-conditioned.
+    opposite-direction Jacobian, computed independently from the angles
+    (chain rule), and rejected when the product strays from the identity or
+    the matrix is too ill-conditioned. Outside the length chart the
+    conversion's typed errors are raised; where the Jacobian is not finite,
+    NearDegenerateError.
     """
     l = domain.as_vector(lengths, "lengths")
-    jac = _fd_jacobian(convert.lengths_to_angles, l, h)
+    angles = convert.lengths_to_angles(l)
+    jac = _exact_jacobian(convert.angles_jacobian, l, "angle/length")
     if check:
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > CONDITION_LIMIT:
@@ -80,8 +85,7 @@ def jacobian_angles_of_lengths(lengths, h=FD_STEP, check=True):
                 f"angle/length Jacobian condition number {cond:.3g} exceeds "
                 f"{CONDITION_LIMIT:.0e}"
             )
-        angles = convert.lengths_to_angles(l)
-        product = jac @ jacobian_lengths_of_angles(angles, h)
+        product = jac @ jacobian_lengths_of_angles(angles)
         defect = np.max(np.abs(product - np.eye(6)))
         if defect > JACOBIAN_CONSISTENCY_TOL:
             raise InconsistencyError(
@@ -91,10 +95,10 @@ def jacobian_angles_of_lengths(lengths, h=FD_STEP, check=True):
     return jac
 
 
-def dvol_dlengths(tet, h=FD_STEP, check=False):
+def dvol_dlengths(tet, check=False):
     """Gradient of volume in the length chart:
     component ij = -1/2 * sum_kl l_kl * d theta_kl / d l_ij."""
-    jac = jacobian_angles_of_lengths(tet.lengths, h=h, check=check)
+    jac = jacobian_angles_of_lengths(tet.lengths, check=check)
     values = -0.5 * (np.asarray(tet.lengths) @ jac)
     return GradientVector(tuple(values), "lengths")
 

@@ -64,7 +64,13 @@ class Tetrahedron:
         return sum(1 for l in self.lengths if l >= self.max_length - tie_tol)
 
     def permuted(self, sigma):
-        return Tetrahedron.from_angles(domain.permute(sigma, self.angles))
+        """The same tetrahedron with its vertices relabelled by ``sigma``:
+        angles and lengths are permuted alike and the volume is kept."""
+        return Tetrahedron(
+            tuple(domain.permute(sigma, self.angles)),
+            tuple(domain.permute(sigma, self.lengths)),
+            self.volume,
+        )
 
     def to_json_dict(self):
         return {

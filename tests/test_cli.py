@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from trunctet import L0, Tetrahedron
-from trunctet.cli import main
+from trunctet.cli import build_parser, main
 
 PI6 = ",".join([repr(math.pi / 6)] * 6)
 
@@ -156,6 +156,25 @@ class TestErrorsAndDeterminism:
     def test_unknown_flag(self):
         code, _, _ = run(["volume", "--bogus", "1"])
         assert code == 1
+
+    def test_shared_parser_gives_fresh_parser_results(self, capsys):
+        # usage errors from the handler and from argparse itself, between
+        # successful commands
+        argvs = [
+            ["verify", "theorem", "--ell", "0.3", "--samples", "20", "--seed", "5"],
+            ["grad", "--angles", PI6],
+            ["verify", "theorem"],
+            ["verify", "bogus"],
+            ["verify", "anglesum", "--sum", "3.0", "--samples", "20", "--seed", "6"],
+        ]
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append((run(argv), capsys.readouterr()))
+        assert build_parser() is build_parser()
+        for argv, expected in zip(argvs + argvs[::-1], fresh + fresh[::-1]):
+            assert (run(argv), capsys.readouterr()) == expected
+        assert [result[0] for result, _ in fresh] == [0, 0, 1, 1, 0]
 
     def test_byte_determinism(self):
         argv = ["verify", "theorem", "--ell", "0.3", "--samples", "100", "--seed", "5"]

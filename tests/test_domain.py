@@ -232,6 +232,16 @@ class TestTetrahedronRecord:
         with pytest.raises(InconsistencyError):
             Tetrahedron.from_json_dict(record)
 
+    def test_permuted_matches_rebuilt_record(self, acute_points):
+        for a in acute_points[:40]:
+            tet = Tetrahedron.from_angles(a)
+            for sigma in ALL_PERMUTATIONS:
+                moved = tet.permuted(sigma)
+                rebuilt = Tetrahedron.from_angles(permute(sigma, a))
+                assert np.array_equal(moved.angles, rebuilt.angles)
+                assert np.max(np.abs(np.subtract(moved.lengths, rebuilt.lengths))) <= 1e-12
+                assert abs(moved.volume - rebuilt.volume) <= 1e-12
+
     def test_rejects_exterior_angles(self):
         with pytest.raises(DomainError):
             Tetrahedron.from_angles((1.5, 1.5, 1.5, 1.5, 1.5, 1.5))

@@ -1,14 +1,17 @@
 """Volume gradients in both charts and the maximal-edge sign expressions."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from trunctet import (
     ALL_PERMUTATIONS,
+    NearDegenerateError,
     L0,
     Tetrahedron,
+    angles_to_lengths_batch,
     dvol_dangles,
     dvol_dlengths,
     empirical_k,
@@ -24,10 +27,31 @@ from trunctet import (
     tecnicofinale_gap,
     ushijima_volume,
 )
+from trunctet import convert
+from trunctet.errors import InconsistencyError
 from trunctet.indexing import EDGE_PAIRS, edge_position
 from trunctet.schlafli import volume_of_lengths
 
+from test_convert import octagon_boundary_tuple
+
 REGULAR = (math.pi / 6,) * 6
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+
+
+def fd_jacobian(func, x, h=1e-5):
+    """4th-order central differences, (f(x-2h) - 8 f(x-h) + 8 f(x+h) -
+    f(x+2h)) / 12h column by column: the reference for the exact Jacobians."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for q in range(6):
+        step = np.zeros(6)
+        step[q] = h
+        f_m2 = func(x - 2 * step)
+        f_m1 = func(x - step)
+        f_p1 = func(x + step)
+        f_p2 = func(x + 2 * step)
+        cols.append((f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h))
+    return np.column_stack(cols)
 
 
 def permutation_matrix(sigma):
@@ -67,20 +91,68 @@ class TestJacobians:
             tet = Tetrahedron.from_angles(a)
             j_angles = jacobian_angles_of_lengths(tet.lengths)
             j_lengths = jacobian_lengths_of_angles(tet.angles)
-            assert np.max(np.abs(j_angles @ j_lengths - np.eye(6))) < 1e-6
+            assert np.max(np.abs(j_angles @ j_lengths - np.eye(6))) < 1e-10
+
+    def test_match_finite_differences(self, acute_points):
+        for a in acute_points[:50]:
+            tet = Tetrahedron.from_angles(a)
+            fd_angles = fd_jacobian(convert.lengths_to_angles, tet.lengths)
+            fd_lengths = fd_jacobian(convert.angles_to_lengths, tet.angles)
+            assert np.max(np.abs(jacobian_angles_of_lengths(tet.lengths) - fd_angles)) <= 1e-8
+            assert np.max(np.abs(jacobian_lengths_of_angles(tet.angles) - fd_lengths)) <= 1e-8
+
+    def test_lengths_of_angles_symmetric_positive_definite(self, acute_points):
+        # Schlafli: d l / d theta = -2 Hess_theta V, and V is strictly concave
+        for a in acute_points[:300]:
+            jac = jacobian_lengths_of_angles(a)
+            assert np.max(np.abs(jac - jac.T)) <= 1e-12
+            assert np.linalg.eigvalsh(0.5 * (jac + jac.T)).min() > 0.0
+
+    def test_batch_kernels_match_scalar(self, acute_points):
+        angles = np.array(acute_points[:20])
+        lengths = angles_to_lengths_batch(angles)
+        batch = convert.angles_jacobian(lengths)
+        for row, l in zip(batch, lengths):
+            assert np.array_equal(row, jacobian_angles_of_lengths(l, check=False))
+        batch = convert.lengths_jacobian(angles)
+        for row, a in zip(batch, angles):
+            assert np.array_equal(row, jacobian_lengths_of_angles(a))
 
     def test_equivariance_at_regular_point(self):
         tet = regular_from_length(0.8)
         jac = jacobian_angles_of_lengths(tet.lengths)
-        for sigma in ALL_PERMUTATIONS[:8]:
+        for sigma in ALL_PERMUTATIONS:
             mat = permutation_matrix(sigma)
             assert np.max(np.abs(mat @ jac - jac @ mat)) < 1e-7
+
+    def test_equivariance(self, acute_points):
+        # relabelled lengths P l have the Jacobian P J P^T
+        for a in acute_points[:5]:
+            tet = Tetrahedron.from_angles(a)
+            jac = jacobian_angles_of_lengths(tet.lengths)
+            for sigma in ALL_PERMUTATIONS:
+                mat = permutation_matrix(sigma)
+                moved = jacobian_angles_of_lengths(mat @ np.asarray(tet.lengths))
+                assert np.max(np.abs(moved - mat @ jac @ mat.T)) <= 1e-12
 
     def test_diagonal_positive_at_regular_points(self):
         # numerical observation on the regular family, kept as a regression
         for ell in (0.3, L0, 1.5):
             jac = jacobian_angles_of_lengths(regular_from_length(ell).lengths)
             assert np.all(np.diag(jac) > 0)
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_flat_limit_is_near_degenerate(self, check):
+        with pytest.raises(NearDegenerateError):
+            jacobian_angles_of_lengths(octagon_boundary_tuple(0.8), check=check)
+
+    def test_check_rejects_inconsistent_inverse(self, monkeypatch):
+        tet = regular_from_length(0.8)
+        kernel = convert.lengths_jacobian
+        monkeypatch.setattr(convert, "lengths_jacobian", lambda a: 1.001 * kernel(a))
+        with pytest.raises(InconsistencyError):
+            jacobian_angles_of_lengths(tet.lengths, check=True)
+        jacobian_angles_of_lengths(tet.lengths, check=False)
 
 
 class TestLengthGradient:
@@ -113,6 +185,35 @@ class TestLengthGradient:
                     2 * h
                 )
                 assert abs(fd - grad[q]) < 1e-5
+
+
+    def test_matches_high_precision_oracle(self, acute_points, monkeypatch):
+        pytest.importorskip("mpmath")
+        monkeypatch.syspath_prepend(os.path.abspath(BENCH))
+        import oracle
+
+        rng = np.random.default_rng(52)
+        for a in acute_points[:4]:
+            tet = Tetrahedron.from_angles(a)
+            v = rng.normal(size=6)
+            v /= np.linalg.norm(v)
+            exact = float(oracle.directional_derivative(tet.lengths, v))
+            assert abs(dvol_dlengths(tet).as_array() @ v - exact) <= 1e-10
+
+    def test_makes_one_conversion(self, acute_points, monkeypatch):
+        # guards against finite differences coming back
+        tet = Tetrahedron.from_angles(acute_points[0])
+        calls = []
+        for name in ("lengths_to_angles", "angles_to_lengths"):
+            original = getattr(convert, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(convert, name, counted)
+        dvol_dlengths(tet)
+        assert calls == ["lengths_to_angles"]
 
 
 class TestKeyBracket:
