@@ -10,6 +10,7 @@ from .convert import (
     angles_to_lengths_batch,
     in_L,
     lengths_to_angles,
+    lengths_to_angles_batch,
 )
 from .domain import (
     ALL_PERMUTATIONS,
@@ -112,6 +113,7 @@ __all__ = [
     "key_bracket",
     "lemma_gaps",
     "lengths_to_angles",
+    "lengths_to_angles_batch",
     "lobachevsky",
     "permutation_moving_edge_to_front",
     "permute",

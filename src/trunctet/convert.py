@@ -9,7 +9,18 @@ With {i,j,k,l} = {1,2,3,4} the conversions are
 where d_i, c_ij are polynomial in the cosines of the angles and z_i, w_ij
 mirror them in the hyperbolic cosines of the lengths. Each polynomial is one
 kernel on (..., 6) arrays; the scalar functions validate their input and
-turn failed guards into typed errors, the batch function into NaN rows.
+turn failed guards into typed errors, the batch functions into NaN rows.
+
+Both directions have a batch form on (m, 6) arrays, bitwise equal row by
+row to the scalar one: ``angles_to_lengths_batch`` and
+``lengths_to_angles_batch``. The length -> angle direction is one kernel
+(z_k and the cosine arguments) with one set of guards (z_k > 0 and
+|cos theta_ij| <= 1 + EPS_CLAMP); ``lengths_to_angles`` raises
+``NotInClosureError`` on the first failed guard of its row, the batch gives
+NaN there. The length-chart test ``chart_angles`` (and ``in_L`` on top of
+it) runs on (m, 6) arrays too: the batch conversion, the strict polytope
+test ``domain.in_O_mask`` and the round trip through
+``angles_to_lengths_batch``; a single 6-vector is a batch of one row.
 
 Each kernel has a ``_grad`` twin holding its exact partial derivatives as a
 (..., rows, 6) array, entry (r, q) being d row_r / d x_q; ``lengths_jacobian``
@@ -23,7 +34,6 @@ import numpy as np
 
 from . import domain
 from .errors import (
-    DomainError,
     InconsistencyError,
     InvalidArgumentError,
     NotATetrahedronError,
@@ -230,6 +240,41 @@ def angles_to_lengths(angles, eps_clamp=EPS_CLAMP):
     return np.arccosh(np.maximum(arg, 1.0))
 
 
+def _cos_angles(lengths):
+    # the length -> angle kernel on (..., 6) arrays: the vertex coefficients
+    # z_k, (..., 4), and the cosine arguments w_ij / sqrt(z_k z_l), (..., 6);
+    # an overflowing cosh gives inf or NaN, which _chart_guards rejects
+    ch = np.cosh(lengths)
+    z = _vertex_poly(ch, _OPPOSITE_FACE_EDGES)
+    return z, _pair_ratio(_w_poly(ch), z, _OPPOSITE_ENDS)
+
+
+def _chart_guards(z, arg, eps_clamp):
+    # rows whose z_k are all positive and whose cosine arguments all lie
+    # within 1 + eps_clamp in size; written so that a NaN argument fails
+    return (z > 0.0).all(axis=-1) & (np.abs(arg) <= 1.0 + eps_clamp).all(axis=-1)
+
+
+def _guard_error(z, arg, eps_clamp):
+    # the typed error of the first guard a single row fails
+    if (z <= 0.0).any():
+        vertex = int(np.argmin(z)) + 1
+        return NotInClosureError(
+            f"vertex coefficient z_{vertex} = {z[vertex - 1]:.6g} is not positive",
+            value=z[vertex - 1],
+        )
+    pos = int(np.argmax(~(np.abs(arg) <= 1.0 + eps_clamp)))
+    i, j = EDGE_PAIRS[pos]
+    return NotInClosureError(
+        f"cosine argument {arg[pos]:.6g} exceeds 1 at edge {{{i},{j}}}",
+        value=arg[pos],
+    )
+
+
+def _arccos(arg):
+    return np.arccos(np.minimum(np.maximum(arg, -1.0), 1.0))
+
+
 def lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=1e-9):
     """Dihedral angles of the tetrahedron with the given edge lengths.
 
@@ -237,25 +282,10 @@ def lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=1e-9):
     the angle polytope; closure points (e.g. flattening families) land on
     its boundary and are accepted within ``closure_tol``.
     """
-    ch = np.cosh(domain.as_vector(lengths, "lengths"))
-    z = _vertex_poly(ch, _OPPOSITE_FACE_EDGES)
-    if (z <= 0.0).any():
-        vertex = int(np.argmin(z)) + 1
-        raise NotInClosureError(
-            f"vertex coefficient z_{vertex} = {z[vertex - 1]:.6g} is not positive",
-            value=z[vertex - 1],
-        )
-    arg = _pair_ratio(_w_poly(ch), z, _OPPOSITE_ENDS)
-    # written so that a NaN argument (overflowing cosh) also fails
-    bad = ~(np.abs(arg) <= 1.0 + eps_clamp)
-    if bad.any():
-        pos = int(np.argmax(bad))
-        i, j = EDGE_PAIRS[pos]
-        raise NotInClosureError(
-            f"cosine argument {arg[pos]:.6g} exceeds 1 at edge {{{i},{j}}}",
-            value=arg[pos],
-        )
-    angles = np.arccos(np.minimum(np.maximum(arg, -1.0), 1.0))
+    z, arg = _cos_angles(domain.as_vector(lengths, "lengths"))
+    if not _chart_guards(z, arg, eps_clamp):
+        raise _guard_error(z, arg, eps_clamp)
+    angles = _arccos(arg)
     if not domain.in_O(angles, strict=False, tol=closure_tol):
         raise InconsistencyError(
             f"angles {angles!r} computed from lengths lie outside the closure "
@@ -264,26 +294,63 @@ def lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=1e-9):
     return angles
 
 
+def _as_rows(batch):
+    rows = np.asarray(batch, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 6:
+        raise InvalidArgumentError(f"lengths: expected (m, 6) rows, got shape {rows.shape}")
+    return rows
+
+
+def lengths_to_angles_batch(batch):
+    """Vectorized lengths -> angles for an (m, 6) batch.
+
+    Rows that fail the guards of ``lengths_to_angles`` (a vertex
+    coefficient z_k <= 0, or a cosine argument beyond 1 + EPS_CLAMP in size,
+    which includes an overflowing cosh) come back as NaN instead of raising.
+    The other rows agree bitwise with ``lengths_to_angles``.
+    """
+    rows = _as_rows(batch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, arg = _cos_angles(rows)
+    angles = _arccos(arg)
+    angles[~_chart_guards(z, arg, EPS_CLAMP)] = np.nan
+    return angles
+
+
+def _chart_rows(lengths, tol):
+    # the batch length-chart test on validated (m, 6) rows
+    angles = lengths_to_angles_batch(lengths)
+    ok = domain.in_O_mask(angles, strict=True)
+    back = angles_to_lengths_batch(angles)
+    ok &= (np.abs(back - lengths) < tol).all(axis=1)
+    angles[~ok] = np.nan
+    return angles, ok
+
+
 def chart_angles(lengths, tol=1e-9):
     """The angles of ``lengths`` if they lie in the length chart, else None.
 
     Operational membership: the angle conversion must succeed, land strictly
     inside the angle polytope, and convert back to the input within ``tol``.
+    An (m, 6) array of length rows gives ``(angles, ok)``: the (m, 6) angles,
+    NaN on the rows outside the chart, and the (m,) accept mask.
     """
+    if np.ndim(lengths) == 2:
+        return _chart_rows(_as_rows(lengths), tol)
     try:
-        angles = lengths_to_angles(lengths)
-        if not domain.in_O(angles, strict=True):
-            return None
-        back = angles_to_lengths(angles)
-    except (DomainError, InvalidArgumentError, InconsistencyError):
+        l = domain.as_vector(lengths, "lengths")
+    except InvalidArgumentError:
         return None
-    if np.abs(back - lengths).max() >= tol:
-        return None
-    return angles
+    angles, ok = _chart_rows(l[np.newaxis], tol)
+    return angles[0] if ok[0] else None
 
 
 def in_L(lengths, tol=1e-9):
-    """Membership in the length chart, decided by ``chart_angles``."""
+    """Membership in the length chart, decided by ``chart_angles``; an
+    (m, 6) array of length rows gives an (m,) boolean mask."""
+    if np.ndim(lengths) == 2:
+        rows = _as_rows(lengths)
+        return (rows > 0.0).all(axis=1) & chart_angles(rows, tol)[1]
     l = domain.as_vector(lengths, "lengths")
     return bool(np.all(l > 0.0)) and chart_angles(l, tol) is not None
 

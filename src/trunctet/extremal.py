@@ -151,6 +151,26 @@ def _tetrahedra(angles, lengths=None):
 
 # --- deformation flow ----------------------------------------------------
 
+#: flow steps whose candidate rows are chart-tested and evaluated together;
+#: bounds the temporaries of the batch volume whatever the segment length
+_FLOW_BLOCK = 128
+
+
+def _segment_blocks(current, tied, lmax, second, dt, count):
+    # the candidate length rows of the first ``count`` steps of the segment
+    # that lowers the tied edges from lmax to second in steps of dt, with the
+    # t increment of each step, _FLOW_BLOCK steps at a time
+    seg_len = lmax - second
+    n_sub = max(1, math.ceil(seg_len / dt))
+    last = min(n_sub, count)
+    for first in range(0, last, _FLOW_BLOCK):
+        sub = np.arange(first + 1, min(first + _FLOW_BLOCK, last) + 1)
+        shift = np.minimum(sub * dt, seg_len)
+        rows = np.tile(current, (len(sub), 1))
+        rows[:, tied] = np.where(sub == n_sub, second, lmax - shift)[:, None]
+        yield rows, (shift - np.minimum((sub - 1) * dt, seg_len)).tolist()
+
+
 def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
     """Shrink the maximal-length edges in lockstep until the tetrahedron is
     regular, recording one tetrahedron per step.
@@ -160,7 +180,13 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
     repeats. Termination reasons: ``regular`` (all six lengths merged),
     ``boundary`` (the path left the length chart, which the theorem rules
     out when the starting volume is at least vol of the regular tetrahedron
-    of the floor length), or ``budget``.
+    of the floor length), or ``budget`` (``max_steps`` steps taken; the step
+    that finds the boundary counts as one).
+
+    The steps of a segment depend only on its start, so their length rows
+    are built in blocks, each block decided by one batch ``chart_angles``
+    call and evaluated by one batch volume call up to its first row outside
+    the chart.
     """
     if dt <= 0:
         raise InvalidArgumentError("dt must be positive")
@@ -170,45 +196,34 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
             f"the floor {ell_floor:.6g}"
         )
     points = [(0.0, start)]
+
+    def finish(reason):
+        return Trajectory(tuple(points), float(ell_floor), float(dt), reason)
+
     current = np.asarray(start.lengths, dtype=float)
     t_global = 0.0
-    reason = TERMINATED_BUDGET
     steps = 0
     while steps < max_steps:
         lmax = float(current.max())
         lmin = float(current.min())
         if lmax - lmin < TIE_TOL:
-            reason = TERMINATED_REGULAR
-            break
+            return finish(TERMINATED_REGULAR)
         tied = current >= lmax - TIE_TOL
         second = float(current[~tied].max())
-        seg_len = lmax - second
-        if seg_len <= TIE_TOL:
-            current[tied] = second
-            continue
-        n_sub = max(1, math.ceil(seg_len / dt))
-        boundary_hit = False
-        for sub in range(1, n_sub + 1):
-            shift = min(sub * dt, seg_len)
-            cand = current.copy()
-            cand[tied] = second if sub == n_sub else lmax - shift
-            angles = convert.chart_angles(cand)
-            steps += 1
-            if angles is None:
-                reason = TERMINATED_BOUNDARY
-                boundary_hit = True
-                break
-            t_global = t_global + (shift - min((sub - 1) * dt, seg_len))
-            tet = Tetrahedron(tuple(angles), tuple(cand), volume.ushijima_volume(angles))
-            points.append((t_global, tet))
-            if steps >= max_steps:
-                break
-        if boundary_hit:
-            break
+        if lmax - second > TIE_TOL:
+            blocks = _segment_blocks(current, tied, lmax, second, dt, max_steps - steps)
+            for rows, increments in blocks:
+                angles, ok = convert.chart_angles(rows)
+                inside = len(ok) if ok.all() else int(ok.argmin())
+                vols = volume.ushijima_volume(angles[:inside]).tolist()
+                for a, l, v, increment in zip(angles, rows, vols, increments):
+                    t_global = t_global + increment
+                    points.append((t_global, Tetrahedron(tuple(a), tuple(l), v)))
+                if inside < len(ok):
+                    return finish(TERMINATED_BOUNDARY)
+                steps += inside
         current[tied] = second
-    else:
-        reason = TERMINATED_BUDGET
-    return Trajectory(tuple(points), float(ell_floor), float(dt), reason)
+    return finish(TERMINATED_BUDGET)
 
 
 # --- campaigns -----------------------------------------------------------

@@ -12,12 +12,31 @@ from trunctet import (
     angles_to_lengths,
     angles_to_lengths_batch,
     in_L,
+    in_O,
     lengths_to_angles,
+    lengths_to_angles_batch,
     permute,
+    sample_O_batch,
     sample_T_ell,
 )
-from trunctet.convert import ConversionCoefficients, coefficients_from_angles
-from trunctet.errors import NotATetrahedronError
+from trunctet.convert import (
+    _OPPOSITE_ENDS,
+    _OPPOSITE_FACE_EDGES,
+    ConversionCoefficients,
+    _pair_ratio,
+    _vertex_poly,
+    _w_poly,
+    chart_angles,
+    coefficients_from_angles,
+)
+from trunctet.errors import (
+    DomainError,
+    InconsistencyError,
+    InvalidArgumentError,
+    NotATetrahedronError,
+    NotInClosureError,
+)
+from trunctet.specfun import EPS_CLAMP
 from trunctet.indexing import EDGE_PAIRS, edge_position
 
 REGULAR = (math.pi / 6,) * 6
@@ -158,3 +177,161 @@ class TestInL:
 
     def test_octagon_tuple_outside(self):
         assert not in_L(octagon_boundary_tuple(0.8))
+
+
+# --- the batch length-chart test against the scalar code it replaced ------
+
+
+def reference_lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=1e-9):
+    """The per-row conversion as written before the batch kernel: guards
+    checked and typed errors raised one 6-vector at a time (overflow
+    warnings silenced)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch = np.cosh(np.asarray(lengths, dtype=float))
+        z = _vertex_poly(ch, _OPPOSITE_FACE_EDGES)
+        if (z <= 0.0).any():
+            vertex = int(np.argmin(z)) + 1
+            raise NotInClosureError(
+                f"vertex coefficient z_{vertex} = {z[vertex - 1]:.6g} is not positive",
+                value=z[vertex - 1],
+            )
+        arg = _pair_ratio(_w_poly(ch), z, _OPPOSITE_ENDS)
+    bad = ~(np.abs(arg) <= 1.0 + eps_clamp)
+    if bad.any():
+        pos = int(np.argmax(bad))
+        i, j = EDGE_PAIRS[pos]
+        raise NotInClosureError(
+            f"cosine argument {arg[pos]:.6g} exceeds 1 at edge {{{i},{j}}}",
+            value=arg[pos],
+        )
+    angles = np.arccos(np.minimum(np.maximum(arg, -1.0), 1.0))
+    if not in_O(angles, strict=False, tol=closure_tol):
+        raise InconsistencyError("angles outside the closure")
+    return angles
+
+
+def reference_chart_angles(lengths, tol=1e-9):
+    """The per-row length-chart test as written before the batch kernel."""
+    try:
+        angles = reference_lengths_to_angles(lengths)
+        if not in_O(angles, strict=True):
+            return None
+        back = angles_to_lengths(angles)
+    except (DomainError, InvalidArgumentError, InconsistencyError):
+        return None
+    if np.abs(back - lengths).max() >= tol:
+        return None
+    return angles
+
+
+def chart_test_rows():
+    """Length rows inside, outside and at the edge of the length chart."""
+    rows = []
+    for seed, ell, n in ((40, 0.1, 700), (41, 0.3, 700), (42, L0, 600)):
+        rows += [tet.lengths for tet in sample_T_ell(np.random.default_rng(seed), ell, n)]
+    rng = np.random.default_rng(43)
+    rows += list(rng.uniform(0.01, 3.0, size=(300, 6)))  # about a third outside
+    rows += list(-rng.uniform(0.1, 1.0, size=(5, 6)))  # negative lengths
+    # lengths of angle rows on the face theta_12 = 0 of the polytope: the
+    # conversion often returns exactly 0 there and the round trip holds,
+    # so only the strict polytope test rejects them
+    face = np.array(sample_O_batch(np.random.default_rng(44), 60, constraint="acute"))
+    face[:, 0] = 0.0
+    rows += list(angles_to_lengths_batch(face))
+    for alpha in (0.6, 0.8, 1.2, 2.0):
+        # the octagon flat limit (cos = +-1) and rows closing in on it from
+        # both sides, where |cos| -> 1
+        flat = np.array(octagon_boundary_tuple(alpha))
+        rows.append(flat)
+        for k in range(2, 15):
+            for sign in (1.0, -1.0):
+                row = flat.copy()
+                row[[2, 5]] *= 1.0 + sign * 10.0 ** -k
+                rows.append(row)
+    # z_k = 2xyz + x^2 + y^2 + z^2 - 1 >= 4 on cosh values x, y, z >= 1, so
+    # real lengths never reach z_k = 0; z_k is smallest (-> 4) as every
+    # length -> 0, and these rows approach it
+    rows += [np.full(6, 10.0 ** -k) for k in range(1, 9)]
+    rows += [(10.0, 0.01, 0.01, 10.0, 0.01, 0.01), (3.0, 0.2, 0.2, 0.2, 0.2, 0.2)]
+    # long edges up to and past the overflow of cosh (near 710.5)
+    for big in (30.0, 300.0, 709.0, 711.0, 800.0):
+        rows.append(np.full(6, big))
+        rows.append((big, 0.5, 0.5, 0.5, 0.5, 0.5))
+    return np.array(rows, dtype=float)
+
+
+class TestBatchChartMatchesScalar:
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return chart_test_rows()
+
+    def test_accept_mask_and_angles_are_bitwise(self, rows):
+        angles, ok = chart_angles(rows)
+        assert angles.shape == rows.shape and ok.shape == (len(rows),)
+        accepted = 0
+        for row, got, inside in zip(rows, angles, ok):
+            expected = reference_chart_angles(row)
+            assert inside == (expected is not None), row
+            scalar = chart_angles(row)
+            if expected is None:
+                assert scalar is None
+                assert np.isnan(got).all()
+            else:
+                accepted += 1
+                assert np.array_equal(got, expected)
+                assert np.array_equal(scalar, expected)
+        # both outcomes are well represented
+        assert accepted >= 2000 and len(rows) - accepted >= 150
+
+    def test_in_L_batch_is_the_scalar_decision(self, rows):
+        mask = in_L(rows)
+        assert mask.dtype == bool
+        assert list(mask) == [in_L(row) for row in rows]
+
+    # the scalar conversion warns, as it always has, when cosh overflows
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_conversion_raises_or_returns_as_before(self, rows):
+        batch = lengths_to_angles_batch(rows)
+        for row, got in zip(rows, batch):
+            try:
+                expected = reference_lengths_to_angles(row)
+            except NotInClosureError as exc:
+                assert np.isnan(got).all()
+                with pytest.raises(NotInClosureError) as raised:
+                    lengths_to_angles(row)
+                assert str(raised.value) == str(exc)
+                assert raised.value.value == exc.value or np.isnan(exc.value)
+                continue
+            except InconsistencyError:
+                # the batch kernel leaves the closure test to in_O_mask
+                assert np.isfinite(got).all()
+                with pytest.raises(InconsistencyError):
+                    lengths_to_angles(row)
+                continue
+            assert np.array_equal(got, expected)
+            assert np.array_equal(lengths_to_angles(row), expected)
+
+    # the scalar conversion warns, as it always has, when cosh overflows
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_cosh_is_rejected(self):
+        rows = np.array([(800.0, 0.5, 0.5, 0.5, 0.5, 0.5), (L0,) * 6])
+        angles, ok = chart_angles(rows)
+        assert list(ok) == [False, True]
+        assert np.isnan(lengths_to_angles_batch(rows)[0]).all()
+        with pytest.raises(NotInClosureError, match="cosine argument nan"):
+            lengths_to_angles(rows[0])
+
+    def test_shapes(self):
+        empty = np.empty((0, 6))
+        angles, ok = chart_angles(empty)
+        assert angles.shape == (0, 6) and ok.shape == (0,)
+        assert in_L(empty).shape == (0,)
+        with pytest.raises(InvalidArgumentError):
+            chart_angles(np.ones((3, 5)))
+        with pytest.raises(InvalidArgumentError):
+            lengths_to_angles_batch(np.ones(6))
+        # a malformed 6-vector is not in the chart, as before
+        assert chart_angles((1.0, 2.0, 3.0)) is None
+        assert chart_angles((L0, L0, L0, L0, L0, math.nan)) is None

@@ -19,12 +19,22 @@ from trunctet import (
     sample_O_batch,
     sample_T_ell,
     truncation_area,
+    ushijima_volume,
     verify_fixed_angle_sum,
     verify_theorem,
 )
+from trunctet.convert import chart_angles
 from trunctet.domain import acute_mask, in_O_mask
 from trunctet.errors import DomainError, InvalidArgumentError, SamplingError
-from trunctet.extremal import CSV_HEADER
+from trunctet.extremal import (
+    _FLOW_BLOCK,
+    CSV_HEADER,
+    TERMINATED_BOUNDARY,
+    TERMINATED_BUDGET,
+    TERMINATED_REGULAR,
+    TIE_TOL,
+    Trajectory,
+)
 from trunctet.tetra import _BATCH
 
 
@@ -188,6 +198,117 @@ class TestDeformationFlow:
             deformation_flow(tet, 0.5, dt=0.0)
         with pytest.raises(DomainError):
             deformation_flow(tet, 2.0)
+
+
+def reference_flow(start, ell_floor, dt=1e-3, max_steps=200_000):
+    """The per-step loop the batch flow replaced: one chart test and one
+    scalar volume per step."""
+    points = [(0.0, start)]
+    current = np.asarray(start.lengths, dtype=float)
+    t_global = 0.0
+    reason = TERMINATED_BUDGET
+    steps = 0
+    while steps < max_steps:
+        lmax = float(current.max())
+        lmin = float(current.min())
+        if lmax - lmin < TIE_TOL:
+            reason = TERMINATED_REGULAR
+            break
+        tied = current >= lmax - TIE_TOL
+        second = float(current[~tied].max())
+        seg_len = lmax - second
+        if seg_len <= TIE_TOL:
+            current[tied] = second
+            continue
+        n_sub = max(1, math.ceil(seg_len / dt))
+        boundary_hit = False
+        for sub in range(1, n_sub + 1):
+            shift = min(sub * dt, seg_len)
+            cand = current.copy()
+            cand[tied] = second if sub == n_sub else lmax - shift
+            angles = chart_angles(cand)
+            steps += 1
+            if angles is None:
+                reason = TERMINATED_BOUNDARY
+                boundary_hit = True
+                break
+            t_global = t_global + (shift - min((sub - 1) * dt, seg_len))
+            tet = Tetrahedron(tuple(angles), tuple(cand), ushijima_volume(angles))
+            points.append((t_global, tet))
+            if steps >= max_steps:
+                break
+        if boundary_hit:
+            break
+        current[tied] = second
+    else:
+        reason = TERMINATED_BUDGET
+    return Trajectory(tuple(points), float(ell_floor), float(dt), reason)
+
+
+def criterion_9_starts(n):
+    """The first n starts of acceptance criterion 9."""
+    rng = np.random.default_rng(109)
+    floor = regular_volume_l0()
+    starts = []
+    while len(starts) < n:
+        (tet,) = sample_T_ell(rng, 0.3, 1, require_volume_floor=floor)
+        if not tet.is_regular():
+            starts.append(tet)
+    return starts
+
+
+def assert_same_flow(got, expected):
+    # reasons, steps, t, lengths and angles bitwise; volumes from the batch
+    # evaluation
+    assert got.reason == expected.reason
+    assert len(got.points) == len(expected.points)
+    for (t_got, g), (t_exp, e) in zip(got.points, expected.points):
+        assert t_got == t_exp
+        assert g.lengths == e.lengths
+        assert g.angles == e.angles
+        assert abs(g.volume - e.volume) <= 1e-13
+
+
+class TestFlowMatchesPerStepLoop:
+    def test_floor_starts(self):
+        for start in criterion_9_starts(4):
+            assert_same_flow(deformation_flow(start, 0.3), reference_flow(start, 0.3))
+
+    def test_boundary_exits(self):
+        # of this draw, starts 68 and 130 leave the length chart at dt = 1e-2
+        starts = sample_T_ell(np.random.default_rng(3), 0.3, 131)
+        reasons = []
+        for index in (0, 1, 68, 130):
+            expected = reference_flow(starts[index], 0.3, dt=1e-2)
+            assert_same_flow(deformation_flow(starts[index], 0.3, dt=1e-2), expected)
+            reasons.append(expected.reason)
+        assert reasons == ["regular", "regular", "boundary", "boundary"]
+        # the step that finds the boundary counts towards max_steps
+        boundary_step = len(expected.points)
+        for max_steps, reason in ((boundary_step, "boundary"), (boundary_step - 1, "budget")):
+            got = deformation_flow(starts[130], 0.3, dt=1e-2, max_steps=max_steps)
+            assert_same_flow(got, reference_flow(starts[130], 0.3, 1e-2, max_steps))
+            assert got.reason == reason
+
+    def test_max_steps_cuts(self):
+        # the first segment of this start takes 426 steps, several blocks
+        start = criterion_9_starts(2)[1]
+        full = reference_flow(start, 0.3)
+        counts = [tet.maximal_edge_count() for _, tet in full.points]
+        segment_end = next(i for i, c in enumerate(counts) if c > counts[0])
+        assert segment_end > 2 * _FLOW_BLOCK
+        cuts = {
+            0, 1, _FLOW_BLOCK, _FLOW_BLOCK + 1, 2 * _FLOW_BLOCK,
+            segment_end // 2, segment_end, segment_end + 1,
+            len(full.points) - 2, len(full.points) - 1,
+        }
+        for max_steps in sorted(cuts):
+            expected = reference_flow(start, 0.3, max_steps=max_steps)
+            assert_same_flow(deformation_flow(start, 0.3, max_steps=max_steps), expected)
+            assert expected.reason == "budget"
+            assert len(expected.points) == max_steps + 1
+        assert_same_flow(deformation_flow(start, 0.3, max_steps=len(full.points)), full)
+        assert full.reason == "regular"
 
 
 class TestVerifyTheorem:

@@ -1,15 +1,22 @@
 """Packaging and benchmark-tooling guards: the package imports without
 SciPy, every name the benchmark's tracer wraps still exists, and the
-campaigns reach the volume through the attribute the tracer and the
-benchmark's self-test wrap."""
+campaigns and the deformation flow reach the volume through the attribute
+the tracer and the benchmark's self-test wrap."""
 
 import os
 import subprocess
 import sys
 
+import numpy as np
 import trunctet
 import trunctet.volume
-from trunctet import verify_fixed_angle_sum, verify_theorem
+from trunctet import (
+    deformation_flow,
+    regular_volume_l0,
+    sample_T_ell,
+    verify_fixed_angle_sum,
+    verify_theorem,
+)
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
@@ -57,3 +64,19 @@ def test_campaign_volumes_go_through_the_module_attribute(monkeypatch):
         for (_, a), (_, b) in zip(old.witnesses, new.witnesses):
             assert b.angles == a.angles
             assert abs(b.volume - a.volume - shift) < 1e-12
+
+
+def test_flow_volumes_go_through_the_module_attribute(monkeypatch):
+    shift = 1e-6
+    rng = np.random.default_rng(7)
+    (start,) = sample_T_ell(rng, 0.3, 1, require_volume_floor=regular_volume_l0())
+    before = deformation_flow(start, 0.3, dt=1e-2)
+    original = trunctet.volume.ushijima_volume
+    monkeypatch.setattr(trunctet.volume, "ushijima_volume", lambda a: original(a) + shift)
+    after = deformation_flow(start, 0.3, dt=1e-2)
+    assert len(after.points) == len(before.points) > 10
+    # the start is given, not evaluated; every step's volume moves
+    assert after.points[0] == before.points[0]
+    for (_, a), (_, b) in zip(before.points[1:], after.points[1:]):
+        assert b.lengths == a.lengths
+        assert b.volume == a.volume + shift
