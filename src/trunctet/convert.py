@@ -240,6 +240,11 @@ def angles_to_lengths(angles, eps_clamp=EPS_CLAMP):
     return np.arccosh(np.maximum(arg, 1.0))
 
 
+#: |length| below which _cos_angles cannot overflow: z_k z_l, its largest
+#: intermediate, grows like cosh(l)^6 and stays finite up to |l| ~ 118
+_NO_OVERFLOW = 100.0
+
+
 def _cos_angles(lengths):
     # the length -> angle kernel on (..., 6) arrays: the vertex coefficients
     # z_k, (..., 4), and the cosine arguments w_ij / sqrt(z_k z_l), (..., 6);
@@ -282,7 +287,15 @@ def lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=1e-9):
     the angle polytope; closure points (e.g. flattening families) land on
     its boundary and are accepted within ``closure_tol``.
     """
-    z, arg = _cos_angles(domain.as_vector(lengths, "lengths"))
+    lengths = domain.as_vector(lengths, "lengths")
+    values = lengths.tolist()
+    if -_NO_OVERFLOW < min(values) and max(values) < _NO_OVERFLOW:
+        z, arg = _cos_angles(lengths)
+    else:
+        # an overflowing kernel fails the guards below; numpy need not warn
+        # first (the test above is cheaper than np.errstate on every call)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z, arg = _cos_angles(lengths)
     if not _chart_guards(z, arg, eps_clamp):
         raise _guard_error(z, arg, eps_clamp)
     angles = _arccos(arg)

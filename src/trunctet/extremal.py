@@ -4,8 +4,10 @@ family scan, flat degenerations, and exploratory tests for the open
 conjectures.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -54,6 +56,9 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
+_margin = itemgetter(0)
+
+
 @dataclass
 class VerificationReport:
     """Outcome of a sampling campaign."""
@@ -78,9 +83,12 @@ class VerificationReport:
             self.passes += 1
         if margin < self.worst_margin:
             self.worst_margin = margin
-        self.witnesses.append((margin, tet))
-        self.witnesses.sort(key=lambda item: item[0])
-        del self.witnesses[self.max_witnesses:]
+        # the max_witnesses smallest margins, ties in arrival order; a margin
+        # at or above the last of a full list cannot enter it
+        witnesses = self.witnesses
+        if len(witnesses) < self.max_witnesses or (witnesses and margin < witnesses[-1][0]):
+            bisect.insort(witnesses, (margin, tet), key=_margin)
+            del witnesses[self.max_witnesses:]
 
     def to_json_dict(self):
         return {

@@ -1,5 +1,5 @@
-"""Special functions: complex dilogarithm, Lobachevsky function, guarded
-arccosh, and 1-D adaptive quadrature.
+"""Special functions: complex dilogarithm, Clausen and Lobachevsky
+functions, guarded arccosh, and 1-D adaptive quadrature.
 
 All functions are pure and reentrant.
 """
@@ -17,6 +17,14 @@ PI2_OVER_6 = math.pi * math.pi / 6.0
 
 EPS_CLAMP = 1e-12
 
+#: 2*pi as the sum of a double and the double nearest its rounding error,
+#: for an argument reduction that keeps the digits of small remainders
+_TWO_PI = 2.0 * math.pi
+_TWO_PI_LOW = 2.4492935982947064e-16
+
+#: floor of |t| under the logarithm of the Clausen series
+_TINY = 1e-300
+
 
 def _bernoulli(n_max):
     # exact B_0..B_n_max (B_1 = -1/2) from sum_{k<=m} C(m+1, k) B_k = 0
@@ -26,11 +34,13 @@ def _bernoulli(n_max):
     return b
 
 
+_BERNOULLI = _bernoulli(48)
+
 # Coefficients B_n / (n+1)! of the dilogarithm series in u = -log(1-z),
 # each rounded once from its exact value. Odd-index coefficients vanish
 # beyond n = 1.
 _LOG_SERIES_COEFFS = tuple(
-    float(b / math.factorial(n + 1)) for n, b in enumerate(_bernoulli(48))
+    float(b / math.factorial(n + 1)) for n, b in enumerate(_BERNOULLI)
 )
 
 
@@ -39,6 +49,15 @@ _TAYLOR_COEFFS = tuple(1.0 / (k * k) for k in range(32, 0, -1))
 
 #: even-index log-series coefficients B_{2m} / (2m+1)!, Horner order
 _LOG_EVEN_COEFFS = tuple(_LOG_SERIES_COEFFS[n] for n in range(48, 1, -2))
+
+
+#: |B_2k| / (2k (2k+1)!) for k = 23, ..., 1, Horner order: the Clausen
+#: series in t^2, whose 24th term is below 1e-17 on |t| <= pi
+_CLAUSEN_COEFFS = tuple(
+    float(abs(_BERNOULLI[2 * k]) / (2 * k * math.factorial(2 * k + 1)))
+    for k in range(23, 0, -1)
+)
+_CLAUSEN_HEAD, _CLAUSEN_TAIL = _CLAUSEN_COEFFS[0], _CLAUSEN_COEFFS[1:]
 
 
 def _dilog_taylor(z):
@@ -139,19 +158,40 @@ def _dilog_array(z):
     return (offset + sign * core).reshape(shape)
 
 
-def lobachevsky(theta):
-    """Lobachevsky function via the identity 2*Lob(t) = Im Li2(e^{2it}).
+def clausen(theta):
+    """Clausen function Cl2(theta) = Im Li2(e^{i theta}) of a finite float or
+    a float ndarray (elementwise, same shape).
 
-    Odd and pi-periodic; the argument is reduced modulo pi first so that
-    large inputs lose no accuracy.
+    The argument is reduced to t in [-pi, pi] modulo 2*pi, and Cl2(t) is
+    summed as t - t log|t| + sum_k |B_2k| t^(2k+1) / (2k (2k+1)!).
     """
+    if isinstance(theta, np.ndarray):
+        k = np.round(theta / _TWO_PI)
+        t = theta - k * _TWO_PI
+        t -= k * _TWO_PI_LOW
+        # t log|t| -> 0 as t -> 0; the floor keeps the logarithm finite at 0
+        log_abs = np.log(np.maximum(np.abs(t), _TINY))
+    else:
+        k = round(theta / _TWO_PI)
+        t = theta - k * _TWO_PI - k * _TWO_PI_LOW
+        log_abs = math.log(max(abs(t), _TINY))
+    t2 = t * t
+    acc = t2 * _CLAUSEN_HEAD
+    for coeff in _CLAUSEN_TAIL:
+        acc += coeff
+        acc *= t2
+    acc += 1.0
+    acc -= log_abs
+    acc *= t
+    return acc
+
+
+def lobachevsky(theta):
+    """Lobachevsky function Lob(t) = Cl2(2t) / 2; odd and pi-periodic."""
     theta = float(theta)
     if not math.isfinite(theta):
         raise InvalidArgumentError(f"lobachevsky: non-finite argument {theta!r}")
-    reduced = theta - math.pi * round(theta / math.pi)
-    if reduced == 0.0:
-        return 0.0
-    return 0.5 * dilog(cmath.exp(2j * reduced)).imag
+    return 0.5 * clausen(2.0 * theta)
 
 
 def acosh_checked(x, eps_clamp=EPS_CLAMP):

@@ -288,7 +288,7 @@ class TestBatchChartMatchesScalar:
         assert mask.dtype == bool
         assert list(mask) == [in_L(row) for row in rows]
 
-    # the scalar conversion warns, as it always has, when cosh overflows
+    # the per-row reference warns when cosh overflows
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_conversion_raises_or_returns_as_before(self, rows):
@@ -312,9 +312,8 @@ class TestBatchChartMatchesScalar:
             assert np.array_equal(got, expected)
             assert np.array_equal(lengths_to_angles(row), expected)
 
-    # the scalar conversion warns, as it always has, when cosh overflows
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    # rejected without a numpy warning, by the batch and the scalar call
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_cosh_is_rejected(self):
         rows = np.array([(800.0, 0.5, 0.5, 0.5, 0.5, 0.5), (L0,) * 6])
         angles, ok = chart_angles(rows)
@@ -322,6 +321,18 @@ class TestBatchChartMatchesScalar:
         assert np.isnan(lengths_to_angles_batch(rows)[0]).all()
         with pytest.raises(NotInClosureError, match="cosine argument nan"):
             lengths_to_angles(rows[0])
+        # an edge far beyond the length the kernel takes without overflow,
+        # and one whose cosh itself overflows
+        for first in (200.0, -800.0):
+            with pytest.raises(NotInClosureError, match="cosine argument"):
+                lengths_to_angles((first, 0.5, 0.5, 0.5, 0.5, 0.5))
+        # all six edges long: z_k z_l overflows from |l| ~ 118 on, silently
+        # too, whichever typed error the overflowed values then lead to
+        for length in (99.9, 120.0):
+            try:
+                lengths_to_angles((length,) * 6)
+            except (NotInClosureError, InconsistencyError):
+                pass
 
     def test_shapes(self):
         empty = np.empty((0, 6))

@@ -1,6 +1,7 @@
 """Deformation flow, verification campaigns, degenerations and the
 exploratory conjecture probes."""
 
+import io
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from trunctet import (
     verify_fixed_angle_sum,
     verify_theorem,
 )
+from trunctet import cli, extremal
 from trunctet.convert import chart_angles
 from trunctet.domain import acute_mask, in_O_mask
 from trunctet.errors import DomainError, InvalidArgumentError, SamplingError
@@ -34,6 +36,7 @@ from trunctet.extremal import (
     TERMINATED_REGULAR,
     TIE_TOL,
     Trajectory,
+    VerificationReport,
 )
 from trunctet.tetra import _BATCH
 
@@ -122,6 +125,56 @@ class TestBatchVolumesMatchRowByRow:
             in_O_mask, lambda t: True,
         )
         assert_same_report(report, expected, report.params["reference_volume"])
+
+
+class AppendSortTruncateReport(VerificationReport):
+    """The witness bookkeeping that ``record`` replaced: append every
+    sample, stable-sort by margin, keep the first ``max_witnesses``."""
+
+    def record(self, tet, margin, passed):
+        self.samples += 1
+        if passed:
+            self.passes += 1
+        if margin < self.worst_margin:
+            self.worst_margin = margin
+        self.witnesses.append((margin, tet))
+        self.witnesses.sort(key=lambda item: item[0])
+        del self.witnesses[self.max_witnesses:]
+
+
+class TestRecordMatchesAppendSortTruncate:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "theorem", "--ell", "0.3", "--samples", "400", "--seed", "91"],
+            ["verify", "theorem", "--ell", "1.0", "--samples", "200", "--seed", "92"],
+            ["verify", "anglesum", "--sum", "3.0", "--samples", "400", "--seed", "93"],
+        ],
+    )
+    def test_campaign_output_is_byte_identical(self, argv, monkeypatch):
+        got = io.StringIO()
+        cli.main(argv, out=got)
+        monkeypatch.setattr(extremal, "VerificationReport", AppendSortTruncateReport)
+        expected = io.StringIO()
+        cli.main(argv, out=expected)
+        assert got.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("max_witnesses", [0, 1, 3, 5])
+    def test_ties_keep_arrival_order(self, max_witnesses):
+        rng = np.random.default_rng(94)
+        margins = (
+            [0.5, 0.1, 0.1, 0.3, 0.1, 0.1, 0.1, 0.0, 0.1, 0.3, 0.0, -0.0, math.inf]
+            + list(rng.integers(-3, 4, 300).astype(float))
+        )
+        got = VerificationReport("t", 0, {}, max_witnesses=max_witnesses)
+        expected = AppendSortTruncateReport("t", 0, {}, max_witnesses=max_witnesses)
+        for k, margin in enumerate(margins):
+            # the sample index stands for the tetrahedron: ties are told apart
+            got.record(k, margin, margin >= 0)
+            expected.record(k, margin, margin >= 0)
+            assert got.witnesses == expected.witnesses
+        assert (got.samples, got.passes, got.worst_margin) == (
+            expected.samples, expected.passes, expected.worst_margin)
 
 
 class TestSampler:

@@ -1,5 +1,5 @@
-"""Special functions: dilogarithm, Lobachevsky function, guarded acosh,
-adaptive quadrature."""
+"""Special functions: dilogarithm, Clausen and Lobachevsky functions,
+guarded acosh, adaptive quadrature."""
 
 import cmath
 import math
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from trunctet.errors import AccuracyError, DomainError, InvalidArgumentError
-from trunctet.specfun import acosh_checked, dilog, integrate, lobachevsky
+from trunctet.specfun import acosh_checked, clausen, dilog, integrate, lobachevsky
 
 PI2_OVER_6 = math.pi**2 / 6.0
 
@@ -97,6 +97,44 @@ class TestDilogArray:
             dilog(np.array([0.5, complex(1.0, float("inf"))]))
 
 
+class TestClausen:
+    @staticmethod
+    def grid():
+        # [-4pi, 4pi] with its multiples of pi, their neighbouring doubles,
+        # and |theta| < 1e-8 down to subnormal size
+        points = list(np.linspace(-4 * math.pi, 4 * math.pi, 401))
+        for k in range(-4, 5):
+            x = k * math.pi
+            points += [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+        tiny = np.random.default_rng(6).uniform(-1e-8, 1e-8, 40)
+        points += list(tiny) + [1e-8, -1e-8, 1e-15, -1e-15, 1e-300, 5e-324]
+        return np.array(points)
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        theta = self.grid()
+        with mpmath.workdps(30):
+            exact = np.array([float(mpmath.clsin(2, mpmath.mpf(x))) for x in theta])
+        got = clausen(theta)
+        assert np.abs(got - exact).max() <= 1e-15
+        scalar = np.array([clausen(float(x)) for x in theta])
+        assert np.abs(scalar - exact).max() <= 1e-15
+
+    def test_is_the_imaginary_part_of_dilog_on_the_circle(self):
+        theta = np.random.default_rng(7).uniform(-20.0, 20.0, 300)
+        expected = dilog(np.exp(1j * theta)).imag
+        assert np.abs(clausen(theta) - expected).max() < 1e-14
+
+    def test_values_and_shape(self):
+        assert clausen(0.0) == 0.0
+        assert abs(clausen(math.pi)) < 1e-15
+        # the maximum, at pi/3, is 1.01494160640965362502...
+        assert abs(clausen(math.pi / 3) - 1.0149416064096536) < 1e-15
+        got = clausen(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+        assert got.shape == (3, 4)
+        assert clausen(np.zeros(0)).shape == (0,)
+
+
 class TestLobachevsky:
     def test_zero(self):
         assert lobachevsky(0.0) == 0.0
@@ -110,6 +148,10 @@ class TestLobachevsky:
             lambda u: -math.log(abs(2.0 * math.sin(u))), 0.0, math.pi / 4, 1e-12
         )
         assert abs(lobachevsky(math.pi / 4) - oracle) < 1e-10
+
+    def test_is_half_clausen_of_twice_the_argument(self):
+        for theta in np.random.default_rng(8).uniform(-10.0, 10.0, size=100):
+            assert lobachevsky(theta) == 0.5 * clausen(2.0 * theta)
 
     def test_matches_dilog_identity(self):
         rng = np.random.default_rng(4)

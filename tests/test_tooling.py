@@ -1,13 +1,15 @@
 """Packaging and benchmark-tooling guards: the package imports without
-SciPy, every name the benchmark's tracer wraps still exists, and the
-campaigns and the deformation flow reach the volume through the attribute
-the tracer and the benchmark's self-test wrap."""
+SciPy, the CLI commands print no numpy RuntimeWarning, every name the
+benchmark's tracer wraps still exists, and the campaigns and the
+deformation flow reach the volume through the attribute the tracer and the
+benchmark's self-test wrap."""
 
 import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 import trunctet
 import trunctet.volume
 from trunctet import (
@@ -32,6 +34,37 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+START = "0.7,0.7,0.8,0.7,0.7,0.8"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (["convert", "--lengths", START], 0, ""),
+        (["convert", "--lengths", "800,0.5,0.5,0.5,0.5,0.5"], 2,
+         "numerical error: cosine argument nan exceeds 1 at edge {1,2}\n"),
+        (["volume", "--lengths", START], 0, ""),
+        (["volume", "--angles", "0.001,0.001,3.139092653589793,0.001,0.001,3.139092653589793"],
+         0, ""),
+        (["volume", "--angles", "2,2,2,2,2,2"], 2,
+         "numerical error: angles array([2., 2., 2., 2., 2., 2.]) not interior to the angle "
+         "polytope\n"),
+        (["grad", "--lengths", START], 0, ""),
+        (["flow", "--lengths", START, "--ell", "0.5"], 0, ""),
+        (["degenerate", "--steps", "5"], 0, ""),
+    ],
+)
+def test_cli_prints_no_runtime_warning(argv, code, stderr):
+    # RuntimeWarnings become errors: a numpy warning fails the command
+    src = os.path.dirname(os.path.dirname(trunctet.__file__))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "trunctet.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert done.returncode == code, done.stderr
+    assert done.stderr == stderr
 
 
 def test_tracer_points_exist_and_uninstall_restores(monkeypatch):

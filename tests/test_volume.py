@@ -1,5 +1,6 @@
-"""Volume evaluation: the dilogarithm formula, the closed form for the
-canonical regular tetrahedron, Gram matrices, and truncation area."""
+"""Volume evaluation: Ushijima's formula in its Clausen form, checked
+against the complex-dilogarithm evaluation it replaced; the closed form for
+the canonical regular tetrahedron, Gram matrices, and truncation area."""
 
 import cmath
 import math
@@ -23,6 +24,9 @@ from trunctet import (
     ushijima_volume,
 )
 from trunctet.errors import EvaluationError
+from trunctet.indexing import VERTEX_EDGES
+from trunctet.specfun import dilog
+from trunctet.volume import L0, _gram_det_fast
 
 REGULAR = (math.pi / 6,) * 6
 ASYMMETRIC = (math.pi / 2, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -179,6 +183,129 @@ class TestVolumeRows:
             ushijima_volume(np.array([REGULAR, (math.nan,) * 6]))
         with pytest.raises(EvaluationError):
             ushijima_volume(np.zeros((3, 5)))
+
+
+def reference_terms(rows):
+    """Ushijima's formula as complex arithmetic on (m, 6) rows, the way the
+    package evaluated it before the Clausen form: the unit-modulus
+    exponentials a..f of the angles, det G, the sine sum S, the denominator
+    and z_1, z_2 = -2 (S -+ sqrt(det G)) / denominator (rows with a
+    vanishing denominator excepted)."""
+    cos, sin = np.cos(rows), np.sin(rows)
+    a, b, c, d, e, f = (cos + 1j * sin).T
+    det_g = _gram_det_fast(*cos.T)
+    sin_sum = sin[:, 0] * sin[:, 3] + sin[:, 1] * sin[:, 4] + sin[:, 2] * sin[:, 5]
+    sqrt_det = np.sqrt(det_g + 0j)
+    denom = a * d + b * e + c * f + a * b * f + a * c * e + b * c * d + d * e * f + a * b * c * d * e * f
+    z = -2.0 * np.stack([sin_sum - sqrt_det, sin_sum + sqrt_det], axis=1) / denom[:, None]
+    return (a, b, c, d, e, f), det_g, sin_sum, denom, z
+
+
+def reference_volume(rows):
+    """The replaced evaluator: Im(U(z_1) - U(z_2)) / 2 with U the sum of
+    eight complex dilogarithms, all 16 arguments in one ``dilog`` call."""
+    (a, b, c, d, e, f), _, _, _, z = reference_terms(rows)
+    factors = np.stack(
+        [np.ones_like(a), a * b * d * e, a * c * d * f, b * c * e * f,
+         -a * b * c, -a * e * f, -b * d * f, -c * d * e],
+        axis=1,
+    )
+    li = dilog(z[:, :, None] * factors[:, None, :]).imag
+    u = 0.5 * (li[..., 0] + li[..., 1] + li[..., 2] + li[..., 3]
+               - li[..., 4] - li[..., 5] - li[..., 6] - li[..., 7])
+    return np.maximum(0.5 * (u[:, 0] - u[:, 1]), 0.0)
+
+
+def vertex_sums(rows):
+    return np.stack([rows[:, list(edges)].sum(axis=1) for edges in VERTEX_EDGES], axis=1)
+
+
+def toward_ideal_vertex(rows, deltas):
+    """Each row scaled so that its largest vertex sum is pi (1 - delta), for
+    each delta in turn: a vertex of the truncated tetrahedron becomes ideal."""
+    top = vertex_sums(rows).max(axis=1)
+    return np.concatenate([rows * (math.pi * (1.0 - d) / top)[:, None] for d in deltas])
+
+
+class TestClausenFormMatchesDilogForm:
+    """The Clausen form against the complex-dilogarithm evaluator it
+    replaced, to 1e-14 absolute. Where they differ by more, the 30-digit
+    oracle of ``bench/oracle.py`` must find the Clausen value the closer of
+    the two and within 1e-14: near an ideal vertex the complex products lose
+    more digits than the real phase sums."""
+
+    @staticmethod
+    def assert_matches(rows, monkeypatch, scalar_rows=300):
+        got = ushijima_volume(rows)
+        expected = reference_volume(rows)
+        off = np.flatnonzero(np.abs(got - expected) > 1e-14)
+        if len(off):
+            pytest.importorskip("mpmath")
+            monkeypatch.syspath_prepend(os.path.abspath(BENCH))
+            import oracle
+
+            for i in off:
+                exact = float(oracle.volume(tuple(rows[i])))
+                assert abs(got[i] - exact) <= 1e-14
+                assert abs(got[i] - exact) < abs(expected[i] - exact)
+        # the scalar path is a second implementation
+        for a, vol in zip(rows[:scalar_rows], expected[:scalar_rows]):
+            assert abs(ushijima_volume(tuple(a)) - vol) <= 1e-14
+
+    @pytest.mark.parametrize("ell", [0.1, 0.3, L0])
+    def test_T_ell(self, ell, monkeypatch):
+        rng = np.random.default_rng(44)
+        rows = np.array([tet.angles for tet in sample_T_ell(rng, ell, 2000)])
+        self.assert_matches(rows, monkeypatch)
+
+    def test_volume_floor(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        tets = sample_T_ell(rng, 0.3, 2000, require_volume_floor=regular_volume_l0())
+        self.assert_matches(np.array([tet.angles for tet in tets]), monkeypatch)
+
+    def test_uniform(self, monkeypatch):
+        rows = np.array(sample_O_batch(np.random.default_rng(46), 2000))
+        self.assert_matches(rows, monkeypatch)
+
+    def test_toward_an_ideal_vertex(self, monkeypatch):
+        rows = np.array(sample_O_batch(np.random.default_rng(47), 400))
+        rows = toward_ideal_vertex(rows, (1e-3, 1e-6, 1e-9, 1e-12, 0.0))
+        self.assert_matches(rows, monkeypatch, scalar_rows=len(rows))
+
+    def test_intermediates_are_the_complex_ones(self):
+        rows = np.array(sample_O_batch(np.random.default_rng(48), 200))
+        _, det_g, _, _, z = reference_terms(rows)
+        for a, d, (z1, z2) in zip(rows, det_g, z):
+            inter = ushijima_intermediates(a)
+            assert inter.det_gram == d
+            assert abs(inter.z1 - z1) < 1e-13 and abs(inter.z2 - z2) < 1e-13
+
+
+class TestUnitModulus:
+    """The identity behind the Clausen form: |denominator|^2 = 4 (S^2 - det G)
+    for all real angles, with det G < 0 on the closure of the polytope, so
+    that |z_1| = |z_2| = 1."""
+
+    @staticmethod
+    def closure_rows():
+        rng = np.random.default_rng(49)
+        interior = np.array(sample_O_batch(rng, 4000))
+        faces = interior[:1000].copy()
+        faces[np.arange(1000), rng.integers(0, 6, 1000)] = 0.0
+        ideal = toward_ideal_vertex(interior[1000:2000], (0.0,))
+        return np.concatenate([interior, faces, ideal])
+
+    def test_identity(self):
+        rows = self.closure_rows()
+        rows = np.concatenate([rows, np.random.default_rng(50).uniform(-10.0, 10.0, (4000, 6))])
+        _, det_g, sin_sum, denom, _ = reference_terms(rows)
+        residual = np.abs(denom) ** 2 - 4.0 * (sin_sum**2 - det_g)
+        assert np.abs(residual).max() < 1e-13
+
+    def test_negative_gram_determinant_on_the_closure(self):
+        _, det_g, _, _, z = reference_terms(self.closure_rows())
+        assert det_g.max() < 0.0
+        assert np.abs(np.abs(z) - 1.0).max() < 1e-13
 
 
 class TestNearFlatAccuracy:
