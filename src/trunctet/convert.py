@@ -14,12 +14,13 @@ turn failed guards into typed errors, the batch functions into NaN rows.
 Both directions have a batch form on (m, 6) arrays, bitwise equal row by
 row to the scalar one: ``angles_to_lengths_batch`` and
 ``lengths_to_angles_batch``. The length -> angle direction is one kernel
-(z_k and the cosine arguments) with one set of guards (z_k > 0 and
-|cos theta_ij| <= 1 + EPS_CLAMP); ``lengths_to_angles`` raises
-``NotInClosureError`` on the first failed guard of its row, the batch gives
-NaN there. The length-chart test ``chart_angles`` (and ``in_L`` on top of
-it) runs on (m, 6) arrays too: the batch conversion, the strict polytope
-test ``domain.in_O_mask`` and the round trip through
+(z_k and the cosine arguments) with one set of guards (z_k > 0,
+|cos theta_ij| <= 1 + EPS_CLAMP, and no overflow of z_k z_l);
+``lengths_to_angles`` raises ``NotInClosureError`` on the first failed
+closure guard of its row, or else ``AccuracyError`` on an overflow, and the
+batch gives NaN there. The length-chart test ``chart_angles`` (and ``in_L``
+on top of it) runs on (m, 6) arrays too: the batch conversion, the strict
+polytope test ``domain.in_O_mask`` and the round trip through
 ``angles_to_lengths_batch``; a single 6-vector is a batch of one row.
 
 Each kernel has a ``_grad`` twin holding its exact partial derivatives as a
@@ -34,6 +35,7 @@ import numpy as np
 
 from . import domain
 from .errors import (
+    AccuracyError,
     InconsistencyError,
     InvalidArgumentError,
     NotATetrahedronError,
@@ -247,33 +249,47 @@ _NO_OVERFLOW = 100.0
 
 def _cos_angles(lengths):
     # the length -> angle kernel on (..., 6) arrays: the vertex coefficients
-    # z_k, (..., 4), and the cosine arguments w_ij / sqrt(z_k z_l), (..., 6);
-    # an overflowing cosh gives inf or NaN, which _chart_guards rejects
+    # z_k, (..., 4), the products z_k z_l under each edge's root, (..., 6),
+    # and the cosine arguments w_ij / sqrt(z_k z_l), (..., 6). Long edges
+    # overflow the products to inf, and the arguments then read 0 or NaN;
+    # _chart_guards rejects those rows
     ch = np.cosh(lengths)
     z = _vertex_poly(ch, _OPPOSITE_FACE_EDGES)
-    return z, _pair_ratio(_w_poly(ch), z, _OPPOSITE_ENDS)
+    first, second = _gather(z, _OPPOSITE_ENDS)
+    products = first * second
+    return z, products, _w_poly(ch) / np.sqrt(products)
 
 
-def _chart_guards(z, arg, eps_clamp):
-    # rows whose z_k are all positive and whose cosine arguments all lie
-    # within 1 + eps_clamp in size; written so that a NaN argument fails
-    return (z > 0.0).all(axis=-1) & (np.abs(arg) <= 1.0 + eps_clamp).all(axis=-1)
+def _chart_guards(z, products, arg, eps_clamp):
+    # rows whose z_k are all positive, whose cosine arguments all lie within
+    # 1 + eps_clamp in size, and whose kernel did not overflow; written so
+    # that a NaN argument fails
+    return (
+        (z > 0.0).all(axis=-1)
+        & (np.abs(arg) <= 1.0 + eps_clamp).all(axis=-1)
+        & np.isfinite(products).all(axis=-1)
+    )
 
 
-def _guard_error(z, arg, eps_clamp):
-    # the typed error of the first guard a single row fails
+def _guard_error(z, products, arg, eps_clamp):
+    # the typed error of the first guard a single row fails: a row outside
+    # the closure, or else one the kernel cannot evaluate
     if (z <= 0.0).any():
         vertex = int(np.argmin(z)) + 1
         return NotInClosureError(
             f"vertex coefficient z_{vertex} = {z[vertex - 1]:.6g} is not positive",
             value=z[vertex - 1],
         )
-    pos = int(np.argmax(~(np.abs(arg) <= 1.0 + eps_clamp)))
-    i, j = EDGE_PAIRS[pos]
-    return NotInClosureError(
-        f"cosine argument {arg[pos]:.6g} exceeds 1 at edge {{{i},{j}}}",
-        value=arg[pos],
-    )
+    bad = ~(np.abs(arg) <= 1.0 + eps_clamp)
+    if bad.any():
+        pos = int(np.argmax(bad))
+        i, j = EDGE_PAIRS[pos]
+        return NotInClosureError(
+            f"cosine argument {arg[pos]:.6g} exceeds 1 at edge {{{i},{j}}}",
+            value=arg[pos],
+        )
+    i, j = EDGE_PAIRS[int(np.argmax(~np.isfinite(products)))]
+    return AccuracyError(f"length kernel overflows at edge {{{i},{j}}}: z_k z_l is not finite")
 
 
 def _arccos(arg):
@@ -285,19 +301,22 @@ def lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=1e-9):
 
     On interior points of the length chart the result lies strictly inside
     the angle polytope; closure points (e.g. flattening families) land on
-    its boundary and are accepted within ``closure_tol``.
+    its boundary and are accepted within ``closure_tol``. Lengths so long
+    that the kernel's z_k z_l overflows (all six edges from about 118 on)
+    raise ``AccuracyError`` naming the edge, unless a guard of the closure
+    fails first.
     """
     lengths = domain.as_vector(lengths, "lengths")
     values = lengths.tolist()
     if -_NO_OVERFLOW < min(values) and max(values) < _NO_OVERFLOW:
-        z, arg = _cos_angles(lengths)
+        z, products, arg = _cos_angles(lengths)
     else:
         # an overflowing kernel fails the guards below; numpy need not warn
         # first (the test above is cheaper than np.errstate on every call)
         with np.errstate(over="ignore", invalid="ignore"):
-            z, arg = _cos_angles(lengths)
-    if not _chart_guards(z, arg, eps_clamp):
-        raise _guard_error(z, arg, eps_clamp)
+            z, products, arg = _cos_angles(lengths)
+    if not _chart_guards(z, products, arg, eps_clamp):
+        raise _guard_error(z, products, arg, eps_clamp)
     angles = _arccos(arg)
     if not domain.in_O(angles, strict=False, tol=closure_tol):
         raise InconsistencyError(
@@ -318,15 +337,16 @@ def lengths_to_angles_batch(batch):
     """Vectorized lengths -> angles for an (m, 6) batch.
 
     Rows that fail the guards of ``lengths_to_angles`` (a vertex
-    coefficient z_k <= 0, or a cosine argument beyond 1 + EPS_CLAMP in size,
-    which includes an overflowing cosh) come back as NaN instead of raising.
+    coefficient z_k <= 0, a cosine argument beyond 1 + EPS_CLAMP in size, or
+    a kernel overflow: a product z_k z_l, or cosh itself, beyond the largest
+    float) come back as NaN instead of raising.
     The other rows agree bitwise with ``lengths_to_angles``.
     """
     rows = _as_rows(batch)
     with np.errstate(over="ignore", invalid="ignore"):
-        z, arg = _cos_angles(rows)
+        z, products, arg = _cos_angles(rows)
     angles = _arccos(arg)
-    angles[~_chart_guards(z, arg, EPS_CLAMP)] = np.nan
+    angles[~_chart_guards(z, products, arg, EPS_CLAMP)] = np.nan
     return angles
 
 
@@ -380,9 +400,9 @@ def angles_to_lengths_batch(batch):
         arg = _pair_ratio(_c_poly(cos_angles), d, _ENDS)
     lengths = np.arccosh(np.maximum(arg, 1.0))
     ok = (
-        np.all(d > 0.0, axis=-1)
-        & np.all(arg >= 1.0 - EPS_CLAMP, axis=-1)
-        & np.all(np.isfinite(lengths), axis=-1)
+        (d > 0.0).all(axis=-1)
+        & (arg >= 1.0 - EPS_CLAMP).all(axis=-1)
+        & np.isfinite(lengths).all(axis=-1)
     )
     lengths[~ok] = np.nan
     return lengths

@@ -113,8 +113,9 @@ def permutation_moving_edge_to_front(pos):
 def in_O_mask(batch, strict=True, tol=0.0):
     """Polytope membership, as ``in_O``, for an (m, 6) batch of angle rows.
 
-    The first vertex sum is tested on every row and the remaining tests
-    only on the rows that pass it (about 1/6 of uniform proposals); sums
+    The first vertex sum is tested on every row. The rows that pass it
+    (about 1/6 of uniform proposals) are gathered once, as contiguous
+    columns, and the other three sums and the sign test run on those. Sums
     run left to right, as in ``in_O``.
     """
     A = np.asarray(batch, dtype=float)
@@ -122,12 +123,13 @@ def in_O_mask(batch, strict=True, tol=0.0):
     bound = math.pi + tol
     (p, q, r), *rest = VERTEX_EDGES
     idx = np.flatnonzero(below(A[:, p] + A[:, q] + A[:, r], bound))
+    cols = A[idx].T.copy()
+    low = cols.min(axis=0)
+    keep = low > -tol if strict else low >= -tol
     for p, q, r in rest:
-        idx = idx[below(A[idx, p] + A[idx, q] + A[idx, r], bound)]
-    rows = A[idx]
-    idx = idx[np.all(rows > -tol if strict else rows >= -tol, axis=1)]
+        keep &= below(cols[p] + cols[q] + cols[r], bound)
     ok = np.zeros(len(A), dtype=bool)
-    ok[idx] = True
+    ok[idx[keep]] = True
     return ok
 
 

@@ -4,7 +4,6 @@ family scan, flat degenerations, and exploratory tests for the open
 conjectures.
 """
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -78,17 +77,32 @@ class VerificationReport:
         return self.samples - self.passes
 
     def record(self, tet, margin, passed):
-        self.samples += 1
-        if passed:
-            self.passes += 1
-        if margin < self.worst_margin:
-            self.worst_margin = margin
-        # the max_witnesses smallest margins, ties in arrival order; a margin
-        # at or above the last of a full list cannot enter it
-        witnesses = self.witnesses
-        if len(witnesses) < self.max_witnesses or (witnesses and margin < witnesses[-1][0]):
-            bisect.insort(witnesses, (margin, tet), key=_margin)
-            del witnesses[self.max_witnesses:]
+        self.record_batch([margin], [passed], lambda _: tet)
+
+    def record_batch(self, margins, passed, witness):
+        """Record a batch of samples in arrival order.
+
+        ``margins`` and ``passed`` are (m,) sequences; ``witness(i)`` makes
+        the record of sample i and is called only for the samples that
+        enter the witness list. The witnesses are the ``max_witnesses``
+        smallest margins, ties in arrival order: the first ``max_witnesses``
+        of a stable argsort of the batch, merged after the witnesses already
+        held, which arrived earlier.
+        """
+        margins = np.asarray(margins, dtype=float)
+        if not len(margins):
+            return
+        self.samples += len(margins)
+        self.passes += int(np.count_nonzero(passed))
+        order = np.argsort(margins, kind="stable")
+        # the first of the smallest margins, as a running minimum finds it
+        worst = float(margins[order[0]])
+        if worst < self.worst_margin:
+            self.worst_margin = worst
+        held = [(margin, False, tet) for margin, tet in self.witnesses]
+        fresh = [(float(margins[i]), True, i) for i in order[: self.max_witnesses].tolist()]
+        kept = sorted(held + fresh, key=_margin)[: self.max_witnesses]
+        self.witnesses = [(margin, witness(w) if new else w) for margin, new, w in kept]
 
     def to_json_dict(self):
         return {
@@ -118,43 +132,47 @@ def sample_T_ell(rng, ell, n, budget=None, require_volume_floor=None):
     floor, in which case proposals come from the acute region, which is a
     necessary condition for the floor at vol(l0) and above.
 
-    Without a floor the volumes of the n accepted rows come from one batch
-    call; with one, each batch's rows above the length floor are evaluated
-    in one call.
+    The records are built from the arrays of ``_T_ell_rows``, the private
+    row sampler that the campaigns use directly.
     """
+    rows = _T_ell_rows(rng, ell, n, budget, require_volume_floor)
+    return [Tetrahedron(tuple(a), tuple(l), v) for a, l, v in zip(*(r.tolist() for r in rows))]
+
+
+def _T_ell_rows(rng, ell, n, budget=None, require_volume_floor=None):
+    # the (n, 6) angles, (n, 6) lengths and (n,) volumes of n rows of T_ell
+    # drawn as sample_T_ell describes. Without a floor the volumes come from
+    # one batch call on the n rows; with one, each batch's rows above the
+    # length floor are evaluated in one call
     acute = require_volume_floor is not None
 
     def accept(batch):
         angles = batch[domain.acute_mask(batch) if acute else domain.in_O_mask(batch)]
         lengths = convert.angles_to_lengths_batch(angles)
-        ok = np.all(lengths >= ell, axis=1)  # NaN rows compare False
+        ok = (lengths >= ell).all(axis=1)  # NaN rows compare False
         angles, lengths = angles[ok], lengths[ok]
         if not acute:
-            return zip(angles, lengths)
+            return angles, lengths
         vols = volume.ushijima_volume(angles)
         keep = vols >= require_volume_floor
-        return zip(angles[keep], lengths[keep], vols[keep].tolist())
+        return angles[keep], lengths[keep], vols[keep]
 
     high = math.pi / 2.0 if acute else math.pi
-    accepted = rejection_sample(rng, n, uniform_proposals(high), accept, budget)
+    rows = rejection_sample(rng, n, uniform_proposals(high), accept, budget)
     if acute:
-        return [Tetrahedron(tuple(a), tuple(l), v) for a, l, v in accepted]
-    return _tetrahedra([a for a, _ in accepted], [l for _, l in accepted])
+        return rows
+    angles, lengths = rows
+    return angles, lengths, volume.ushijima_volume(angles)
 
 
-def _tetrahedra(angles, lengths=None):
-    """The tetrahedra of accepted angle rows, as ``Tetrahedron.from_angles``
-    gives them, from one batch volume call and, when the lengths are not
-    given, one batch conversion."""
-    angles = np.array(angles, dtype=float).reshape(-1, 6)
-    if lengths is None:
-        lengths = convert.angles_to_lengths_batch(angles)
-        # rows the batch conversion marks NaN: the scalar conversion raises
-        # the typed error from_angles raises, or returns its lengths
-        for row in np.flatnonzero(np.isnan(lengths).any(axis=1)):
-            lengths[row] = convert.angles_to_lengths(angles[row])
-    vols = volume.ushijima_volume(angles).tolist()
-    return [Tetrahedron(tuple(a), tuple(l), v) for a, l, v in zip(angles, lengths, vols)]
+def _record_rows(report, reference, tol, angles, lengths, vols):
+    # one report entry per row; records are made for the witnesses only
+    margins = reference - vols
+
+    def witness(i):
+        return Tetrahedron(tuple(angles[i].tolist()), tuple(lengths[i].tolist()), float(vols[i]))
+
+    report.record_batch(margins, margins >= -tol, witness)
 
 
 # --- deformation flow ----------------------------------------------------
@@ -253,10 +271,7 @@ def verify_theorem(ell, n, seed, tol=MARGIN_TOL):
         report.notes.append(
             "conjecture regime: ell exceeds l0, outcome recorded, not asserted"
         )
-    rng = np.random.default_rng(seed)
-    for tet in sample_T_ell(rng, ell, n):
-        margin = reference - tet.volume
-        report.record(tet, margin, margin >= -tol)
+    _record_rows(report, reference, tol, *_T_ell_rows(np.random.default_rng(seed), ell, n))
     return report
 
 
@@ -280,12 +295,15 @@ def verify_fixed_angle_sum(theta_sum, n, seed, tol=MARGIN_TOL):
         return rng.dirichlet(np.ones(6), size=size) * theta_sum
 
     def accept(batch):
-        return iter(batch[domain.in_O_mask(batch)])
+        return (batch[domain.in_O_mask(batch)],)
 
-    rows = rejection_sample(np.random.default_rng(seed), n, propose, accept)
-    for tet in _tetrahedra(rows):
-        margin = reference - tet.volume
-        report.record(tet, margin, margin >= -tol)
+    (angles,) = rejection_sample(np.random.default_rng(seed), n, propose, accept)
+    lengths = convert.angles_to_lengths_batch(angles)
+    # rows the batch conversion marks NaN: the scalar conversion raises the
+    # typed error Tetrahedron.from_angles raises, or returns its lengths
+    for row in np.flatnonzero(np.isnan(lengths).any(axis=1)):
+        lengths[row] = convert.angles_to_lengths(angles[row])
+    _record_rows(report, reference, tol, angles, lengths, volume.ushijima_volume(angles))
     return report
 
 

@@ -137,35 +137,44 @@ _BATCH = 4096
 
 
 def rejection_sample(rng, n, propose, accept, budget=None):
-    """The first n items that ``accept`` yields from batches of proposals.
+    """The first n accepted rows of batches of proposals, as arrays.
 
     ``propose(rng, size)`` draws a (size, 6) array of candidate rows;
-    ``accept(rows)`` returns an iterator over the accepted items of a batch.
-    The iterator is consumed lazily, so per-row work stops at the n-th item.
+    ``accept(rows)`` returns a tuple of arrays whose first axis runs over
+    the accepted rows of the batch, in proposal order (the angle rows, and
+    whatever else the caller computed for them). Batches are drawn until n
+    rows are in; the chunks are then joined and cut at n, so every row of
+    the last batch is accepted or rejected, not only those up to the n-th.
     ``budget`` caps the number of rows drawn and defaults to
     max(10^6, 2 * 10^4 * n).
     """
     if budget is None:
         budget = max(1_000_000, 20_000 * n)
-    out = []
+    chunks = []
+    accepted = 0
     draws = 0
-    while len(out) < n:
+    while accepted < n:
         if draws >= budget:
             raise SamplingError(
-                f"rejection budget {budget} exhausted after {len(out)}/{n} accepted"
+                f"rejection budget {budget} exhausted after {accepted}/{n} accepted"
             )
-        batch = propose(rng, _BATCH)
+        chunks.append(accept(propose(rng, _BATCH)))
         draws += _BATCH
-        for item in accept(batch):
-            out.append(item)
-            if len(out) == n:
-                break
-    return out
+        accepted += len(chunks[-1][0])
+    if not chunks:
+        # n = 0: the (empty) arrays of an empty batch, with their shapes
+        chunks.append(accept(np.empty((0, 6))))
+    return tuple(np.concatenate(parts)[:n] for parts in zip(*chunks))
 
 
 def uniform_proposals(high):
-    """Proposal rule drawing every entry uniformly from [0, high)."""
-    return lambda rng, size: rng.uniform(0.0, high, size=(size, 6))
+    """Proposal rule drawing every entry uniformly from [0, high).
+
+    ``rng.uniform(0.0, high)`` computes 0.0 + high * u from the same
+    doubles u, so the scaled ``rng.random`` draws are bitwise its draws,
+    without its per-entry broadcasting.
+    """
+    return lambda rng, size: rng.random((size, 6)) * high
 
 
 def sample_O_batch(rng, n, constraint=INTERIOR, floor=None, budget=None):
@@ -182,14 +191,15 @@ def sample_O_batch(rng, n, constraint=INTERIOR, floor=None, budget=None):
 
     def accept(batch):
         if constraint == INTERIOR:
-            return iter(batch[domain.in_O_mask(batch)])
+            return (batch[domain.in_O_mask(batch)],)
         rows = batch[domain.acute_mask(batch)]
         if constraint == ACUTE:
-            return iter(rows)
-        return iter(rows[volume.ushijima_volume(rows) >= floor])
+            return (rows,)
+        return (rows[volume.ushijima_volume(rows) >= floor],)
 
     high = math.pi if constraint == INTERIOR else math.pi / 2.0
-    return rejection_sample(rng, n, uniform_proposals(high), accept, budget)
+    (rows,) = rejection_sample(rng, n, uniform_proposals(high), accept, budget)
+    return list(rows)
 
 
 def sample_O(rng, constraint=INTERIOR, floor=None, budget=None):

@@ -9,6 +9,7 @@ from trunctet import (
     ALL_PERMUTATIONS,
     COSH_L0,
     L0,
+    Tetrahedron,
     angles_to_lengths,
     angles_to_lengths_batch,
     in_L,
@@ -30,6 +31,7 @@ from trunctet.convert import (
     coefficients_from_angles,
 )
 from trunctet.errors import (
+    AccuracyError,
     DomainError,
     InconsistencyError,
     InvalidArgumentError,
@@ -326,13 +328,28 @@ class TestBatchChartMatchesScalar:
         for first in (200.0, -800.0):
             with pytest.raises(NotInClosureError, match="cosine argument"):
                 lengths_to_angles((first, 0.5, 0.5, 0.5, 0.5, 0.5))
-        # all six edges long: z_k z_l overflows from |l| ~ 118 on, silently
-        # too, whichever typed error the overflowed values then lead to
-        for length in (99.9, 120.0):
-            try:
-                lengths_to_angles((length,) * 6)
-            except (NotInClosureError, InconsistencyError):
-                pass
+        # all six edges long, regular rows of edge L: z_k z_l stays finite at
+        # 100 and 118, overflows to inf at 120 and 150 (where the cosine
+        # arguments used to read 0, right angles) and is NaN at 300, where
+        # cosh^3 overflows; the overflowing rows fail the chart guard
+        lengths = (100.0, 118.0, 120.0, 150.0, 300.0)
+        rows = np.array([(L,) * 6 for L in lengths] + [(L0,) * 6])
+        batch = lengths_to_angles_batch(rows)
+        reference = [reference_lengths_to_angles(row) for row in rows[[0, 1, 5]]]
+        for got, expected in zip(batch[[0, 1, 5]], reference):
+            assert np.array_equal(got, expected)
+        assert np.isnan(batch[2:5]).all()
+        assert list(chart_angles(rows)[1]) == [False] * 5 + [True]
+        for row, expected in zip(rows[[0, 1, 5]], reference):
+            assert np.array_equal(lengths_to_angles(row), expected)
+        for L in (120.0, 150.0):
+            with pytest.raises(AccuracyError, match=r"overflows at edge \{1,2\}"):
+                lengths_to_angles((L,) * 6)
+            with pytest.raises(AccuracyError):
+                Tetrahedron.from_lengths((L,) * 6)
+        # a NaN cosine argument fails its closure guard first, as before
+        with pytest.raises(NotInClosureError, match="cosine argument nan"):
+            lengths_to_angles((300.0,) * 6)
 
     def test_shapes(self):
         empty = np.empty((0, 6))

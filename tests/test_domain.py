@@ -21,7 +21,8 @@ from trunctet import (
     ushijima_volume,
     vertex_sums,
 )
-from trunctet.domain import compose
+from trunctet.domain import compose, in_O_mask
+from trunctet.indexing import VERTEX_EDGES
 from trunctet.errors import (
     DomainError,
     InconsistencyError,
@@ -55,6 +56,70 @@ class TestInO:
             a, b = points[k], points[k + 1]
             t = rng.uniform()
             assert in_O(t * a + (1 - t) * b)
+
+
+def per_vertex_in_O_mask(batch, strict=True, tol=0.0):
+    """``in_O_mask`` as written before it gathered the rows once: the
+    surviving row indices fancy-index the batch again for each vertex."""
+    A = np.asarray(batch, dtype=float)
+    below = np.less if strict else np.less_equal
+    bound = math.pi + tol
+    (p, q, r), *rest = VERTEX_EDGES
+    idx = np.flatnonzero(below(A[:, p] + A[:, q] + A[:, r], bound))
+    for p, q, r in rest:
+        idx = idx[below(A[idx, p] + A[idx, q] + A[idx, r], bound)]
+    rows = A[idx]
+    idx = idx[np.all(rows > -tol if strict else rows >= -tol, axis=1)]
+    ok = np.zeros(len(A), dtype=bool)
+    ok[idx] = True
+    return ok
+
+
+def mask_test_batches():
+    """Uniform batches, rows with a vertex sum of exactly pi, rows with zero,
+    -0.0 and negative entries, rows just past the bound, and empty batches."""
+    rng = np.random.default_rng(21)
+    batches = [rng.uniform(0.0, math.pi, size=(4096, 6)), rng.uniform(0.0, 1.2, size=(300, 6))]
+    # (1 + 1) + (pi - 2) is pi exactly; put such a vertex at every vertex,
+    # alone and with the others below the bound
+    exact = []
+    for p, q, r in VERTEX_EDGES:
+        row = np.full(6, 0.5)
+        row[[p, q, r]] = (1.0, 1.0, math.pi - 2.0)
+        exact.append(row)
+        over = row.copy()
+        over[p] = 1.0 + 2.0 ** -51  # the sum is then pi plus one ulp
+        exact.append(over)
+    batches.append(np.array(exact))
+    signs = rng.uniform(0.0, 1.0, size=(400, 6))
+    picks = rng.integers(0, 6, size=(400, 2))
+    signs[np.arange(400), picks[:, 0]] = rng.choice([0.0, -0.0, -1e-12, -0.3], size=400)
+    signs[:100, picks[:100, 1]] = np.nan
+    batches.append(signs)
+    batches += [np.empty((0, 6)), np.array([(0.0,) * 6, (-0.0,) * 6, (math.pi / 3,) * 6])]
+    return batches
+
+
+class TestInOMaskMatchesPerVertexGather:
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9])
+    def test_same_decisions(self, strict, tol):
+        decided = set()
+        for batch in mask_test_batches():
+            got = in_O_mask(batch, strict=strict, tol=tol)
+            expected = per_vertex_in_O_mask(batch, strict=strict, tol=tol)
+            assert got.dtype == bool and got.shape == (len(batch),)
+            assert np.array_equal(got, expected)
+            decided |= set(got.tolist())
+        assert decided == {False, True}
+
+    def test_rows_on_the_bound(self):
+        rows = mask_test_batches()[2]
+        # a vertex sum of exactly pi is outside the open polytope and inside
+        # its closure; one ulp more is outside both
+        assert not in_O_mask(rows[0::2]).any()
+        assert in_O_mask(rows[0::2], strict=False).all()
+        assert not in_O_mask(rows[1::2], strict=False).any()
 
 
 class TestAcuteConstraints:

@@ -2,6 +2,7 @@
 exploratory conjecture probes."""
 
 import io
+import json
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from trunctet import (
     verify_theorem,
 )
 from trunctet import cli, extremal
-from trunctet.convert import chart_angles
+from trunctet.convert import angles_to_lengths, angles_to_lengths_batch, chart_angles
 from trunctet.domain import acute_mask, in_O_mask
 from trunctet.errors import DomainError, InvalidArgumentError, SamplingError
 from trunctet.extremal import (
@@ -141,6 +142,11 @@ class AppendSortTruncateReport(VerificationReport):
         self.witnesses.sort(key=lambda item: item[0])
         del self.witnesses[self.max_witnesses:]
 
+    def record_batch(self, margins, passed, witness):
+        # one sample at a time, a record made for each
+        for i, (margin, ok) in enumerate(zip(margins.tolist(), passed.tolist())):
+            self.record(witness(i), margin, ok)
+
 
 class TestRecordMatchesAppendSortTruncate:
     @pytest.mark.parametrize(
@@ -175,6 +181,155 @@ class TestRecordMatchesAppendSortTruncate:
             assert got.witnesses == expected.witnesses
         assert (got.samples, got.passes, got.worst_margin) == (
             expected.samples, expected.passes, expected.worst_margin)
+
+
+def per_row_rejection_sample(rng, n, propose, accept, budget=None):
+    """The rejection loop as written before it returned arrays: the items of
+    each batch's iterator appended one at a time, up to the n-th."""
+    if budget is None:
+        budget = max(1_000_000, 20_000 * n)
+    out = []
+    draws = 0
+    while len(out) < n:
+        if draws >= budget:
+            raise SamplingError(
+                f"rejection budget {budget} exhausted after {len(out)}/{n} accepted"
+            )
+        batch = propose(rng, _BATCH)
+        draws += _BATCH
+        for item in accept(batch):
+            out.append(item)
+            if len(out) == n:
+                break
+    return out
+
+
+def per_row_T_ell(rng, ell, n, budget=None):
+    """sample_T_ell (no volume floor) as written before the array sampler:
+    per-row items, then one volume call and one record per row."""
+
+    def accept(batch):
+        angles = batch[in_O_mask(batch)]
+        lengths = angles_to_lengths_batch(angles)
+        ok = np.all(lengths >= ell, axis=1)
+        return zip(angles[ok], lengths[ok])
+
+    accepted = per_row_rejection_sample(rng, n, uniform(math.pi), accept, budget)
+    vols = ushijima_volume(np.array([a for a, _ in accepted]).reshape(-1, 6)).tolist()
+    return [Tetrahedron(tuple(a), tuple(l), v) for (a, l), v in zip(accepted, vols)]
+
+
+def per_row_fixed_angle_sum_tets(theta_sum, n, seed):
+    # the tetrahedra of verify_fixed_angle_sum as written before the array
+    # campaign: per-row items, then one conversion and volume call
+    def propose(rng, size):
+        return rng.dirichlet(np.ones(6), size=size) * theta_sum
+
+    rows = per_row_rejection_sample(
+        np.random.default_rng(seed), n, propose, lambda batch: iter(batch[in_O_mask(batch)])
+    )
+    angles = np.array(rows, dtype=float).reshape(-1, 6)
+    lengths = angles_to_lengths_batch(angles)
+    for row in np.flatnonzero(np.isnan(lengths).any(axis=1)):
+        lengths[row] = angles_to_lengths(angles[row])
+    vols = ushijima_volume(angles).tolist()
+    return [Tetrahedron(tuple(a), tuple(l), v) for a, l, v in zip(angles, lengths, vols)]
+
+
+def per_sample_report(report, tets):
+    """The report's campaign recorded one sample at a time from ``tets``."""
+    expected = AppendSortTruncateReport(
+        report.campaign, report.seed, dict(report.params), notes=list(report.notes)
+    )
+    reference, tol = report.params["reference_volume"], report.params["tol"]
+    for tet in tets:
+        margin = reference - tet.volume
+        expected.record(tet, margin, margin >= -tol)
+    return expected
+
+
+def campaign_json(report):
+    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+
+
+class TestArrayCampaignsMatchPerRow:
+    """The array campaigns give the JSON of the per-row loop and the
+    per-sample ``record`` they replaced."""
+
+    @pytest.mark.parametrize(
+        "ell, n",
+        [(ell, n) for ell in (0.3, L0, 1.2) for n in (0, 1, 5, 6)] + [(0.3, 2000), (L0, 2000)],
+    )
+    def test_verify_theorem(self, ell, n):
+        for seed in (0, 81, 82) if n < 2000 else (83,):
+            got = verify_theorem(ell, n, seed=seed)
+            tets = per_row_T_ell(np.random.default_rng(seed), ell, n)
+            assert campaign_json(got) == campaign_json(per_sample_report(got, tets))
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 6, 2000])
+    @pytest.mark.parametrize("theta_sum", [1.5, 3.0])
+    def test_verify_fixed_angle_sum(self, theta_sum, n):
+        for seed in (0, 84, 85) if n < 2000 else (86,):
+            got = verify_fixed_angle_sum(theta_sum, n, seed=seed)
+            tets = per_row_fixed_angle_sum_tets(theta_sum, n, seed)
+            assert campaign_json(got) == campaign_json(per_sample_report(got, tets))
+
+    def test_samplers_keep_their_streams(self):
+        for seed, n in ((87, 0), (87, 1), (88, 300)):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_T_ell(rng, 0.3, n)
+            assert got == per_row_T_ell(ref_rng, 0.3, n)
+            # the caller's generator is left where the per-row loop left it
+            assert rng.random() == ref_rng.random()
+
+    def test_budget_message(self):
+        # l = 0.8 accepts a few rows per batch, so the budget runs out with
+        # some of them in
+        with pytest.raises(SamplingError) as expected:
+            per_row_T_ell(np.random.default_rng(89), 0.8, 50, budget=3 * _BATCH)
+        assert "exhausted after 0/" not in str(expected.value)
+        with pytest.raises(SamplingError) as got:
+            sample_T_ell(np.random.default_rng(89), 0.8, 50, budget=3 * _BATCH)
+        assert str(got.value) == str(expected.value)
+
+
+class TestRecordBatch:
+    @pytest.mark.parametrize("max_witnesses", [0, 1, 3, 5])
+    @pytest.mark.parametrize("sizes", [(13,), (1,) * 13, (2, 5, 6), (6, 0, 7), (4, 4, 4, 1)])
+    def test_ties_inside_and_across_batches(self, sizes, max_witnesses):
+        # ties inside a batch, across batches, with a held witness, and
+        # between 0.0 and -0.0; the sample index stands for the tetrahedron
+        margins = [0.5, 0.1, 0.1, 0.3, 0.1, 0.0, 0.1, -0.0, 0.1, 0.3, 0.0, 0.1, math.inf]
+        got = VerificationReport("t", 0, {}, max_witnesses=max_witnesses)
+        expected = AppendSortTruncateReport("t", 0, {}, max_witnesses=max_witnesses)
+        first = 0
+        for size in sizes:
+            batch = margins[first:first + size]
+            made = []
+
+            def witness(i, first=first, made=made):
+                made.append(first + i)
+                return first + i
+
+            got.record_batch(np.array(batch), np.array(batch) >= 0.1, witness)
+            for k, margin in enumerate(batch, first):
+                expected.record(k, margin, margin >= 0.1)
+            # records are made only for the samples that enter the list
+            assert len(made) <= max_witnesses
+            assert set(made) <= {k for _, k in got.witnesses}
+            assert got.witnesses == expected.witnesses
+            assert (got.samples, got.passes) == (expected.samples, expected.passes)
+            assert got.worst_margin == expected.worst_margin
+            assert math.copysign(1.0, got.worst_margin) == math.copysign(
+                1.0, expected.worst_margin)
+            first += size
+        assert got.samples == len(margins)
+
+    def test_empty_batch_changes_nothing(self):
+        report = VerificationReport("t", 0, {})
+        report.record_batch(np.empty(0), np.empty(0, dtype=bool), None)
+        assert (report.samples, report.passes, report.witnesses) == (0, 0, [])
+        assert report.worst_margin == math.inf
 
 
 class TestSampler:

@@ -2,7 +2,8 @@
 SciPy, the CLI commands print no numpy RuntimeWarning, every name the
 benchmark's tracer wraps still exists, and the campaigns and the
 deformation flow reach the volume through the attribute the tracer and the
-benchmark's self-test wrap."""
+benchmark's self-test wrap, and a campaign makes records only for its
+reference and its witnesses."""
 
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 import trunctet
 import trunctet.volume
 from trunctet import (
+    Tetrahedron,
     deformation_flow,
     regular_volume_l0,
     sample_T_ell,
@@ -113,3 +115,18 @@ def test_flow_volumes_go_through_the_module_attribute(monkeypatch):
     for (_, a), (_, b) in zip(before.points[1:], after.points[1:]):
         assert b.lengths == a.lengths
         assert b.volume == a.volume + shift
+
+
+def test_campaign_builds_records_only_for_witnesses(monkeypatch):
+    built = []
+    init = Tetrahedron.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tetrahedron, "__init__", counting_init)
+    report = verify_theorem(0.3, 2000, seed=9)
+    assert report.samples == 2000
+    # the regular reference and the witnesses, not one record per sample
+    assert 0 < len(built) <= report.max_witnesses + 2
