@@ -14,19 +14,19 @@ turn failed guards into typed errors, the batch functions into NaN rows.
 Both directions have a batch form on (m, 6) arrays, bitwise equal row by
 row to the scalar one: ``angles_to_lengths_batch`` and
 ``lengths_to_angles_batch``. The length -> angle direction is one kernel
-(z_k and the cosine arguments) with one set of guards (z_k > 0,
-|cos theta_ij| <= 1 + EPS_CLAMP, and no overflow of z_k z_l);
-``lengths_to_angles`` raises ``NotInClosureError`` on the first failed
-closure guard of its row, or else ``AccuracyError`` on an overflow, and the
-batch gives NaN there. The length-chart test ``chart_angles`` (and ``in_L``
-on top of it) runs on (m, 6) arrays too: the batch conversion, the strict
-polytope test ``domain.in_O_mask`` and the round trip through
-``angles_to_lengths_batch``; a single 6-vector is a batch of one row.
+(z_k, the products z_k z_l and the cosine arguments) with one set of guards;
+``lengths_to_angles`` raises ``NotInClosureError`` for z_k <= 0, else
+``AccuracyError`` if the kernel overflowed, else ``NotInClosureError`` for
+|cos theta_ij| > 1 + EPS_CLAMP, and the batch gives NaN there. The
+length-chart test ``chart_angles`` (and ``in_L``) runs on (m, 6) arrays too;
+a single 6-vector is a batch of one row.
 
-Each kernel has a ``_grad`` twin holding its exact partial derivatives as a
-(..., rows, 6) array, entry (r, q) being d row_r / d x_q; ``lengths_jacobian``
-and ``angles_jacobian`` chain them into the exact Jacobians of the two
-conversions.
+Each kernel has a ``_grad`` twin: its exact partials as a (..., rows, 6)
+array, entry (r, q) = d row_r / d x_q, gathered from the stacked partials in
+one step through index tables derived from ``indexing.py``. One pass of the
+length kernel with its twins gives the guards, angles and Jacobian
+d theta / d l of a row together (``jacobian_angles_of_lengths``);
+``angles_jacobian`` and ``lengths_jacobian`` are the batch Jacobians.
 """
 
 from dataclasses import dataclass
@@ -72,6 +72,23 @@ _ENDS = np.array(EDGE_PAIRS).T - 1
 _OPPOSITE_ENDS = np.array(_OPPOSITE_PAIRS).T - 1
 
 
+def _vertex_grad_table(triples):
+    # entry (vertex, q): the place of d/dx_q among a vertex kernel's stacked
+    # member partials (3 x 4, member-major), or of the zero stacked last
+    members, vertices = np.indices(triples.shape)
+    table = np.full((4, 6), triples.size)
+    table[vertices, triples] = members * 4 + vertices
+    return table
+
+
+_VERTEX_GRAD = _vertex_grad_table(_VERTEX_EDGES)
+_OPPOSITE_FACE_GRAD = _vertex_grad_table(_OPPOSITE_FACE_EDGES)
+
+#: entry (ij, q): the place of d c_ij / d x_q (or d w_ij) among the stacked
+#: role partials (6 x 6, role-major); argsort inverts _EDGE_ROLES' columns
+_EDGE_GRAD = np.argsort(_EDGE_ROLES, axis=0).T * 6 + np.arange(6)[:, None]
+
+
 def _gather(x, table):
     # one (..., n) array per row of an index table with n columns
     g = x[..., table]
@@ -86,25 +103,19 @@ def _vertex_poly(x, triples):
     return 2.0 * x * y * z + x * x + y * y + z * z - 1.0
 
 
-def _vertex_poly_grad(x, triples):
+def _vertex_poly_grad(x, triples, table):
     # each member of a vertex triple has partial 2 (member + product of the
-    # other two); the three members of a triple are distinct edges
+    # other two), gathered into place by _vertex_grad_table(triples)
     x, y, z = _gather(x, triples)
-    grad = np.zeros(x.shape[:-1] + (4, 6))
-    vertices = np.arange(4)
-    for members, partial in zip(triples, (x + y * z, y + x * z, z + x * y)):
-        grad[..., vertices, members] = 2.0 * partial
-    return grad
+    zero = np.zeros(x.shape[:-1] + (1,))
+    partials = np.concatenate((x + y * z, y + x * z, z + x * y, zero), axis=-1)
+    return 2.0 * partials[..., table]
 
 
 def _edge_poly_grad(partials):
-    # scatter the partials of c_ij or w_ij in the roles ij, ik, il, jk, jl,
-    # kl (the rows of _EDGE_ROLES, a permutation of the edges for each ij)
-    grad = np.empty(partials[0].shape[:-1] + (6, 6))
-    edges = np.arange(6)
-    for roles, partial in zip(_EDGE_ROLES, partials):
-        grad[..., edges, roles] = partial
-    return grad
+    # the partials of c_ij or w_ij in the roles ij, ik, il, jk, jl, kl,
+    # gathered into place by _EDGE_GRAD
+    return np.concatenate(partials, axis=-1)[..., _EDGE_GRAD]
 
 
 def _c_poly(cos_angles):
@@ -151,16 +162,19 @@ def _pair_ratio(edge_coeffs, vertex_coeffs, ends):
     return edge_coeffs / np.sqrt(first * second)
 
 
-def _pair_ratio_grad(x, edge_poly, edge_poly_grad, triples, ends):
-    # _pair_ratio of the kernels at x and its derivative in x:
+def _pair_ratio_grad(x, edge_poly, edge_poly_grad, triples, grad_table, ends):
+    # the vertex coefficients at x, their products, _pair_ratio of the
+    # kernels (as _cos_angles computes it) and its derivative in x:
     # d(e / sqrt(a b)) = de / sqrt(a b) - (e / sqrt(a b)) (da / a + db / b) / 2
     vertex_coeffs = _vertex_poly(x, triples)
     first, second = _gather(vertex_coeffs, ends)
-    root = np.sqrt(first * second)
+    products = first * second
+    root = np.sqrt(products)
     ratio = edge_poly(x) / root
-    log_grad = _vertex_poly_grad(x, triples) / vertex_coeffs[..., None]
+    log_grad = _vertex_poly_grad(x, triples, grad_table) / vertex_coeffs[..., None]
     log_sum = log_grad[..., ends[0], :] + log_grad[..., ends[1], :]
-    return ratio, edge_poly_grad(x) / root[..., None] - 0.5 * ratio[..., None] * log_sum
+    grad = edge_poly_grad(x) / root[..., None] - 0.5 * ratio[..., None] * log_sum
+    return vertex_coeffs, products, ratio, grad
 
 
 def lengths_jacobian(angles):
@@ -172,28 +186,11 @@ def lengths_jacobian(angles):
     Inputs are not validated; rows off the polytope give NaN or inf.
     """
     angles = np.asarray(angles, dtype=float)
-    cosh_lengths, grad = _pair_ratio_grad(
-        np.cos(angles), _c_poly, _c_poly_grad, _VERTEX_EDGES, _ENDS
+    _, _, cosh_lengths, grad = _pair_ratio_grad(
+        np.cos(angles), _c_poly, _c_poly_grad, _VERTEX_EDGES, _VERTEX_GRAD, _ENDS
     )
     sinh_lengths = np.sqrt((cosh_lengths - 1.0) * (cosh_lengths + 1.0))
     return grad * -np.sin(angles)[..., None, :] / sinh_lengths[..., None]
-
-
-def angles_jacobian(lengths):
-    """Exact Jacobian d theta / d l of ``lengths_to_angles`` on (..., 6)
-    length arrays: entry (ij, q) is d theta_ij / d l_q.
-
-    Differentiates cos theta_ij = w_ij / sqrt(z_k z_l) in the hyperbolic
-    cosines and chains with d cosh l = sinh l d l and
-    d theta = -d cos theta / sin theta. Inputs are not validated; rows off
-    the length chart give NaN or inf.
-    """
-    lengths = np.asarray(lengths, dtype=float)
-    cos_angles, grad = _pair_ratio_grad(
-        np.cosh(lengths), _w_poly, _w_poly_grad, _OPPOSITE_FACE_EDGES, _OPPOSITE_ENDS
-    )
-    sin_angles = np.sqrt((1.0 - cos_angles) * (1.0 + cos_angles))
-    return grad * np.sinh(lengths)[..., None, :] / -sin_angles[..., None]
 
 
 @dataclass(frozen=True)
@@ -242,11 +239,6 @@ def angles_to_lengths(angles, eps_clamp=EPS_CLAMP):
     return np.arccosh(np.maximum(arg, 1.0))
 
 
-#: |length| below which _cos_angles cannot overflow: z_k z_l, its largest
-#: intermediate, grows like cosh(l)^6 and stays finite up to |l| ~ 118
-_NO_OVERFLOW = 100.0
-
-
 def _cos_angles(lengths):
     # the length -> angle kernel on (..., 6) arrays: the vertex coefficients
     # z_k, (..., 4), the products z_k z_l under each edge's root, (..., 6),
@@ -258,6 +250,30 @@ def _cos_angles(lengths):
     first, second = _gather(z, _OPPOSITE_ENDS)
     products = first * second
     return z, products, _w_poly(ch) / np.sqrt(products)
+
+
+def _cos_angles_grad(lengths):
+    # _cos_angles (bitwise) and, from the same pass, the Jacobian
+    # d theta / d l, (..., 6, 6): d cos theta from the kernels' _grad twins,
+    # chained with d cosh l = sinh l d l and d theta = -d cos theta / sin theta
+    z, products, arg, grad = _pair_ratio_grad(
+        np.cosh(lengths), _w_poly, _w_poly_grad, _OPPOSITE_FACE_EDGES, _OPPOSITE_FACE_GRAD,
+        _OPPOSITE_ENDS,
+    )
+    sin_angles = np.sqrt((1.0 - arg) * (1.0 + arg))
+    return z, products, arg, grad * np.sinh(lengths)[..., None, :] / -sin_angles[..., None]
+
+
+def angles_jacobian(lengths):
+    """Exact Jacobian d theta / d l of ``lengths_to_angles`` on (..., 6)
+    length arrays: entry (ij, q) is d theta_ij / d l_q.
+
+    Differentiates cos theta_ij = w_ij / sqrt(z_k z_l) in the hyperbolic
+    cosines and chains with d cosh l = sinh l d l and
+    d theta = -d cos theta / sin theta. Inputs are not validated; rows off
+    the length chart give NaN or inf.
+    """
+    return _cos_angles_grad(np.asarray(lengths, dtype=float))[3]
 
 
 def _chart_guards(z, products, arg, eps_clamp):
@@ -272,49 +288,46 @@ def _chart_guards(z, products, arg, eps_clamp):
 
 
 def _guard_error(z, products, arg, eps_clamp):
-    # the typed error of the first guard a single row fails: a row outside
-    # the closure, or else one the kernel cannot evaluate
+    # the typed error of the first guard a single row fails: z_k outside the
+    # closure, then a kernel overflow (a product z_k z_l or a cosine argument
+    # not finite), then a cosine argument outside the closure
     if (z <= 0.0).any():
         vertex = int(np.argmin(z)) + 1
         return NotInClosureError(
             f"vertex coefficient z_{vertex} = {z[vertex - 1]:.6g} is not positive",
             value=z[vertex - 1],
         )
-    bad = ~(np.abs(arg) <= 1.0 + eps_clamp)
-    if bad.any():
-        pos = int(np.argmax(bad))
+    overflow = ~(np.isfinite(products) & np.isfinite(arg))
+    if overflow.any():
+        pos = int(np.argmax(overflow))
         i, j = EDGE_PAIRS[pos]
-        return NotInClosureError(
-            f"cosine argument {arg[pos]:.6g} exceeds 1 at edge {{{i},{j}}}",
-            value=arg[pos],
+        return AccuracyError(
+            f"length kernel overflows at edge {{{i},{j}}}: z_k z_l = {products[pos]:.6g}, "
+            f"cosine argument {arg[pos]:.6g}"
         )
-    i, j = EDGE_PAIRS[int(np.argmax(~np.isfinite(products)))]
-    return AccuracyError(f"length kernel overflows at edge {{{i},{j}}}: z_k z_l is not finite")
+    pos = int(np.argmax(~(np.abs(arg) <= 1.0 + eps_clamp)))
+    i, j = EDGE_PAIRS[pos]
+    return NotInClosureError(
+        f"cosine argument {arg[pos]:.6g} exceeds 1 at edge {{{i},{j}}}",
+        value=arg[pos],
+    )
 
 
 def _arccos(arg):
     return np.arccos(np.minimum(np.maximum(arg, -1.0), 1.0))
 
 
-def lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=1e-9):
-    """Dihedral angles of the tetrahedron with the given edge lengths.
+#: slack of the closure test on the angles of a length row
+_CLOSURE_TOL = 1e-9
 
-    On interior points of the length chart the result lies strictly inside
-    the angle polytope; closure points (e.g. flattening families) land on
-    its boundary and are accepted within ``closure_tol``. Lengths so long
-    that the kernel's z_k z_l overflows (all six edges from about 118 on)
-    raise ``AccuracyError`` naming the edge, unless a guard of the closure
-    fails first.
-    """
-    lengths = domain.as_vector(lengths, "lengths")
-    values = lengths.tolist()
-    if -_NO_OVERFLOW < min(values) and max(values) < _NO_OVERFLOW:
-        z, products, arg = _cos_angles(lengths)
-    else:
-        # an overflowing kernel fails the guards below; numpy need not warn
-        # first (the test above is cheaper than np.errstate on every call)
-        with np.errstate(over="ignore", invalid="ignore"):
-            z, products, arg = _cos_angles(lengths)
+
+def _row_angles(kernel, lengths, eps_clamp=EPS_CLAMP, closure_tol=_CLOSURE_TOL):
+    # a validated 6-vector through a length kernel (_cos_angles, or
+    # _cos_angles_grad): its angles and whatever else the kernel returns, or
+    # the typed error of the first guard the row fails, the closure test of
+    # the angles coming last. numpy need not warn on an overflowing kernel
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z, products, arg, *rest = kernel(lengths)
     if not _chart_guards(z, products, arg, eps_clamp):
         raise _guard_error(z, products, arg, eps_clamp)
     angles = _arccos(arg)
@@ -323,7 +336,19 @@ def lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=1e-9):
             f"angles {angles!r} computed from lengths lie outside the closure "
             "of the angle polytope"
         )
-    return angles
+    return angles, *rest
+
+
+def lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=_CLOSURE_TOL):
+    """Dihedral angles of the tetrahedron with the given edge lengths.
+
+    On interior points of the length chart the result lies strictly inside
+    the angle polytope; closure points (e.g. flattening families) land on
+    its boundary and are accepted within ``closure_tol``. Lengths so long
+    that the kernel overflows (all six edges from about 118 on, one among
+    short edges from about 180) raise ``AccuracyError`` naming the edge.
+    """
+    return _row_angles(_cos_angles, domain.as_vector(lengths, "lengths"), eps_clamp, closure_tol)[0]
 
 
 def _as_rows(batch):

@@ -82,15 +82,18 @@ def _validate_permutation(sigma):
     return sigma
 
 
+#: for each permutation sigma, the position of edge {sigma(i), sigma(j)}
+#: for each edge position of {i, j}
+_EDGE_IMAGES = {
+    sigma: np.array([edge_position(sigma[i - 1], sigma[j - 1]) for i, j in EDGE_PAIRS])
+    for sigma in ALL_PERMUTATIONS
+}
+
+
 def permute(sigma, angles):
     """Relabel vertices: entry at edge {i,j} becomes the entry at
     {sigma(i), sigma(j)} of the input."""
-    sigma = _validate_permutation(sigma)
-    a = as_vector(angles, "angles")
-    out = np.empty(6)
-    for pos, (i, j) in enumerate(EDGE_PAIRS):
-        out[pos] = a[edge_position(sigma[i - 1], sigma[j - 1])]
-    return out
+    return as_vector(angles, "angles")[_EDGE_IMAGES[_validate_permutation(sigma)]]
 
 
 def compose(sigma, tau):

@@ -242,7 +242,7 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
                 angles, ok = convert.chart_angles(rows)
                 inside = len(ok) if ok.all() else int(ok.argmin())
                 vols = volume.ushijima_volume(angles[:inside]).tolist()
-                for a, l, v, increment in zip(angles, rows, vols, increments):
+                for a, l, v, increment in zip(angles.tolist(), rows.tolist(), vols, increments):
                     t_global = t_global + increment
                     points.append((t_global, Tetrahedron(tuple(a), tuple(l), v)))
                 if inside < len(ok):

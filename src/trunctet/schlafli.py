@@ -2,9 +2,9 @@
 control the sign of the length-derivative along a maximal edge.
 
 The angle-chart gradient is closed form (d vol = -1/2 * sum l_ij d theta_ij,
-Schlafli's formula). The length-chart gradient chains it with the Jacobian
-d theta / d l, the exact derivative of the closed-form conversion in
-``convert.angles_jacobian``. With ``check`` set, that Jacobian is validated
+Schlafli's formula). The length-chart gradient chains it with the exact
+Jacobian d theta / d l, from the same kernel pass as the angles (batch form:
+``convert.angles_jacobian``). With ``check`` set, that Jacobian is validated
 against the inverse of d l / d theta, differentiated independently from the
 angle side (``convert.lengths_jacobian``).
 """
@@ -45,10 +45,8 @@ def volume_of_lengths(lengths):
     return volume.ushijima_volume(convert.lengths_to_angles(lengths))
 
 
-def _exact_jacobian(kernel, x, what):
+def _finite(jac, what, x):
     # the kernels return inf or NaN where a sine or sinh vanishes
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        jac = kernel(x)
     if not np.isfinite(jac).all():
         raise NearDegenerateError(f"{what} Jacobian is not finite at {x!r}")
     return jac
@@ -62,22 +60,25 @@ def jacobian_lengths_of_angles(angles):
     """
     a = domain.as_vector(angles, "angles")
     convert.angles_to_lengths(a)  # only for its typed errors
-    return _exact_jacobian(convert.lengths_jacobian, a, "length/angle")
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        jac = convert.lengths_jacobian(a)
+    return _finite(jac, "length/angle", a)
 
 
 def jacobian_angles_of_lengths(lengths, check=True):
     """Matrix with entry (ij, hk) = d theta_ij / d l_hk, in closed form.
 
-    When ``check`` is set the result is validated against the inverse of the
-    opposite-direction Jacobian, computed independently from the angles
-    (chain rule), and rejected when the product strays from the identity or
-    the matrix is too ill-conditioned. Outside the length chart the
-    conversion's typed errors are raised; where the Jacobian is not finite,
-    NearDegenerateError.
+    One pass of the length -> angle kernel gives the Jacobian together with
+    the angles, and with them the typed errors ``lengths_to_angles`` raises
+    outside the length chart; where the Jacobian is not finite,
+    NearDegenerateError. When ``check`` is set the result is validated
+    against the inverse of the opposite-direction Jacobian, computed
+    independently from the angles (chain rule), and rejected when the
+    product strays from the identity or the matrix is too ill-conditioned.
     """
     l = domain.as_vector(lengths, "lengths")
-    angles = convert.lengths_to_angles(l)
-    jac = _exact_jacobian(convert.angles_jacobian, l, "angle/length")
+    angles, jac = convert._row_angles(convert._cos_angles_grad, l)
+    _finite(jac, "angle/length", l)
     if check:
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > CONDITION_LIMIT:
@@ -100,7 +101,7 @@ def dvol_dlengths(tet, check=False):
     component ij = -1/2 * sum_kl l_kl * d theta_kl / d l_ij."""
     jac = jacobian_angles_of_lengths(tet.lengths, check=check)
     values = -0.5 * (np.asarray(tet.lengths) @ jac)
-    return GradientVector(tuple(values), "lengths")
+    return GradientVector(tuple(values.tolist()), "lengths")
 
 
 def key_bracket(tet):
@@ -130,8 +131,7 @@ def tecnicofinale_gap(angles):
     """Left minus right side of the final trigonometric inequality; it is
     nonnegative whenever the volume is at least vol of the regular
     tetrahedron of edge length l0."""
-    a = domain.as_vector(angles, "angles")
-    t12, t13, t14, _, t24, t23 = a
+    t12, t13, t14, _, t24, t23 = domain.as_vector(angles, "angles").tolist()
     lhs = (
         math.cos(t12) * (math.cos(t13) * math.cos(t23) + math.cos(t14) * math.cos(t24))
         + math.cos(t13) * math.cos(t24)
@@ -150,8 +150,7 @@ def lemma_gaps(angles):
       g3: cos12 (cos13 cos23 + cos14 cos24)
           - sin12 (sin(13+23) + sin(14+24)) + 2 sin(theta12 / 2)
     """
-    a = domain.as_vector(angles, "angles")
-    t12, t13, t14, _, t24, t23 = a
+    t12, t13, t14, _, t24, t23 = domain.as_vector(angles, "angles").tolist()
     cross = math.cos(t13) * math.cos(t24) + math.cos(t14) * math.cos(t23)
     g1 = cross - 2.0 * math.sin(0.5 * t12)
     g2 = cross - (1.0 - math.sin(math.pi / 12.0))

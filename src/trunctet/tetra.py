@@ -38,7 +38,7 @@ class Tetrahedron:
         if not domain.in_O(a, strict=True):
             raise DomainError(f"angles {a!r} not interior to the angle polytope")
         lengths = convert.angles_to_lengths(a)
-        return cls(tuple(a), tuple(lengths), volume.ushijima_volume(a))
+        return cls(tuple(a.tolist()), tuple(lengths.tolist()), volume.ushijima_volume(a))
 
     @classmethod
     def from_lengths(cls, lengths):
@@ -46,7 +46,7 @@ class Tetrahedron:
         angles = convert.lengths_to_angles(l)
         if not domain.in_O(angles, strict=True):
             raise DomainError(f"lengths {l!r} lie on the boundary of the length chart")
-        return cls(tuple(angles), tuple(l), volume.ushijima_volume(angles))
+        return cls(tuple(angles.tolist()), tuple(l.tolist()), volume.ushijima_volume(angles))
 
     @property
     def min_length(self):
@@ -67,8 +67,8 @@ class Tetrahedron:
         """The same tetrahedron with its vertices relabelled by ``sigma``:
         angles and lengths are permuted alike and the volume is kept."""
         return Tetrahedron(
-            tuple(domain.permute(sigma, self.angles)),
-            tuple(domain.permute(sigma, self.lengths)),
+            tuple(domain.permute(sigma, self.angles).tolist()),
+            tuple(domain.permute(sigma, self.lengths).tolist()),
             self.volume,
         )
 

@@ -212,6 +212,17 @@ def reference_lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=1e-9):
     return angles
 
 
+def kernel_overflows(lengths):
+    """Whether the length kernel overflows on a row: a product z_k z_l or a
+    cosine argument that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch = np.cosh(np.asarray(lengths, dtype=float))
+        z = _vertex_poly(ch, _OPPOSITE_FACE_EDGES)
+        first, second = z[_OPPOSITE_ENDS]
+        arg = _pair_ratio(_w_poly(ch), z, _OPPOSITE_ENDS)
+    return not (np.isfinite(first * second).all() and np.isfinite(arg).all())
+
+
 def reference_chart_angles(lengths, tol=1e-9):
     """The per-row length-chart test as written before the batch kernel."""
     try:
@@ -300,6 +311,11 @@ class TestBatchChartMatchesScalar:
                 expected = reference_lengths_to_angles(row)
             except NotInClosureError as exc:
                 assert np.isnan(got).all()
+                if kernel_overflows(row):
+                    # the reference read the overflow as a closure failure
+                    with pytest.raises(AccuracyError, match="length kernel overflows"):
+                        lengths_to_angles(row)
+                    continue
                 with pytest.raises(NotInClosureError) as raised:
                     lengths_to_angles(row)
                 assert str(raised.value) == str(exc)
@@ -321,12 +337,13 @@ class TestBatchChartMatchesScalar:
         angles, ok = chart_angles(rows)
         assert list(ok) == [False, True]
         assert np.isnan(lengths_to_angles_batch(rows)[0]).all()
-        with pytest.raises(NotInClosureError, match="cosine argument nan"):
+        with pytest.raises(AccuracyError, match=r"overflows at edge \{1,2\}.*argument nan"):
             lengths_to_angles(rows[0])
-        # an edge far beyond the length the kernel takes without overflow,
-        # and one whose cosh itself overflows
+        # an edge far beyond the length the kernel takes without overflow
+        # (z_k z_l overflows at edge {1,2}, while the finite arguments at the
+        # other edges exceed 1), and one whose cosh itself overflows
         for first in (200.0, -800.0):
-            with pytest.raises(NotInClosureError, match="cosine argument"):
+            with pytest.raises(AccuracyError, match=r"overflows at edge \{1,2\}"):
                 lengths_to_angles((first, 0.5, 0.5, 0.5, 0.5, 0.5))
         # all six edges long, regular rows of edge L: z_k z_l stays finite at
         # 100 and 118, overflows to inf at 120 and 150 (where the cosine
@@ -347,8 +364,8 @@ class TestBatchChartMatchesScalar:
                 lengths_to_angles((L,) * 6)
             with pytest.raises(AccuracyError):
                 Tetrahedron.from_lengths((L,) * 6)
-        # a NaN cosine argument fails its closure guard first, as before
-        with pytest.raises(NotInClosureError, match="cosine argument nan"):
+        # NaN cosine arguments, where cosh^3 overflows, are an overflow too
+        with pytest.raises(AccuracyError, match=r"overflows at edge \{1,2\}.*argument nan"):
             lengths_to_angles((300.0,) * 6)
 
     def test_shapes(self):

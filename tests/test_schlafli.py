@@ -28,11 +28,11 @@ from trunctet import (
     ushijima_volume,
 )
 from trunctet import convert
-from trunctet.errors import InconsistencyError
+from trunctet.errors import InconsistencyError, TruncTetError
 from trunctet.indexing import EDGE_PAIRS, edge_position
 from trunctet.schlafli import volume_of_lengths
 
-from test_convert import octagon_boundary_tuple
+from test_convert import chart_test_rows, octagon_boundary_tuple
 
 REGULAR = (math.pi / 6,) * 6
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
@@ -200,11 +200,14 @@ class TestLengthGradient:
             exact = float(oracle.directional_derivative(tet.lengths, v))
             assert abs(dvol_dlengths(tet).as_array() @ v - exact) <= 1e-10
 
-    def test_makes_one_conversion(self, acute_points, monkeypatch):
-        # guards against finite differences coming back
+    def test_evaluates_the_length_kernel_once(self, acute_points, monkeypatch):
+        # one pass of the length -> angle kernel gives the guards, the angles
+        # and the Jacobian: no conversion call, and no second evaluation of
+        # the kernel, which also rules out finite differences
         tet = Tetrahedron.from_angles(acute_points[0])
         calls = []
-        for name in ("lengths_to_angles", "angles_to_lengths"):
+        names = ("lengths_to_angles", "angles_to_lengths", "_cos_angles", "_cos_angles_grad", "_w_poly")
+        for name in names:
             original = getattr(convert, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -213,7 +216,166 @@ class TestLengthGradient:
 
             monkeypatch.setattr(convert, name, counted)
         dvol_dlengths(tet)
-        assert calls == ["lengths_to_angles"]
+        assert sorted(calls) == ["_cos_angles_grad", "_w_poly"]
+
+
+# --- the Jacobian as computed before the one-pass kernel ------------------
+
+
+def reference_vertex_poly_grad(x, triples):
+    """d z_k / d x (or d d_i / d x) as a (..., 4, 6) array, scattered."""
+    x, y, z = (x[..., members] for members in triples)
+    grad = np.zeros(x.shape[:-1] + (4, 6))
+    vertices = np.arange(4)
+    for members, partial in zip(triples, (x + y * z, y + x * z, z + x * y)):
+        grad[..., vertices, members] = 2.0 * partial
+    return grad
+
+
+def reference_edge_poly_grad(partials):
+    """The partials of c_ij or w_ij in the roles ij, ik, il, jk, jl, kl as a
+    (..., 6, 6) array, scattered role by role."""
+    grad = np.empty(partials[0].shape[:-1] + (6, 6))
+    edges = np.arange(6)
+    for roles, partial in zip(convert._EDGE_ROLES, partials):
+        grad[..., edges, roles] = partial
+    return grad
+
+
+def reference_w_poly_grad(ch):
+    """d w_ij / d x as a (..., 6, 6) array."""
+    hij, hik, hil, hjk, hjl, hkl = (ch[..., roles] for roles in convert._EDGE_ROLES)
+    return reference_edge_poly_grad(
+        (
+            hil * hjk + hik * hjl - 2.0 * hij * hkl,
+            hij * hjl + hil,
+            hij * hjk + hik,
+            hij * hil + hjl,
+            hij * hik + hjk,
+            1.0 - hij * hij,
+        )
+    )
+
+
+def two_pass_jacobian(lengths):
+    """d theta / d l as computed before the one-pass kernel: a validating
+    ``lengths_to_angles`` call, then a second evaluation of the kernel and
+    its derivatives, NearDegenerateError where the result is not finite."""
+    l = np.asarray(lengths, dtype=float)
+    convert.lengths_to_angles(l)
+    ends = convert._OPPOSITE_ENDS
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        ch = np.cosh(l)
+        z = convert._vertex_poly(ch, convert._OPPOSITE_FACE_EDGES)
+        root = np.sqrt(z[..., ends[0]] * z[..., ends[1]])
+        cos_angles = convert._w_poly(ch) / root
+        log_grad = reference_vertex_poly_grad(ch, convert._OPPOSITE_FACE_EDGES) / z[..., None]
+        log_sum = log_grad[..., ends[0], :] + log_grad[..., ends[1], :]
+        grad = reference_w_poly_grad(ch) / root[..., None] - 0.5 * cos_angles[..., None] * log_sum
+        sin_angles = np.sqrt((1.0 - cos_angles) * (1.0 + cos_angles))
+        jac = grad * np.sinh(l)[..., None, :] / -sin_angles[..., None]
+    if not np.isfinite(jac).all():
+        raise NearDegenerateError("angle/length Jacobian is not finite")
+    return jac
+
+
+def criterion_8_records(n):
+    """The first n certificates' tetrahedra of acceptance criterion 8,
+    longest edge first."""
+    rng = np.random.default_rng(108)
+    floor = regular_volume_l0()
+    tets = []
+    for a in sample_O_batch(rng, n, constraint="volume_floor", floor=floor):
+        tet = Tetrahedron.from_angles(a)
+        pos = int(np.argmax(tet.lengths))
+        tets.append(tet.permuted(permutation_moving_edge_to_front(pos)))
+    return tets
+
+
+class TestOnePassJacobian:
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return [tuple(row) for row in chart_test_rows()] + [
+            (L0, L0, L0, L0, L0, math.nan),
+            (math.inf,) + (0.5,) * 5,
+            (-math.inf,) + (0.5,) * 5,
+            (1.0, 2.0, 3.0),
+            (120.0,) * 6,
+            (-0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
+        ]
+
+    def test_bitwise_the_two_pass_jacobian(self):
+        # on criterion 8's rows the one-pass Jacobian, its batch form and
+        # the gradient are bitwise those of the two-pass computation
+        tets = criterion_8_records(2000)
+        lengths = np.array([tet.lengths for tet in tets])
+        batch = convert.angles_jacobian(lengths)
+        for tet, row in zip(tets, batch):
+            expected = two_pass_jacobian(tet.lengths)
+            assert np.array_equal(jacobian_angles_of_lengths(tet.lengths, check=False), expected)
+            assert np.array_equal(row, expected)
+            grad = -0.5 * (np.asarray(tet.lengths) @ expected)
+            assert dvol_dlengths(tet).values == tuple(grad.tolist())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("check", [True, False])
+    def test_rejects_as_the_conversion_does(self, rows, check):
+        # same error type and message as lengths_to_angles on every row it
+        # rejects (the octagon flat limit and rows closing in on it, negative,
+        # overflowing, non-finite and malformed rows among them); on the rows
+        # it accepts, the two-pass outcome (a bitwise equal Jacobian, or
+        # NearDegenerateError)
+        rejected = []
+        for row in rows:
+            try:
+                convert.lengths_to_angles(row)
+            except TruncTetError as exc:
+                rejected.append(type(exc).__name__)
+                with pytest.raises(type(exc)) as raised:
+                    jacobian_angles_of_lengths(row, check=check)
+                assert str(raised.value) == str(exc)
+                continue
+            try:
+                expected = two_pass_jacobian(row)
+            except NearDegenerateError:
+                with pytest.raises(NearDegenerateError):
+                    jacobian_angles_of_lengths(row, check=False)
+                continue
+            assert np.array_equal(jacobian_angles_of_lengths(row, check=False), expected)
+        assert len(rejected) >= 100
+        assert set(rejected) == {"NotInClosureError", "AccuracyError", "InvalidArgumentError"}
+
+    def test_closure_failure_as_the_conversion_does(self, monkeypatch):
+        # no row of the length chart's guards has been seen to fail the
+        # closure test; a polytope test that rejects every row shows that
+        # both calls raise the same error there
+        row = regular_from_length(0.8).lengths
+        monkeypatch.setattr(convert.domain, "in_O", lambda *args, **kwargs: False)
+        with pytest.raises(InconsistencyError) as expected:
+            convert.lengths_to_angles(row)
+        with pytest.raises(InconsistencyError) as raised:
+            jacobian_angles_of_lengths(row)
+        assert str(raised.value) == str(expected.value)
+
+    def test_gathered_grad_twins_are_the_scattered_ones(self):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-2.0, 2.0, size=(50, 6))
+        for triples, table in (
+            (convert._VERTEX_EDGES, convert._VERTEX_GRAD),
+            (convert._OPPOSITE_FACE_EDGES, convert._OPPOSITE_FACE_GRAD),
+        ):
+            expected = reference_vertex_poly_grad(x, triples)
+            assert np.array_equal(convert._vertex_poly_grad(x, triples, table), expected)
+            assert np.array_equal(convert._vertex_poly_grad(x[0], triples, table), expected[0])
+        partials = tuple(rng.normal(size=(50, 6)) for _ in range(6))
+        expected = reference_edge_poly_grad(partials)
+        assert np.array_equal(convert._edge_poly_grad(partials), expected)
+        assert np.array_equal(convert._edge_poly_grad(tuple(p[0] for p in partials)), expected[0])
+
+    def test_flat_limit_two_pass_agrees(self):
+        # the two-pass reference also finds the flat limit near-degenerate
+        with pytest.raises(NearDegenerateError):
+            two_pass_jacobian(octagon_boundary_tuple(0.8))
 
 
 class TestKeyBracket:

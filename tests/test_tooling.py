@@ -46,7 +46,8 @@ START = "0.7,0.7,0.8,0.7,0.7,0.8"
     [
         (["convert", "--lengths", START], 0, ""),
         (["convert", "--lengths", "800,0.5,0.5,0.5,0.5,0.5"], 2,
-         "numerical error: cosine argument nan exceeds 1 at edge {1,2}\n"),
+         "numerical error: length kernel overflows at edge {1,2}: z_k z_l = inf, "
+         "cosine argument nan\n"),
         (["volume", "--lengths", START], 0, ""),
         (["volume", "--angles", "0.001,0.001,3.139092653589793,0.001,0.001,3.139092653589793"],
          0, ""),
