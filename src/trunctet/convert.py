@@ -7,29 +7,33 @@ With {i,j,k,l} = {1,2,3,4} the conversions are
     cos theta_ij = w_ij / sqrt(z_k z_l)     (lengths -> angles)
 
 where d_i, c_ij are polynomial in the cosines of the angles and z_i, w_ij
-mirror them in the hyperbolic cosines of the lengths. Each polynomial is one
-kernel on (..., 6) arrays; the scalar functions validate their input and
-turn failed guards into typed errors, the batch functions into NaN rows.
+in the hyperbolic cosines of the lengths. Both are the same map in two
+index layouts, so one kernel family on (..., 6) arrays serves both
+directions, and each direction is one set of index tables built from
+``indexing.py`` (``_ANGLES``, ``_LENGTHS``):
 
-Both directions have a batch form on (m, 6) arrays, bitwise equal row by
-row to the scalar one: ``angles_to_lengths_batch`` and
-``lengths_to_angles_batch``. The length -> angle direction is one kernel
-(z_k, the products z_k z_l and the cosine arguments) with one set of guards;
-``lengths_to_angles`` raises ``NotInClosureError`` for z_k <= 0, else
-``AccuracyError`` if the kernel overflowed, else ``NotInClosureError`` for
-|cos theta_ij| > 1 + EPS_CLAMP, and the batch gives NaN there. The
-length-chart test ``chart_angles`` (and ``in_L``) runs on (m, 6) arrays too;
-a single 6-vector is a batch of one row.
+- ``_vertex_poly``: 2xyz + x^2 + y^2 + z^2 - 1 over the edges at each
+  vertex (d_i), or on the opposite face (z_i);
+- ``_edge_poly``: c_ij in the roles ij, ik, il, jk, jl, kl of each edge.
+  w_ij is bitwise c_ij with the roles ik and jl exchanged, which is all
+  that the length tables change;
+- ``_ratio``: the vertex coefficients, the products under each edge's root
+  and the ratio edge / root; ``_ratio_grad`` adds its exact partials, entry
+  (ij, q) = d ratio_ij / d x_q, gathered in one step through the tables.
 
-Each kernel has a ``_grad`` twin: its exact partials as a (..., rows, 6)
-array, entry (r, q) = d row_r / d x_q, gathered from the stacked partials in
-one step through index tables derived from ``indexing.py``. One pass of the
-length kernel with its twins gives the guards, angles and Jacobian
+The scalar functions validate their input and turn failed guards into typed
+errors, the batch functions (``angles_to_lengths_batch``,
+``lengths_to_angles_batch``, bitwise equal row by row) into NaN rows.
+``lengths_to_angles`` raises ``AccuracyError`` if the kernel overflowed,
+else ``NotInClosureError`` for a negative length, then for
+|cos theta_ij| > 1 + EPS_CLAMP. The length-chart test ``chart_angles`` (and
+``in_L``) runs on (m, 6) arrays too; a single 6-vector is a batch of one
+row. One pass of ``_ratio_grad`` gives the guards, angles and Jacobian
 d theta / d l of a row together (``jacobian_angles_of_lengths``);
 ``angles_jacobian`` and ``lengths_jacobian`` are the batch Jacobians.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,19 +45,36 @@ from .errors import (
     NotATetrahedronError,
     NotInClosureError,
 )
-from .indexing import (
-    EDGE_PAIRS,
-    OPPOSITE,
-    OPPOSITE_FACE_EDGES,
-    VERTEX_EDGES,
-    edge_position,
-)
+from .indexing import EDGE_PAIRS, OPPOSITE, OPPOSITE_FACE_EDGES, VERTEX_EDGES, edge_position
 from .specfun import EPS_CLAMP
 
-#: edge positions at each vertex (VERTEX_EDGES) and on each opposite face
-#: (OPPOSITE_FACE_EDGES), one row per member of the triple
-_VERTEX_EDGES = np.array(VERTEX_EDGES).T
-_OPPOSITE_FACE_EDGES = np.array(OPPOSITE_FACE_EDGES).T
+
+class _Tables(NamedTuple):
+    """The index tables of one conversion direction."""
+
+    #: edge positions of each vertex's triple, one row per member (3 x 4)
+    triples: np.ndarray
+    #: entry (vertex, q): the place of d/dx_q among the stacked member
+    #: partials (3 x 4, member-major), or of the zero stacked last
+    vertex_grad: np.ndarray
+    #: positions of the roles ij, ik, il, jk, jl, kl (rows), edge by edge
+    roles: np.ndarray
+    #: entry (ij, q): the place of d/dx_q among the stacked role partials
+    #: (6 x 6, role-major)
+    edge_grad: np.ndarray
+    #: the two vertices under each edge's root, 0-based (2 x 6)
+    ends: np.ndarray
+
+
+def _tables(vertex_edges, roles, ends):
+    triples = np.array(vertex_edges).T
+    members, vertices = np.indices(triples.shape)
+    vertex_grad = np.full((4, 6), triples.size)
+    vertex_grad[vertices, triples] = members * 4 + vertices
+    # argsort inverts each edge's column of roles
+    edge_grad = np.argsort(roles, axis=0).T * 6 + np.arange(6)[:, None]
+    return _Tables(triples, vertex_grad, roles, edge_grad, np.array(ends).T - 1)
+
 
 #: the opposite edge kl of each edge ij, as a vertex pair
 _OPPOSITE_PAIRS = [EDGE_PAIRS[opp] for opp in OPPOSITE]
@@ -67,26 +88,9 @@ _EDGE_ROLES = np.array(
     ]
 ).T
 
-#: 0-based endpoints of each edge, and of its opposite edge
-_ENDS = np.array(EDGE_PAIRS).T - 1
-_OPPOSITE_ENDS = np.array(_OPPOSITE_PAIRS).T - 1
-
-
-def _vertex_grad_table(triples):
-    # entry (vertex, q): the place of d/dx_q among a vertex kernel's stacked
-    # member partials (3 x 4, member-major), or of the zero stacked last
-    members, vertices = np.indices(triples.shape)
-    table = np.full((4, 6), triples.size)
-    table[vertices, triples] = members * 4 + vertices
-    return table
-
-
-_VERTEX_GRAD = _vertex_grad_table(_VERTEX_EDGES)
-_OPPOSITE_FACE_GRAD = _vertex_grad_table(_OPPOSITE_FACE_EDGES)
-
-#: entry (ij, q): the place of d c_ij / d x_q (or d w_ij) among the stacked
-#: role partials (6 x 6, role-major); argsort inverts _EDGE_ROLES' columns
-_EDGE_GRAD = np.argsort(_EDGE_ROLES, axis=0).T * 6 + np.arange(6)[:, None]
+_ANGLES = _tables(VERTEX_EDGES, _EDGE_ROLES, EDGE_PAIRS)
+#: w_ij is c_ij with the roles ik and jl exchanged, under z_k z_l
+_LENGTHS = _tables(OPPOSITE_FACE_EDGES, _EDGE_ROLES[[0, 4, 2, 3, 1, 5]], _OPPOSITE_PAIRS)
 
 
 def _gather(x, table):
@@ -96,85 +100,50 @@ def _gather(x, table):
 
 
 def _vertex_poly(x, triples):
-    # 2xyz + x^2 + y^2 + z^2 - 1 over the edge triples of each vertex: the
-    # d_i of the angle cosines (_VERTEX_EDGES), or the z_i of the length
-    # hyperbolic cosines (_OPPOSITE_FACE_EDGES)
     x, y, z = _gather(x, triples)
     return 2.0 * x * y * z + x * x + y * y + z * z - 1.0
 
 
-def _vertex_poly_grad(x, triples, table):
-    # each member of a vertex triple has partial 2 (member + product of the
-    # other two), gathered into place by _vertex_grad_table(triples)
-    x, y, z = _gather(x, triples)
-    zero = np.zeros(x.shape[:-1] + (1,))
-    partials = np.concatenate((x + y * z, y + x * z, z + x * y, zero), axis=-1)
-    return 2.0 * partials[..., table]
+def _edge_poly(x, roles):
+    ij, ik, il, jk, jl, kl = _gather(x, roles)
+    return ij * (il * jk + ik * jl) + il * jl + ik * jk + kl * (1.0 - ij * ij)
 
 
-def _edge_poly_grad(partials):
-    # the partials of c_ij or w_ij in the roles ij, ik, il, jk, jl, kl,
-    # gathered into place by _EDGE_GRAD
-    return np.concatenate(partials, axis=-1)[..., _EDGE_GRAD]
-
-
-def _c_poly(cos_angles):
-    cij, cik, cil, cjk, cjl, ckl = _gather(cos_angles, _EDGE_ROLES)
-    return cij * (cil * cjk + cik * cjl) + cil * cjl + cik * cjk + ckl * (1.0 - cij * cij)
-
-
-def _c_poly_grad(cos_angles):
-    cij, cik, cil, cjk, cjl, ckl = _gather(cos_angles, _EDGE_ROLES)
-    return _edge_poly_grad(
-        (
-            cil * cjk + cik * cjl - 2.0 * cij * ckl,
-            cij * cjl + cjk,
-            cij * cjk + cjl,
-            cij * cil + cik,
-            cij * cik + cil,
-            1.0 - cij * cij,
-        )
-    )
-
-
-def _w_poly(cosh_lengths):
-    hij, hik, hil, hjk, hjl, hkl = _gather(cosh_lengths, _EDGE_ROLES)
-    return hij * (hil * hjk + hik * hjl) + hik * hil + hjk * hjl - (hij * hij - 1.0) * hkl
-
-
-def _w_poly_grad(cosh_lengths):
-    hij, hik, hil, hjk, hjl, hkl = _gather(cosh_lengths, _EDGE_ROLES)
-    return _edge_poly_grad(
-        (
-            hil * hjk + hik * hjl - 2.0 * hij * hkl,
-            hij * hjl + hil,
-            hij * hjk + hik,
-            hij * hil + hjl,
-            hij * hik + hjk,
-            1.0 - hij * hij,
-        )
-    )
-
-
-def _pair_ratio(edge_coeffs, vertex_coeffs, ends):
-    # edge coefficient over the geometric mean of its two vertex coefficients
-    first, second = _gather(vertex_coeffs, ends)
-    return edge_coeffs / np.sqrt(first * second)
-
-
-def _pair_ratio_grad(x, edge_poly, edge_poly_grad, triples, grad_table, ends):
-    # the vertex coefficients at x, their products, _pair_ratio of the
-    # kernels (as _cos_angles computes it) and its derivative in x:
-    # d(e / sqrt(a b)) = de / sqrt(a b) - (e / sqrt(a b)) (da / a + db / b) / 2
-    vertex_coeffs = _vertex_poly(x, triples)
-    first, second = _gather(vertex_coeffs, ends)
+def _ratio(x, tables):
+    # the vertex coefficients, (..., 4), their products under each edge's
+    # root, (..., 6), and the ratios edge / root, (..., 6). The edge
+    # polynomial goes first: in the other order the allocator gave the
+    # gathers' memory back between calls, and 4096-row batches took 2.5x as
+    # long in page faults
+    edge = _edge_poly(x, tables.roles)
+    vertex = _vertex_poly(x, tables.triples)
+    first, second = _gather(vertex, tables.ends)
     products = first * second
-    root = np.sqrt(products)
-    ratio = edge_poly(x) / root
-    log_grad = _vertex_poly_grad(x, triples, grad_table) / vertex_coeffs[..., None]
-    log_sum = log_grad[..., ends[0], :] + log_grad[..., ends[1], :]
-    grad = edge_poly_grad(x) / root[..., None] - 0.5 * ratio[..., None] * log_sum
-    return vertex_coeffs, products, ratio, grad
+    return vertex, products, edge / np.sqrt(products)
+
+
+def _ratio_grad(x, tables):
+    # _ratio (bitwise) and its derivative in x, (..., 6, 6):
+    # d(e / sqrt(a b)) = de / sqrt(a b) - (e / sqrt(a b)) (da / a + db / b) / 2
+    vertex, products, ratio = _ratio(x, tables)
+    a, b, c = _gather(x, tables.triples)
+    zero = np.zeros(a.shape[:-1] + (1,))
+    vertex_partials = (a + b * c, b + a * c, c + a * b, zero)
+    vertex_grad = 2.0 * np.concatenate(vertex_partials, axis=-1)[..., tables.vertex_grad]
+    ij, ik, il, jk, jl, kl = _gather(x, tables.roles)
+    edge_partials = (
+        il * jk + ik * jl - 2.0 * ij * kl,
+        ij * jl + jk,
+        ij * jk + jl,
+        ij * il + ik,
+        ij * ik + il,
+        1.0 - ij * ij,
+    )
+    edge_grad = np.concatenate(edge_partials, axis=-1)[..., tables.edge_grad]
+    log_grad = vertex_grad / vertex[..., None]
+    log_sum = log_grad[..., tables.ends[0], :] + log_grad[..., tables.ends[1], :]
+    grad = edge_grad / np.sqrt(products)[..., None] - 0.5 * ratio[..., None] * log_sum
+    return vertex, products, ratio, grad
 
 
 def lengths_jacobian(angles):
@@ -186,39 +155,17 @@ def lengths_jacobian(angles):
     Inputs are not validated; rows off the polytope give NaN or inf.
     """
     angles = np.asarray(angles, dtype=float)
-    _, _, cosh_lengths, grad = _pair_ratio_grad(
-        np.cos(angles), _c_poly, _c_poly_grad, _VERTEX_EDGES, _VERTEX_GRAD, _ENDS
-    )
+    _, _, cosh_lengths, grad = _ratio_grad(np.cos(angles), _ANGLES)
     sinh_lengths = np.sqrt((cosh_lengths - 1.0) * (cosh_lengths + 1.0))
     return grad * -np.sin(angles)[..., None, :] / sinh_lengths[..., None]
 
 
-@dataclass(frozen=True)
-class ConversionCoefficients:
-    """The intermediate quantities of both conversion directions for one
-    coherent (angles, lengths) pair."""
-
-    d: np.ndarray
-    c: np.ndarray
-    z: np.ndarray
-    w: np.ndarray
-
-    @classmethod
-    def from_pair(cls, angles, lengths):
-        d, c = coefficients_from_angles(angles)
-        ch = np.cosh(domain.as_vector(lengths, "lengths"))
-        return cls(d=d, c=c, z=_vertex_poly(ch, _OPPOSITE_FACE_EDGES), w=_w_poly(ch))
-
-
-def coefficients_from_angles(angles):
-    """The vertex coefficients d_1..d_4 and edge coefficients c_ij."""
-    cos_angles = np.cos(domain.as_vector(angles, "angles"))
-    return _vertex_poly(cos_angles, _VERTEX_EDGES), _c_poly(cos_angles)
-
-
-def angles_to_lengths(angles, eps_clamp=EPS_CLAMP):
+def angles_to_lengths(angles):
     """Edge lengths of the tetrahedron with the given dihedral angles."""
-    d, c = coefficients_from_angles(angles)
+    # a vertex coefficient d_i <= 0 leaves the ratio NaN or inf; it is
+    # rejected before the ratio is used
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d, _, arg = _ratio(np.cos(domain.as_vector(angles, "angles")), _ANGLES)
     if (d <= 0.0).any():
         vertex = int(np.argmin(d)) + 1
         raise NotATetrahedronError(
@@ -226,8 +173,7 @@ def angles_to_lengths(angles, eps_clamp=EPS_CLAMP):
             index=vertex,
             value=d[vertex - 1],
         )
-    arg = _pair_ratio(c, d, _ENDS)
-    low = arg < 1.0 - eps_clamp
+    low = arg < 1.0 - EPS_CLAMP
     if low.any():
         pos = int(np.argmax(low))
         i, j = EDGE_PAIRS[pos]
@@ -240,26 +186,18 @@ def angles_to_lengths(angles, eps_clamp=EPS_CLAMP):
 
 
 def _cos_angles(lengths):
-    # the length -> angle kernel on (..., 6) arrays: the vertex coefficients
-    # z_k, (..., 4), the products z_k z_l under each edge's root, (..., 6),
-    # and the cosine arguments w_ij / sqrt(z_k z_l), (..., 6). Long edges
+    # the length -> angle kernel on (..., 6) arrays: z_k, the products
+    # z_k z_l and the cosine arguments w_ij / sqrt(z_k z_l). Long edges
     # overflow the products to inf, and the arguments then read 0 or NaN;
     # _chart_guards rejects those rows
-    ch = np.cosh(lengths)
-    z = _vertex_poly(ch, _OPPOSITE_FACE_EDGES)
-    first, second = _gather(z, _OPPOSITE_ENDS)
-    products = first * second
-    return z, products, _w_poly(ch) / np.sqrt(products)
+    return _ratio(np.cosh(lengths), _LENGTHS)
 
 
 def _cos_angles_grad(lengths):
     # _cos_angles (bitwise) and, from the same pass, the Jacobian
-    # d theta / d l, (..., 6, 6): d cos theta from the kernels' _grad twins,
-    # chained with d cosh l = sinh l d l and d theta = -d cos theta / sin theta
-    z, products, arg, grad = _pair_ratio_grad(
-        np.cosh(lengths), _w_poly, _w_poly_grad, _OPPOSITE_FACE_EDGES, _OPPOSITE_FACE_GRAD,
-        _OPPOSITE_ENDS,
-    )
+    # d theta / d l, (..., 6, 6), chained with d cosh l = sinh l d l and
+    # d theta = -d cos theta / sin theta
+    z, products, arg, grad = _ratio_grad(np.cosh(lengths), _LENGTHS)
     sin_angles = np.sqrt((1.0 - arg) * (1.0 + arg))
     return z, products, arg, grad * np.sinh(lengths)[..., None, :] / -sin_angles[..., None]
 
@@ -276,27 +214,19 @@ def angles_jacobian(lengths):
     return _cos_angles_grad(np.asarray(lengths, dtype=float))[3]
 
 
-def _chart_guards(z, products, arg, eps_clamp):
-    # rows whose z_k are all positive, whose cosine arguments all lie within
-    # 1 + eps_clamp in size, and whose kernel did not overflow; written so
-    # that a NaN argument fails
-    return (
-        (z > 0.0).all(axis=-1)
-        & (np.abs(arg) <= 1.0 + eps_clamp).all(axis=-1)
-        & np.isfinite(products).all(axis=-1)
-    )
+def _chart_guards(lengths, products, arg):
+    # rows whose kernel did not overflow, whose lengths are not negative and
+    # whose cosine arguments all lie within 1 + EPS_CLAMP in size; written
+    # so that a NaN argument fails. z_k = 2xyz + x^2 + y^2 + z^2 - 1 >= 4 on
+    # cosh values >= 1, so z_k needs no guard of its own
+    ok = np.isfinite(products) & (lengths >= 0.0) & (np.abs(arg) <= 1.0 + EPS_CLAMP)
+    return ok.all(axis=-1)
 
 
-def _guard_error(z, products, arg, eps_clamp):
-    # the typed error of the first guard a single row fails: z_k outside the
-    # closure, then a kernel overflow (a product z_k z_l or a cosine argument
-    # not finite), then a cosine argument outside the closure
-    if (z <= 0.0).any():
-        vertex = int(np.argmin(z)) + 1
-        return NotInClosureError(
-            f"vertex coefficient z_{vertex} = {z[vertex - 1]:.6g} is not positive",
-            value=z[vertex - 1],
-        )
+def _guard_error(lengths, products, arg):
+    # the typed error of the first guard a single row fails: a kernel
+    # overflow (a product z_k z_l or a cosine argument not finite), then a
+    # negative length, then a cosine argument outside the closure
     overflow = ~(np.isfinite(products) & np.isfinite(arg))
     if overflow.any():
         pos = int(np.argmax(overflow))
@@ -305,7 +235,14 @@ def _guard_error(z, products, arg, eps_clamp):
             f"length kernel overflows at edge {{{i},{j}}}: z_k z_l = {products[pos]:.6g}, "
             f"cosine argument {arg[pos]:.6g}"
         )
-    pos = int(np.argmax(~(np.abs(arg) <= 1.0 + eps_clamp)))
+    negative = lengths < 0.0
+    if negative.any():
+        pos = int(np.argmax(negative))
+        i, j = EDGE_PAIRS[pos]
+        return NotInClosureError(
+            f"length {lengths[pos]:.6g} is negative at edge {{{i},{j}}}", value=lengths[pos]
+        )
+    pos = int(np.argmax(~(np.abs(arg) <= 1.0 + EPS_CLAMP)))
     i, j = EDGE_PAIRS[pos]
     return NotInClosureError(
         f"cosine argument {arg[pos]:.6g} exceeds 1 at edge {{{i},{j}}}",
@@ -321,17 +258,17 @@ def _arccos(arg):
 _CLOSURE_TOL = 1e-9
 
 
-def _row_angles(kernel, lengths, eps_clamp=EPS_CLAMP, closure_tol=_CLOSURE_TOL):
+def _row_angles(kernel, lengths):
     # a validated 6-vector through a length kernel (_cos_angles, or
     # _cos_angles_grad): its angles and whatever else the kernel returns, or
     # the typed error of the first guard the row fails, the closure test of
     # the angles coming last. numpy need not warn on an overflowing kernel
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z, products, arg, *rest = kernel(lengths)
-    if not _chart_guards(z, products, arg, eps_clamp):
-        raise _guard_error(z, products, arg, eps_clamp)
+        _, products, arg, *rest = kernel(lengths)
+    if not _chart_guards(lengths, products, arg):
+        raise _guard_error(lengths, products, arg)
     angles = _arccos(arg)
-    if not domain.in_O(angles, strict=False, tol=closure_tol):
+    if not domain.in_O(angles, strict=False, tol=_CLOSURE_TOL):
         raise InconsistencyError(
             f"angles {angles!r} computed from lengths lie outside the closure "
             "of the angle polytope"
@@ -339,16 +276,17 @@ def _row_angles(kernel, lengths, eps_clamp=EPS_CLAMP, closure_tol=_CLOSURE_TOL):
     return angles, *rest
 
 
-def lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=_CLOSURE_TOL):
+def lengths_to_angles(lengths):
     """Dihedral angles of the tetrahedron with the given edge lengths.
 
     On interior points of the length chart the result lies strictly inside
     the angle polytope; closure points (e.g. flattening families) land on
-    its boundary and are accepted within ``closure_tol``. Lengths so long
-    that the kernel overflows (all six edges from about 118 on, one among
-    short edges from about 180) raise ``AccuracyError`` naming the edge.
+    its boundary and are accepted within a slack of 1e-9. Negative lengths
+    raise ``NotInClosureError`` naming the edge. Lengths so long that the
+    kernel overflows (all six edges from about 118 on, one among short edges
+    from about 180) raise ``AccuracyError`` naming the edge.
     """
-    return _row_angles(_cos_angles, domain.as_vector(lengths, "lengths"), eps_clamp, closure_tol)[0]
+    return _row_angles(_cos_angles, domain.as_vector(lengths, "lengths"))[0]
 
 
 def _as_rows(batch):
@@ -361,17 +299,17 @@ def _as_rows(batch):
 def lengths_to_angles_batch(batch):
     """Vectorized lengths -> angles for an (m, 6) batch.
 
-    Rows that fail the guards of ``lengths_to_angles`` (a vertex
-    coefficient z_k <= 0, a cosine argument beyond 1 + EPS_CLAMP in size, or
-    a kernel overflow: a product z_k z_l, or cosh itself, beyond the largest
-    float) come back as NaN instead of raising.
+    Rows that fail the guards of ``lengths_to_angles`` (a negative length,
+    a cosine argument beyond 1 + EPS_CLAMP in size, or a kernel overflow: a
+    product z_k z_l, or cosh itself, beyond the largest float) come back as
+    NaN instead of raising.
     The other rows agree bitwise with ``lengths_to_angles``.
     """
     rows = _as_rows(batch)
     with np.errstate(over="ignore", invalid="ignore"):
-        z, products, arg = _cos_angles(rows)
+        _, products, arg = _cos_angles(rows)
     angles = _arccos(arg)
-    angles[~_chart_guards(z, products, arg, EPS_CLAMP)] = np.nan
+    angles[~_chart_guards(rows, products, arg)] = np.nan
     return angles
 
 
@@ -419,15 +357,9 @@ def angles_to_lengths_batch(batch):
     Rows that fail the positivity guards come back as NaN instead of
     raising; campaign samplers treat those rows as rejected.
     """
-    cos_angles = np.cos(np.asarray(batch, dtype=float))
-    d = _vertex_poly(cos_angles, _VERTEX_EDGES)
     with np.errstate(invalid="ignore", divide="ignore"):
-        arg = _pair_ratio(_c_poly(cos_angles), d, _ENDS)
+        d, _, arg = _ratio(np.cos(np.asarray(batch, dtype=float)), _ANGLES)
     lengths = np.arccosh(np.maximum(arg, 1.0))
-    ok = (
-        (d > 0.0).all(axis=-1)
-        & (arg >= 1.0 - EPS_CLAMP).all(axis=-1)
-        & np.isfinite(lengths).all(axis=-1)
-    )
+    ok = ((arg >= 1.0 - EPS_CLAMP) & np.isfinite(lengths)).all(axis=-1) & (d > 0.0).all(axis=-1)
     lengths[~ok] = np.nan
     return lengths

@@ -20,8 +20,6 @@ ACUTE_PAIR_BOUND = 7.0 * math.pi / 12.0
 #: all 24 vertex permutations, as tuples (sigma(1), ..., sigma(4))
 ALL_PERMUTATIONS = tuple(itertools.permutations((1, 2, 3, 4)))
 
-IDENTITY_PERMUTATION = (1, 2, 3, 4)
-
 
 def as_vector(values, name="vector"):
     """Validate and return a 6-vector as a float ndarray."""

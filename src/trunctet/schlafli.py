@@ -5,8 +5,9 @@ The angle-chart gradient is closed form (d vol = -1/2 * sum l_ij d theta_ij,
 Schlafli's formula). The length-chart gradient chains it with the exact
 Jacobian d theta / d l, from the same kernel pass as the angles (batch form:
 ``convert.angles_jacobian``). With ``check`` set, that Jacobian is validated
-against the inverse of d l / d theta, differentiated independently from the
-angle side (``convert.lengths_jacobian``).
+against the inverse of d l / d theta, differentiated from the angles
+(``convert.lengths_jacobian``: the same kernel on the angle tables, at the
+angles instead of the lengths).
 """
 
 import math

@@ -20,16 +20,7 @@ from trunctet import (
     sample_O_batch,
     sample_T_ell,
 )
-from trunctet.convert import (
-    _OPPOSITE_ENDS,
-    _OPPOSITE_FACE_EDGES,
-    ConversionCoefficients,
-    _pair_ratio,
-    _vertex_poly,
-    _w_poly,
-    chart_angles,
-    coefficients_from_angles,
-)
+from trunctet.convert import _ANGLES, _LENGTHS, _edge_poly, _ratio, chart_angles
 from trunctet.errors import (
     AccuracyError,
     DomainError,
@@ -39,9 +30,24 @@ from trunctet.errors import (
     NotInClosureError,
 )
 from trunctet.specfun import EPS_CLAMP
-from trunctet.indexing import EDGE_PAIRS, edge_position
+from trunctet.indexing import EDGE_PAIRS, OPPOSITE, OPPOSITE_FACE_EDGES, edge_position
 
 REGULAR = (math.pi / 6,) * 6
+
+#: the edge kl opposite each edge ij, as a vertex pair
+OPPOSITE_PAIRS = [EDGE_PAIRS[opp] for opp in OPPOSITE]
+#: for each edge ij with opposite edge kl, the positions of ij, ik, il, jk,
+#: jl and kl (rows), edge by edge (columns)
+ROLES = np.array(
+    [
+        [edge_position(*pair) for pair in ((i, j), (i, k), (i, l), (j, k), (j, l), (k, l))]
+        for (i, j), (k, l) in zip(EDGE_PAIRS, OPPOSITE_PAIRS)
+    ]
+).T
+#: the edges of the face opposite each vertex, one row per member
+FACE_TRIPLES = np.array(OPPOSITE_FACE_EDGES).T
+#: the two vertices (0-based) of the edge opposite each edge
+OPPOSITE_ENDS = np.array(OPPOSITE_PAIRS).T - 1
 
 
 def octagon_boundary_tuple(alpha):
@@ -71,20 +77,47 @@ def reference_c(angles, i, j, k, l):
     )
 
 
+def reference_z(ch):
+    """The vertex coefficients z_k of the hyperbolic cosines, written out."""
+    x, y, z = (ch[..., members] for members in FACE_TRIPLES)
+    return 2.0 * x * y * z + x * x + y * y + z * z - 1.0
+
+
+def reference_w(ch):
+    """The edge coefficients w_ij of the hyperbolic cosines, written out."""
+    hij, hik, hil, hjk, hjl, hkl = (ch[..., roles] for roles in ROLES)
+    return hij * (hil * hjk + hik * hjl) + hik * hil + hjk * hjl - (hij * hij - 1.0) * hkl
+
+
+def reference_cos_args(ch):
+    """z_k, the products z_k z_l under each edge's root, and the cosine
+    arguments w_ij / sqrt(z_k z_l)."""
+    z = reference_z(ch)
+    products = z[..., OPPOSITE_ENDS[0]] * z[..., OPPOSITE_ENDS[1]]
+    return z, products, reference_w(ch) / np.sqrt(products)
+
+
+def coefficients(angles):
+    """The vertex coefficients d_1..d_4 and edge coefficients c_ij, from the
+    conversion kernel on the angle tables."""
+    cos_angles = np.cos(np.asarray(angles, dtype=float))
+    return _ratio(cos_angles, _ANGLES)[0], _edge_poly(cos_angles, _ANGLES.roles)
+
+
 class TestCoefficients:
     def test_regular_d(self):
-        d, _ = coefficients_from_angles(REGULAR)
+        d, _ = coefficients(REGULAR)
         expected = (3.0 * math.sqrt(3.0) + 5.0) / 4.0
         assert np.allclose(d, expected, atol=1e-14)
 
     def test_right_angles_d(self):
-        d, _ = coefficients_from_angles((math.pi / 2,) * 6)
+        d, _ = coefficients((math.pi / 2,) * 6)
         assert np.allclose(d, -1.0, atol=1e-14)
 
     def test_c_symmetric_in_complementary_pair(self):
         rng = np.random.default_rng(30)
         angles = rng.uniform(0.1, 0.5, size=6)
-        _, c = coefficients_from_angles(angles)
+        _, c = coefficients(angles)
         for pos, (i, j) in enumerate(EDGE_PAIRS):
             k, l = (p for p in (1, 2, 3, 4) if p not in (i, j))
             assert c[pos] == pytest.approx(reference_c(angles, i, j, k, l), abs=1e-14)
@@ -92,9 +125,10 @@ class TestCoefficients:
 
     def test_positive_on_valid_tetrahedra(self, acute_points):
         for a in acute_points[:200]:
-            pair = ConversionCoefficients.from_pair(a, angles_to_lengths(a))
-            assert all(x > 0 for x in pair.d)
-            assert all(x > 0 for x in pair.z)
+            d, _ = coefficients(a)
+            z = _ratio(np.cosh(angles_to_lengths(a)), _LENGTHS)[0]
+            assert all(x > 0 for x in d)
+            assert all(x > 0 for x in z)
 
 
 class TestAnglesToLengths:
@@ -145,6 +179,23 @@ class TestLengthsToAngles:
         expected = (0.0, 0.0, math.pi, 0.0, 0.0, math.pi)
         assert np.allclose(angles, expected, atol=1e-6)
 
+    def test_rejects_a_negative_length(self):
+        # cosh is even, so the kernel alone would give the angles of +0.7
+        row = (-0.7, 0.7, 0.8, 0.7, 0.7, 0.8)
+        with pytest.raises(NotInClosureError, match=r"length -0\.7 is negative at edge \{1,2\}"):
+            lengths_to_angles(row)
+        with pytest.raises(NotInClosureError, match=r"negative at edge \{1,2\}"):
+            Tetrahedron.from_lengths(row)
+        assert np.isnan(lengths_to_angles_batch(np.array([row, (0.7,) * 6]))[0]).all()
+        assert not in_L(row)
+
+    def test_accepts_a_zero_length(self):
+        row = (0.0, 0.7, 0.8, 0.7, 0.7, 0.8)
+        angles = lengths_to_angles(row)
+        assert angles[0] == 0.0
+        assert np.array_equal(lengths_to_angles((-0.0,) + row[1:]), angles)
+        assert np.array_equal(lengths_to_angles_batch(np.array([row]))[0], angles)
+
 
 class TestRoundTrip:
     def test_both_directions(self, acute_points):
@@ -189,15 +240,13 @@ def reference_lengths_to_angles(lengths, eps_clamp=EPS_CLAMP, closure_tol=1e-9):
     checked and typed errors raised one 6-vector at a time (overflow
     warnings silenced)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ch = np.cosh(np.asarray(lengths, dtype=float))
-        z = _vertex_poly(ch, _OPPOSITE_FACE_EDGES)
+        z, _, arg = reference_cos_args(np.cosh(np.asarray(lengths, dtype=float)))
         if (z <= 0.0).any():
             vertex = int(np.argmin(z)) + 1
             raise NotInClosureError(
                 f"vertex coefficient z_{vertex} = {z[vertex - 1]:.6g} is not positive",
                 value=z[vertex - 1],
             )
-        arg = _pair_ratio(_w_poly(ch), z, _OPPOSITE_ENDS)
     bad = ~(np.abs(arg) <= 1.0 + eps_clamp)
     if bad.any():
         pos = int(np.argmax(bad))
@@ -216,11 +265,8 @@ def kernel_overflows(lengths):
     """Whether the length kernel overflows on a row: a product z_k z_l or a
     cosine argument that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ch = np.cosh(np.asarray(lengths, dtype=float))
-        z = _vertex_poly(ch, _OPPOSITE_FACE_EDGES)
-        first, second = z[_OPPOSITE_ENDS]
-        arg = _pair_ratio(_w_poly(ch), z, _OPPOSITE_ENDS)
-    return not (np.isfinite(first * second).all() and np.isfinite(arg).all())
+        _, products, arg = reference_cos_args(np.cosh(np.asarray(lengths, dtype=float)))
+    return not (np.isfinite(products).all() and np.isfinite(arg).all())
 
 
 def reference_chart_angles(lengths, tol=1e-9):
@@ -306,7 +352,17 @@ class TestBatchChartMatchesScalar:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_conversion_raises_or_returns_as_before(self, rows):
         batch = lengths_to_angles_batch(rows)
+        negative = 0
         for row, got in zip(rows, batch):
+            if (row < 0.0).any() and not kernel_overflows(row):
+                # the reference converted the lengths' absolute values (cosh
+                # is even); a negative length now fails the guards
+                negative += 1
+                assert np.isnan(got).all()
+                i, j = EDGE_PAIRS[int(np.argmax(row < 0.0))]
+                with pytest.raises(NotInClosureError, match=rf"negative at edge \{{{i},{j}\}}"):
+                    lengths_to_angles(row)
+                continue
             try:
                 expected = reference_lengths_to_angles(row)
             except NotInClosureError as exc:
@@ -329,6 +385,7 @@ class TestBatchChartMatchesScalar:
                 continue
             assert np.array_equal(got, expected)
             assert np.array_equal(lengths_to_angles(row), expected)
+        assert negative == 5
 
     # rejected without a numpy warning, by the batch and the scalar call
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,5 +1,8 @@
-"""Property tests: the permutation table, gradient equivariance, and the
-Python floats every Tetrahedron construction path stores."""
+"""Property tests: the permutation table, invariance of the volume and
+equivariance of both gradients under the 24 relabellings, and the Python
+floats every Tetrahedron construction path stores."""
+
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +22,9 @@ from trunctet import (
     regular_from_length,
     regular_volume_l0,
     sample_T_ell,
+    ushijima_volume,
     verify_theorem,
+    vertex_sums,
 )
 from trunctet.indexing import EDGE_PAIRS, edge_position
 
@@ -31,6 +36,10 @@ six_floats = st.lists(
 permutations = st.sampled_from(ALL_PERMUTATIONS)
 acute_angles = st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6).filter(
     acute_constraints_hold
+)
+#: interior rows kept 0.05 away from the faces where a vertex sum reaches pi
+interior_angles = st.lists(st.floats(0.01, 2.0), min_size=6, max_size=6).filter(
+    lambda angles: max(vertex_sums(angles)) <= math.pi - 0.05
 )
 
 
@@ -63,7 +72,26 @@ class TestPermuteTable:
             permute(sigma, (0.1,) * 6)
 
 
+class TestVolumeInvariance:
+    @SETTINGS
+    @given(st.one_of(acute_angles, interior_angles))
+    def test_every_relabelling_has_the_same_volume(self, angles):
+        volume = ushijima_volume(angles)
+        rows = np.array([permute(sigma, angles) for sigma in ALL_PERMUTATIONS])
+        bound = 1e-13 * max(1.0, volume)
+        assert max(abs(ushijima_volume(row) - volume) for row in rows) <= bound
+        assert np.max(np.abs(ushijima_volume(rows) - volume)) <= bound
+
+
 class TestGradientEquivariance:
+    @SETTINGS
+    @given(st.one_of(acute_angles, interior_angles), permutations)
+    def test_relabelled_angles_relabel_the_angle_gradient(self, angles, sigma):
+        # dvol_dangles(P tet) = P dvol_dangles(tet), exactly
+        tet = Tetrahedron.from_angles(angles)
+        moved = dvol_dangles(tet.permuted(sigma)).values
+        assert moved == tuple(permute(sigma, dvol_dangles(tet).as_array()).tolist())
+
     @SETTINGS
     @given(acute_angles, permutations)
     def test_relabelled_lengths_relabel_the_gradient(self, angles, sigma):

@@ -29,10 +29,18 @@ from trunctet import (
 )
 from trunctet import convert
 from trunctet.errors import InconsistencyError, TruncTetError
-from trunctet.indexing import EDGE_PAIRS, edge_position
+from trunctet.indexing import EDGE_PAIRS, VERTEX_EDGES, edge_position
 from trunctet.schlafli import volume_of_lengths
 
-from test_convert import chart_test_rows, octagon_boundary_tuple
+from test_convert import (
+    FACE_TRIPLES,
+    OPPOSITE_ENDS,
+    ROLES,
+    chart_test_rows,
+    octagon_boundary_tuple,
+    reference_cos_args,
+    reference_w,
+)
 
 REGULAR = (math.pi / 6,) * 6
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
@@ -206,7 +214,7 @@ class TestLengthGradient:
         # the kernel, which also rules out finite differences
         tet = Tetrahedron.from_angles(acute_points[0])
         calls = []
-        names = ("lengths_to_angles", "angles_to_lengths", "_cos_angles", "_cos_angles_grad", "_w_poly")
+        names = ("lengths_to_angles", "angles_to_lengths", "_cos_angles", "_cos_angles_grad", "_edge_poly")
         for name in names:
             original = getattr(convert, name)
 
@@ -216,7 +224,7 @@ class TestLengthGradient:
 
             monkeypatch.setattr(convert, name, counted)
         dvol_dlengths(tet)
-        assert sorted(calls) == ["_cos_angles_grad", "_w_poly"]
+        assert sorted(calls) == ["_cos_angles_grad", "_edge_poly"]
 
 
 # --- the Jacobian as computed before the one-pass kernel ------------------
@@ -237,14 +245,14 @@ def reference_edge_poly_grad(partials):
     (..., 6, 6) array, scattered role by role."""
     grad = np.empty(partials[0].shape[:-1] + (6, 6))
     edges = np.arange(6)
-    for roles, partial in zip(convert._EDGE_ROLES, partials):
+    for roles, partial in zip(ROLES, partials):
         grad[..., edges, roles] = partial
     return grad
 
 
 def reference_w_poly_grad(ch):
     """d w_ij / d x as a (..., 6, 6) array."""
-    hij, hik, hil, hjk, hjl, hkl = (ch[..., roles] for roles in convert._EDGE_ROLES)
+    hij, hik, hil, hjk, hjl, hkl = (ch[..., roles] for roles in ROLES)
     return reference_edge_poly_grad(
         (
             hil * hjk + hik * hjl - 2.0 * hij * hkl,
@@ -257,21 +265,24 @@ def reference_w_poly_grad(ch):
     )
 
 
+def reference_cos_args_grad(ch):
+    """The cosine arguments w_ij / sqrt(z_k z_l) and their derivative in
+    the hyperbolic cosines, (..., 6, 6), from the scattered partials."""
+    z, products, cos_angles = reference_cos_args(ch)
+    log_grad = reference_vertex_poly_grad(ch, FACE_TRIPLES) / z[..., None]
+    log_sum = log_grad[..., OPPOSITE_ENDS[0], :] + log_grad[..., OPPOSITE_ENDS[1], :]
+    grad = reference_w_poly_grad(ch) / np.sqrt(products)[..., None] - 0.5 * cos_angles[..., None] * log_sum
+    return cos_angles, grad
+
+
 def two_pass_jacobian(lengths):
     """d theta / d l as computed before the one-pass kernel: a validating
     ``lengths_to_angles`` call, then a second evaluation of the kernel and
     its derivatives, NearDegenerateError where the result is not finite."""
     l = np.asarray(lengths, dtype=float)
     convert.lengths_to_angles(l)
-    ends = convert._OPPOSITE_ENDS
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        ch = np.cosh(l)
-        z = convert._vertex_poly(ch, convert._OPPOSITE_FACE_EDGES)
-        root = np.sqrt(z[..., ends[0]] * z[..., ends[1]])
-        cos_angles = convert._w_poly(ch) / root
-        log_grad = reference_vertex_poly_grad(ch, convert._OPPOSITE_FACE_EDGES) / z[..., None]
-        log_sum = log_grad[..., ends[0], :] + log_grad[..., ends[1], :]
-        grad = reference_w_poly_grad(ch) / root[..., None] - 0.5 * cos_angles[..., None] * log_sum
+        cos_angles, grad = reference_cos_args_grad(np.cosh(l))
         sin_angles = np.sqrt((1.0 - cos_angles) * (1.0 + cos_angles))
         jac = grad * np.sinh(l)[..., None, :] / -sin_angles[..., None]
     if not np.isfinite(jac).all():
@@ -357,20 +368,49 @@ class TestOnePassJacobian:
             jacobian_angles_of_lengths(row)
         assert str(raised.value) == str(expected.value)
 
-    def test_gathered_grad_twins_are_the_scattered_ones(self):
+    def test_kernel_on_the_length_tables_is_the_written_out_polynomial(self):
+        # the shared kernel, fed the length tables, is bitwise w_ij, z_k and
+        # the cosine arguments as written out above, and its gathered
+        # partials are the scattered ones, on (m, 6) arrays and on 6-vectors
         rng = np.random.default_rng(8)
-        x = rng.uniform(-2.0, 2.0, size=(50, 6))
-        for triples, table in (
-            (convert._VERTEX_EDGES, convert._VERTEX_GRAD),
-            (convert._OPPOSITE_FACE_EDGES, convert._OPPOSITE_FACE_GRAD),
-        ):
-            expected = reference_vertex_poly_grad(x, triples)
-            assert np.array_equal(convert._vertex_poly_grad(x, triples, table), expected)
-            assert np.array_equal(convert._vertex_poly_grad(x[0], triples, table), expected[0])
-        partials = tuple(rng.normal(size=(50, 6)) for _ in range(6))
-        expected = reference_edge_poly_grad(partials)
-        assert np.array_equal(convert._edge_poly_grad(partials), expected)
-        assert np.array_equal(convert._edge_poly_grad(tuple(p[0] for p in partials)), expected[0])
+        ch = np.cosh(rng.uniform(0.0, 3.0, size=(200, 6)))
+        for x in (ch, ch[0]):
+            assert np.array_equal(convert._edge_poly(x, convert._LENGTHS.roles), reference_w(x))
+            z, products, cos_angles, grad = convert._ratio_grad(x, convert._LENGTHS)
+            for got, expected in zip((z, products, cos_angles), reference_cos_args(x)):
+                assert np.array_equal(got, expected)
+            assert np.array_equal(grad, reference_cos_args_grad(x)[1])
+
+    def test_kernel_on_the_angle_tables_is_the_written_out_polynomial(self):
+        # c_ij and its partials on the angle tables, for cosines anywhere in
+        # [-1, 1]: w_ij is c_ij with the roles ik and jl exchanged
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1.0, 1.0, size=(200, 6))
+        cij, cik, cil, cjk, cjl, ckl = (x[..., roles] for roles in ROLES)
+        c = cij * (cil * cjk + cik * cjl) + cil * cjl + cik * cjk + ckl * (1.0 - cij * cij)
+        partials = (
+            cil * cjk + cik * cjl - 2.0 * cij * ckl,
+            cij * cjl + cjk,
+            cij * cjk + cjl,
+            cij * cil + cik,
+            cij * cik + cil,
+            1.0 - cij * cij,
+        )
+        triples = np.array(VERTEX_EDGES).T
+        ends = np.array(EDGE_PAIRS).T - 1
+        a, b, e = (x[..., members] for members in triples)
+        d = 2.0 * a * b * e + a * a + b * b + e * e - 1.0
+        assert np.array_equal(convert._edge_poly(x, convert._ANGLES.roles), c)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            root = np.sqrt(d[..., ends[0]] * d[..., ends[1]])
+            ratio = c / root
+            log_grad = reference_vertex_poly_grad(x, triples) / d[..., None]
+            log_sum = log_grad[..., ends[0], :] + log_grad[..., ends[1], :]
+            expected = reference_edge_poly_grad(partials) / root[..., None] - 0.5 * ratio[..., None] * log_sum
+            got = convert._ratio_grad(x, convert._ANGLES)
+        assert np.array_equal(got[0], d)
+        assert np.array_equal(got[2], ratio, equal_nan=True)
+        assert np.array_equal(got[3], expected, equal_nan=True)
 
     def test_flat_limit_two_pass_agrees(self):
         # the two-pass reference also finds the flat limit near-degenerate

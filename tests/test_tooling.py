@@ -57,6 +57,8 @@ START = "0.7,0.7,0.8,0.7,0.7,0.8"
         (["grad", "--lengths", START], 0, ""),
         (["flow", "--lengths", START, "--ell", "0.5"], 0, ""),
         (["degenerate", "--steps", "5"], 0, ""),
+        (["convert", "--lengths=-0.7,0.7,0.8,0.7,0.7,0.8"], 2,
+         "numerical error: length -0.7 is negative at edge {1,2}\n"),
     ],
 )
 def test_cli_prints_no_runtime_warning(argv, code, stderr):
