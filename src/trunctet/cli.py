@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -299,12 +300,32 @@ _HANDLERS = {
 }
 
 
+#: flags whose value is a comma-separated vector
+_VECTOR_FLAGS = ("--angles", "--lengths")
+
+#: a value that starts with a minus sign, which argparse would take for an
+#: option unless it is a single number
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _join_vector_values(argv):
+    # "--lengths -0.7,..." as "--lengths=-0.7,...", the one form argparse
+    # reads when the vector starts with a negative value
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _VECTOR_FLAGS and _NEGATIVE_VALUE.match(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_vector_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

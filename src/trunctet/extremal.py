@@ -177,24 +177,53 @@ def _record_rows(report, reference, tol, angles, lengths, vols):
 
 # --- deformation flow ----------------------------------------------------
 
-#: flow steps whose candidate rows are chart-tested and evaluated together;
-#: bounds the temporaries of the batch volume whatever the segment length
-_FLOW_BLOCK = 128
+#: flow steps whose candidate rows are chart-tested and evaluated together.
+#: A block has a fixed cost of a few hundred microseconds against about
+#: 1.5 us per row, and a flow at ell = 0.3 and the default dt takes about
+#: 460 steps, so 512 rows take it in one or two blocks. Larger blocks save
+#: little more, and from 1024 rows the volume's (16, m) Clausen temporaries
+#: reach glibc's 128 KiB mmap threshold
+_FLOW_BLOCK = 512
 
 
-def _segment_blocks(current, tied, lmax, second, dt, count):
-    # the candidate length rows of the first ``count`` steps of the segment
-    # that lowers the tied edges from lmax to second in steps of dt, with the
-    # t increment of each step, _FLOW_BLOCK steps at a time
-    seg_len = lmax - second
-    n_sub = max(1, math.ceil(seg_len / dt))
-    last = min(n_sub, count)
-    for first in range(0, last, _FLOW_BLOCK):
-        sub = np.arange(first + 1, min(first + _FLOW_BLOCK, last) + 1)
-        shift = np.minimum(sub * dt, seg_len)
-        rows = np.tile(current, (len(sub), 1))
-        rows[:, tied] = np.where(sub == n_sub, second, lmax - shift)[:, None]
-        yield rows, (shift - np.minimum((sub - 1) * dt, seg_len)).tolist()
+def _flow_blocks(current, dt, max_steps):
+    # the candidate length rows of the first max_steps steps of the flow
+    # from the lengths ``current``, with the t increment of each step, in
+    # blocks of at most _FLOW_BLOCK rows filled from as many segments as it
+    # takes. Each segment lowers the tied set of longest edges from lmax to
+    # the second-largest value in steps of dt and ends on it exactly, so the
+    # whole schedule follows from the start lengths
+    current = current.copy()
+    block, increments = np.empty((_FLOW_BLOCK, 6)), []
+    while max_steps > 0:
+        lmax = float(current.max())
+        lmin = float(current.min())
+        if lmax - lmin < TIE_TOL:
+            break
+        tied = current >= lmax - TIE_TOL
+        second = float(current[~tied].max())
+        seg_len = lmax - second
+        if seg_len > TIE_TOL:
+            n_sub = max(1, math.ceil(seg_len / dt))
+            last = min(n_sub, max_steps)
+            max_steps -= last
+            first = 0
+            while first < last:
+                held = len(increments)
+                take = min(_FLOW_BLOCK - held, last - first)
+                sub = np.arange(first + 1, first + take + 1)
+                shift = np.minimum(sub * dt, seg_len)
+                rows = block[held:held + take]
+                rows[:] = current
+                rows[:, tied] = np.where(sub == n_sub, second, lmax - shift)[:, None]
+                increments += (shift - np.minimum((sub - 1) * dt, seg_len)).tolist()
+                first += take
+                if len(increments) == _FLOW_BLOCK:
+                    yield block, increments
+                    block, increments = np.empty((_FLOW_BLOCK, 6)), []
+        current[tied] = second
+    if increments:
+        yield block[:len(increments)], increments
 
 
 def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
@@ -209,10 +238,12 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
     of the floor length), or ``budget`` (``max_steps`` steps taken; the step
     that finds the boundary counts as one).
 
-    The steps of a segment depend only on its start, so their length rows
-    are built in blocks, each block decided by one batch ``chart_angles``
-    call and evaluated by one batch volume call up to its first row outside
-    the chart.
+    Every step's length row follows from the start lengths alone, so the
+    path is built ahead of its evaluation, in blocks of up to ``_FLOW_BLOCK``
+    rows that run across segment ends. Each block is decided by one batch
+    ``chart_angles`` call and evaluated by one batch volume call up to its
+    first row outside the chart; memory is bounded by one block whatever
+    ``dt`` and ``max_steps`` are.
     """
     if dt <= 0:
         raise InvalidArgumentError("dt must be positive")
@@ -226,30 +257,19 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
     def finish(reason):
         return Trajectory(tuple(points), float(ell_floor), float(dt), reason)
 
-    current = np.asarray(start.lengths, dtype=float)
     t_global = 0.0
     steps = 0
-    while steps < max_steps:
-        lmax = float(current.max())
-        lmin = float(current.min())
-        if lmax - lmin < TIE_TOL:
-            return finish(TERMINATED_REGULAR)
-        tied = current >= lmax - TIE_TOL
-        second = float(current[~tied].max())
-        if lmax - second > TIE_TOL:
-            blocks = _segment_blocks(current, tied, lmax, second, dt, max_steps - steps)
-            for rows, increments in blocks:
-                angles, ok = convert.chart_angles(rows)
-                inside = len(ok) if ok.all() else int(ok.argmin())
-                vols = volume.ushijima_volume(angles[:inside]).tolist()
-                for a, l, v, increment in zip(angles.tolist(), rows.tolist(), vols, increments):
-                    t_global = t_global + increment
-                    points.append((t_global, Tetrahedron(tuple(a), tuple(l), v)))
-                if inside < len(ok):
-                    return finish(TERMINATED_BOUNDARY)
-                steps += inside
-        current[tied] = second
-    return finish(TERMINATED_BUDGET)
+    for rows, increments in _flow_blocks(np.asarray(start.lengths, dtype=float), dt, max_steps):
+        angles, ok = convert.chart_angles(rows)
+        inside = len(ok) if ok.all() else int(ok.argmin())
+        vols = volume.ushijima_volume(angles[:inside]).tolist()
+        for a, l, v, increment in zip(angles.tolist(), rows.tolist(), vols, increments):
+            t_global = t_global + increment
+            points.append((t_global, Tetrahedron(tuple(a), tuple(l), v)))
+        if inside < len(ok):
+            return finish(TERMINATED_BOUNDARY)
+        steps += inside
+    return finish(TERMINATED_BUDGET if steps >= max_steps else TERMINATED_REGULAR)
 
 
 # --- campaigns -----------------------------------------------------------

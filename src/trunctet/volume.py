@@ -26,9 +26,13 @@ is a signed sum of sixteen real Clausen values:
 ``ushijima_volume`` takes one 6-vector, evaluated in Python floats, or an
 (m, 6) ndarray of rows, evaluated as arrays with one ``clausen`` call per
 block of rows; the scalar form is kept because it is the cheaper one for a
-single tetrahedron. Both form the phases by the same operations in the same
-order, so a row's phases are the same bits either way; this matters near
-the flat limit, where the denominator cancels.
+single tetrahedron. Both form the phases and the Clausen sum by the same
+operations in the same order, with elementwise operations only. So an array
+row's volume is the same bits alone and at any place in any block, and a
+row's phases are the same bits on both paths; this matters near the flat
+limit, where the denominator cancels. The two paths' volumes may still
+differ in the last bit, since the scalar ``clausen`` takes its logarithm
+from libm.
 """
 
 import cmath
@@ -60,16 +64,25 @@ _CLOSURE_SLACK = 1e-6
 #: pi - math.pi, the rounding error of the double nearest pi
 _PI_LOW = 1.2246467991473532e-16
 
-#: signs of the eight Clausen terms of each z_j
-_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
-
-
 def _left_sum(terms):
     # terms added left to right: with elementwise operations only, one row
     # gives the same bits alone and in a batch
     total = terms[0]
     for term in terms[1:]:
         total = total + term
+    return total
+
+
+def _clausen_sum(terms):
+    # the eight Clausen differences of z_1, z_2, floats or (m,) arrays alike,
+    # summed left to right with the signs + + + + - - - -; subtracting a
+    # term is adding its negation exactly, and the operations are
+    # elementwise, so a row gives the same bits alone and in any block
+    total = terms[0] + terms[1]
+    for term in terms[2:4]:
+        total += term
+    for term in terms[4:]:
+        total -= term
     return total
 
 
@@ -217,9 +230,8 @@ def ushijima_volume(angles):
     if alpha is None:
         return 0.0
     alpha_1, alpha_2 = alpha
-    vol = 0.25 * sum(
-        sign * (clausen(alpha_1 + sigma) - clausen(alpha_2 + sigma))
-        for sign, sigma in zip(_SIGNS.tolist(), offsets)
+    vol = 0.25 * _clausen_sum(
+        [clausen(alpha_1 + sigma) - clausen(alpha_2 + sigma) for sigma in offsets]
     )
     if not math.isfinite(vol) or vol < _NEGATIVE_VOLUME_CLAMP:
         z1, z2 = _arguments(alpha)
@@ -278,7 +290,7 @@ def _volume_block(rows, first):
 
     alpha = _alpha(sin_sum, re, im, np.sqrt(np.maximum(-det_g, 0.0)))
     cl = clausen(alpha[:, None, :] + np.array(offsets))
-    vol = 0.25 * (_SIGNS @ (cl[0] - cl[1]))
+    vol = 0.25 * _clausen_sum(cl[0] - cl[1])
     # flat rows: the volume is its continuous extension 0
     vol[flat] = 0.0
     bad = ~np.isfinite(vol) | (vol < _NEGATIVE_VOLUME_CLAMP)

@@ -153,6 +153,16 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert "error" in err
 
+    def test_vector_starting_with_a_minus_sign(self):
+        # a separate "-0.1,..." value reaches the chart as the "=" form does
+        for flag, vector in (("--angles", "-0.1,0.5,0.5,0.5,0.5,0.5"),
+                             ("--lengths", "-.7,0.7,0.8,0.7,0.7,0.8")):
+            code, _, err = run(["volume", flag, vector])
+            assert (code, err) == run(["volume", f"{flag}={vector}"])[::2]
+            assert code == 2 and "numerical error" in err
+        # an option after a vector flag is still an option
+        assert run(["volume", "--angles", "--degrees"])[0] == 1
+
     def test_unknown_flag(self):
         code, _, _ = run(["volume", "--bogus", "1"])
         assert code == 1

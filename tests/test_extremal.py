@@ -499,24 +499,43 @@ class TestFlowMatchesPerStepLoop:
             assert got.reason == reason
 
     def test_max_steps_cuts(self):
-        # the first segment of this start takes 426 steps, several blocks
-        start = criterion_9_starts(2)[1]
-        full = reference_flow(start, 0.3)
-        counts = [tet.maximal_edge_count() for _, tet in full.points]
-        segment_end = next(i for i, c in enumerate(counts) if c > counts[0])
-        assert segment_end > 2 * _FLOW_BLOCK
-        cuts = {
-            0, 1, _FLOW_BLOCK, _FLOW_BLOCK + 1, 2 * _FLOW_BLOCK,
-            segment_end // 2, segment_end, segment_end + 1,
-            len(full.points) - 2, len(full.points) - 1,
-        }
-        for max_steps in sorted(cuts):
-            expected = reference_flow(start, 0.3, max_steps=max_steps)
-            assert_same_flow(deformation_flow(start, 0.3, max_steps=max_steps), expected)
-            assert expected.reason == "budget"
-            assert len(expected.points) == max_steps + 1
-        assert_same_flow(deformation_flow(start, 0.3, max_steps=len(full.points)), full)
+        # at dt = 5e-4 this start takes 1272 steps, three blocks, and ends
+        # segments at steps 509, 852, 1015, 1225 and 1272, inside blocks
+        start = criterion_9_starts(4)[3]
+        dt = 5e-4
+        full = reference_flow(start, 0.3, dt=dt)
+        steps = len(full.points) - 1
         assert full.reason == "regular"
+        assert steps > 2 * _FLOW_BLOCK
+        counts = [tet.maximal_edge_count() for _, tet in full.points]
+        ends = [i for i in range(1, len(counts)) if counts[i] > counts[i - 1]]
+        assert any(end % _FLOW_BLOCK for end in ends[:-1])
+        block_ends = range(_FLOW_BLOCK, steps + 1, _FLOW_BLOCK)
+        cuts = {0, 1} | {c + d for c in (*block_ends, *ends) for d in (-1, 0, 1)}
+        # the per-step loop cut after max_steps steps is its first max_steps
+        # steps, ended by the budget
+        cut = _FLOW_BLOCK + 1
+        expected = reference_flow(start, 0.3, dt, max_steps=cut)
+        assert expected.points == full.points[: cut + 1]
+        assert expected.reason == "budget"
+        for max_steps in sorted(cuts):
+            got = deformation_flow(start, 0.3, dt=dt, max_steps=max_steps)
+            if max_steps > steps:
+                assert_same_flow(got, full)
+            else:
+                expected = Trajectory(full.points[: max_steps + 1], 0.3, dt, "budget")
+                assert_same_flow(got, expected)
+
+    def test_volumes_are_the_rows_evaluated_alone(self):
+        # a row's batch volume does not depend on its block or its offset
+        starts = sample_T_ell(np.random.default_rng(3), 0.3, 131)
+        flows = [deformation_flow(starts[i], 0.3, dt=1e-2) for i in (68, 130)]
+        flows.append(deformation_flow(criterion_9_starts(2)[1], 0.3))
+        assert [flow.reason for flow in flows] == ["boundary", "boundary", "regular"]
+        for flow in flows:
+            angles = np.array([tet.angles for _, tet in flow.points[1:]])
+            alone = [ushijima_volume(row[None, :])[0] for row in angles]
+            assert [tet.volume for _, tet in flow.points[1:]] == alone
 
 
 class TestVerifyTheorem:

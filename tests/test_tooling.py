@@ -2,9 +2,11 @@
 SciPy, the CLI commands print no numpy RuntimeWarning, every name the
 benchmark's tracer wraps still exists, and the campaigns and the
 deformation flow reach the volume through the attribute the tracer and the
-benchmark's self-test wrap, and a campaign makes records only for its
-reference and its witnesses."""
+benchmark's self-test wrap, the flow makes one chart call and one volume
+call per block of at most ``_FLOW_BLOCK`` rows, and a campaign makes records
+only for its reference and its witnesses."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 import trunctet
+import trunctet.convert
 import trunctet.volume
 from trunctet import (
     Tetrahedron,
@@ -21,6 +24,7 @@ from trunctet import (
     verify_fixed_angle_sum,
     verify_theorem,
 )
+from trunctet.extremal import _FLOW_BLOCK
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
@@ -58,6 +62,8 @@ START = "0.7,0.7,0.8,0.7,0.7,0.8"
         (["flow", "--lengths", START, "--ell", "0.5"], 0, ""),
         (["degenerate", "--steps", "5"], 0, ""),
         (["convert", "--lengths=-0.7,0.7,0.8,0.7,0.7,0.8"], 2,
+         "numerical error: length -0.7 is negative at edge {1,2}\n"),
+        (["convert", "--lengths", "-0.7,0.7,0.8,0.7,0.7,0.8"], 2,
          "numerical error: length -0.7 is negative at edge {1,2}\n"),
     ],
 )
@@ -118,6 +124,35 @@ def test_flow_volumes_go_through_the_module_attribute(monkeypatch):
     for (_, a), (_, b) in zip(before.points[1:], after.points[1:]):
         assert b.lengths == a.lengths
         assert b.volume == a.volume + shift
+
+
+def counted(monkeypatch, owner, attr, sizes):
+    # wrap owner.attr so that each call appends the number of rows it got
+    original = getattr(owner, attr)
+
+    def wrapper(rows):
+        sizes.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
+def test_flow_calls_per_block_and_rows_per_call(monkeypatch):
+    # one chart call and one volume call per block of _FLOW_BLOCK steps,
+    # blocks spanning segment ends; no call gets more than one block
+    rng = np.random.default_rng(7)
+    (start,) = sample_T_ell(rng, 0.3, 1, require_volume_floor=regular_volume_l0())
+    for dt in (1e-3, 1e-5):
+        charts, vols = [], []
+        counted(monkeypatch, trunctet.convert, "chart_angles", charts)
+        counted(monkeypatch, trunctet.volume, "ushijima_volume", vols)
+        steps = len(deformation_flow(start, 0.3, dt=dt).points) - 1
+        monkeypatch.undo()
+        assert steps > 100
+        bound = math.ceil(steps / _FLOW_BLOCK) + 1
+        assert len(charts) <= bound and len(vols) <= bound
+        assert max(charts) <= _FLOW_BLOCK and max(vols) <= _FLOW_BLOCK
+        assert sum(vols) == steps
 
 
 def test_campaign_builds_records_only_for_witnesses(monkeypatch):

@@ -164,6 +164,22 @@ class TestVolumeRows:
         for a, value in zip(rows, got):
             assert abs(value - ushijima_volume(a)) < 1e-13
 
+    def test_row_volume_is_independent_of_its_place(self):
+        # elementwise operations only: a row's volume is the same bits alone
+        # and at offsets 0..7 of blocks of any size (a matrix product would
+        # round the tail columns of a block differently)
+        rows = self.rows()
+        subjects = np.concatenate([rows[:8], rows[1000:1008], rows[-8:]])
+        pool = np.concatenate([rows[100:107], subjects, rows[200:711]])
+        alone = [ushijima_volume(row[None, :])[0] for row in subjects]
+        for size in (*range(1, 10), 129, 511):
+            for start in range(len(subjects) + 7):
+                got = ushijima_volume(pool[start:start + size])
+                for offset in range(min(size, 8)):
+                    i = start + offset - 7
+                    if 0 <= i < len(subjects):
+                        assert got[offset] == alone[i], (size, offset, i)
+
     def test_empty_batch(self):
         got = ushijima_volume(np.zeros((0, 6)))
         assert isinstance(got, np.ndarray) and got.shape == (0,)
