@@ -60,10 +60,9 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def _add_vector_flags(parser, lengths=True):
+def _add_vector_flags(parser):
     parser.add_argument("--angles", help="six dihedral angles, comma separated")
-    if lengths:
-        parser.add_argument("--lengths", help="six edge lengths, comma separated")
+    parser.add_argument("--lengths", help="six edge lengths, comma separated")
     parser.add_argument(
         "--degrees", action="store_true", help="interpret --angles in degrees"
     )
@@ -179,6 +178,8 @@ def _cmd_grad(args, out):
 
 
 def _cmd_verify(args, out):
+    if args.samples < 0:
+        raise UsageError(f"--samples must be nonnegative, got {args.samples}")
     if args.campaign == "theorem":
         if args.ell is None:
             raise UsageError("verify theorem requires --ell")
@@ -216,6 +217,8 @@ def _cmd_flow(args, out):
 
 
 def _cmd_conjecture(args, out):
+    if args.probes < 0:
+        raise UsageError(f"--probes must be nonnegative, got {args.probes}")
     tet = _tetrahedron_from_args(args)
     if args.name == "prima":
         holds, margin = extremal.conjecture_prima_test(tet, args.ell)
@@ -256,16 +259,17 @@ def _cmd_degenerate(args, out):
 
 
 def _cmd_scan(args, out):
-    if args.ells:
-        grid = [float(x) for x in args.ells.split(",")]
-    elif args.grid:
-        try:
+    try:
+        if args.ells:
+            grid = [float(x) for x in args.ells.split(",")]
+        elif args.grid:
             start, stop, count = args.grid.split(":")
             grid = list(np.linspace(float(start), float(stop), int(count)))
-        except ValueError as exc:
-            raise UsageError(f"bad --grid {args.grid!r}: {exc}") from exc
-    else:
-        raise UsageError("scan requires --ells or --grid")
+        else:
+            raise UsageError("scan requires --ells or --grid")
+    except ValueError as exc:
+        flag = f"--ells {args.ells!r}" if args.ells else f"--grid {args.grid!r}"
+        raise UsageError(f"bad {flag}: {exc}") from exc
     rows = extremal.regular_volume_scan(grid)
     if args.json:
         payload = [{"ell": float(_fmt(e)), "volume": float(_fmt(v))} for e, v in rows]

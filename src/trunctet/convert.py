@@ -313,42 +313,46 @@ def lengths_to_angles_batch(batch):
     return angles
 
 
-def _chart_rows(lengths, tol):
+#: round-trip tolerance of the length-chart test
+_CHART_TOL = 1e-9
+
+
+def _chart_rows(lengths):
     # the batch length-chart test on validated (m, 6) rows
     angles = lengths_to_angles_batch(lengths)
     ok = domain.in_O_mask(angles, strict=True)
     back = angles_to_lengths_batch(angles)
-    ok &= (np.abs(back - lengths) < tol).all(axis=1)
+    ok &= (np.abs(back - lengths) < _CHART_TOL).all(axis=1)
     angles[~ok] = np.nan
     return angles, ok
 
 
-def chart_angles(lengths, tol=1e-9):
+def chart_angles(lengths):
     """The angles of ``lengths`` if they lie in the length chart, else None.
 
     Operational membership: the angle conversion must succeed, land strictly
-    inside the angle polytope, and convert back to the input within ``tol``.
+    inside the angle polytope, and convert back to the input within 1e-9.
     An (m, 6) array of length rows gives ``(angles, ok)``: the (m, 6) angles,
     NaN on the rows outside the chart, and the (m,) accept mask.
     """
     if np.ndim(lengths) == 2:
-        return _chart_rows(_as_rows(lengths), tol)
+        return _chart_rows(_as_rows(lengths))
     try:
         l = domain.as_vector(lengths, "lengths")
     except InvalidArgumentError:
         return None
-    angles, ok = _chart_rows(l[np.newaxis], tol)
+    angles, ok = _chart_rows(l[np.newaxis])
     return angles[0] if ok[0] else None
 
 
-def in_L(lengths, tol=1e-9):
+def in_L(lengths):
     """Membership in the length chart, decided by ``chart_angles``; an
     (m, 6) array of length rows gives an (m,) boolean mask."""
     if np.ndim(lengths) == 2:
         rows = _as_rows(lengths)
-        return (rows > 0.0).all(axis=1) & chart_angles(rows, tol)[1]
+        return (rows > 0.0).all(axis=1) & chart_angles(rows)[1]
     l = domain.as_vector(lengths, "lengths")
-    return bool(np.all(l > 0.0)) and chart_angles(l, tol) is not None
+    return bool(np.all(l > 0.0)) and chart_angles(l) is not None
 
 
 def angles_to_lengths_batch(batch):

@@ -13,6 +13,7 @@ import numpy as np
 from . import convert, domain, volume
 from .errors import DomainError, InvalidArgumentError
 from .tetra import (
+    TIE_TOL,
     Tetrahedron,
     regular_from_angle,
     regular_from_length,
@@ -20,7 +21,6 @@ from .tetra import (
     uniform_proposals,
 )
 
-TIE_TOL = 1e-9
 DEFAULT_DT = 1e-3
 MARGIN_TOL = 1e-9
 INDETERMINATE_BAND = 1e-6
@@ -28,7 +28,6 @@ INDETERMINATE_BAND = 1e-6
 TERMINATED_REGULAR = "regular"
 TERMINATED_BOUNDARY = "boundary"
 TERMINATED_BUDGET = "budget"
-TERMINATED_MERGED = "merged"
 
 CSV_HEADER = "t,l12,l13,l14,l34,l24,l23,volume"
 
@@ -332,19 +331,23 @@ def regular_volume_scan(ell_grid):
     return [(float(ell), regular_from_length(ell).volume) for ell in ell_grid]
 
 
-def degeneration_path(steps, eps0=0.2, delta_ratio=2.5):
-    """Walk the flattening family (eps, eps, pi - delta, eps, eps, pi - delta)
-    down to the flat octagon limit (0, 0, pi, 0, 0, pi), evaluating the
-    continuously extended volume. ``delta_ratio`` >= 2 keeps the path inside
-    the closure of the angle polytope."""
+#: the flattening family's first eps, and delta / eps, which at 2 or more
+#: keeps the family inside the closure of the angle polytope
+_DEGENERATION_EPS0 = 0.2
+_DEGENERATION_RATIO = 2.5
+
+
+def degeneration_path(steps):
+    """Walk the flattening family (eps, eps, pi - delta, eps, eps, pi - delta),
+    delta = 2.5 eps, from eps = 0.2 down to the flat octagon limit
+    (0, 0, pi, 0, 0, pi) in ``steps`` evenly spaced steps, evaluating the
+    continuously extended volume."""
     if steps < 2:
         raise InvalidArgumentError("degeneration_path needs at least 2 steps")
-    if delta_ratio < 2.0:
-        raise InvalidArgumentError("delta_ratio below 2 leaves the polytope closure")
     out = []
     for k in range(steps):
-        eps = eps0 * (1.0 - k / (steps - 1))
-        delta = delta_ratio * eps
+        eps = _DEGENERATION_EPS0 * (1.0 - k / (steps - 1))
+        delta = _DEGENERATION_RATIO * eps
         angles = (eps, eps, math.pi - delta, eps, eps, math.pi - delta)
         out.append((angles, volume.ushijima_volume(angles)))
     return out
@@ -352,7 +355,7 @@ def degeneration_path(steps, eps0=0.2, delta_ratio=2.5):
 
 # --- conjectures (exploratory; outputs are evidence, not gates) ----------
 
-def conjecture_prima_test(tet, ell, tol=MARGIN_TOL):
+def conjecture_prima_test(tet, ell):
     """Average-angle regularization test: holds when the regular tetrahedron
     with the mean dihedral angle keeps its edge length above ell."""
     theta_mean = sum(tet.angles) / 6.0
@@ -362,10 +365,10 @@ def conjecture_prima_test(tet, ell, tol=MARGIN_TOL):
         )
     regular = regular_from_angle(theta_mean)
     margin = regular.lengths[0] - float(ell)
-    return margin >= -tol, margin
+    return margin >= -MARGIN_TOL, margin
 
 
-def conjecture_prima2_test(tet, ell, probes, seed, tol=MARGIN_TOL):
+def conjecture_prima2_test(tet, ell, probes, seed):
     """Search the convex hull of the 24 symmetric images of ``tet`` (vertices
     excluded) for another point of T_ell.
 
@@ -383,7 +386,7 @@ def conjecture_prima2_test(tet, ell, probes, seed, tol=MARGIN_TOL):
         if min(np.max(np.abs(orbit - angles), axis=1)) < 1e-9:
             return None  # coincides with an orbit vertex
         candidate = Tetrahedron.from_angles(angles)
-        if candidate.min_length >= ell - tol:
+        if candidate.min_length >= ell - MARGIN_TOL:
             return candidate
         return None
 

@@ -4,7 +4,6 @@ functions, guarded arccosh, and 1-D adaptive quadrature.
 All functions are pure and reentrant.
 """
 
-import cmath
 import heapq
 import math
 from fractions import Fraction
@@ -82,58 +81,30 @@ def _dilog_log_series(u):
 
 
 def dilog(z):
-    """Principal-branch dilogarithm Li2(z) for a finite complex argument.
+    """Principal-branch dilogarithm Li2(z) of a finite complex argument, or
+    elementwise of a numpy array, giving a complex array of the same shape.
 
     Arguments of large modulus are mapped into the unit disc by the
     inversion identity and, when Re z > 1/2, reflected by Euler's identity;
     the remaining region is summed by the defining series (|z| <= 1/4) or
-    by the log-argument series otherwise.
-
-    A numpy array is evaluated elementwise with the same branch cuts and
-    thresholds, each element by one branch, and gives a complex array of
-    the same shape; any non-finite element raises InvalidArgumentError.
+    by the log-argument series otherwise. Each element takes one branch; a
+    scalar is evaluated as a one-element array. Any non-finite argument
+    raises InvalidArgumentError.
     """
     if isinstance(z, np.ndarray):
         return _dilog_array(z)
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidArgumentError(f"dilog: non-finite argument {z!r}")
-    if z == 0:
-        return 0j
-    if z == 1:
-        return complex(PI2_OVER_6, 0.0)
-
-    offset = 0j
-    sign = 1.0
-    if abs(z) > 1.0:
-        # Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2
-        log_neg = cmath.log(-z)
-        offset = -PI2_OVER_6 - 0.5 * log_neg * log_neg
-        sign = -1.0
-        z = 1.0 / z
-    if z.real > 0.5:
-        # Li2(z) = pi^2/6 - log(z) log(1-z) - Li2(1-z)
-        offset += sign * (PI2_OVER_6 - cmath.log(z) * cmath.log(1.0 - z))
-        sign = -sign
-        z = 1.0 - z
-        if z == 0:
-            return offset
-    if abs(z) <= 0.25:
-        core = _dilog_taylor(z)
-    else:
-        core = _dilog_log_series(-cmath.log(1.0 - z))
-    return offset + sign * core
+    return complex(_dilog_array(np.array([complex(z)]))[0])
 
 
 def _dilog_array(z):
-    # the scalar branches as index masks over a flat copy; both series give
+    # the branches as index masks over a flat copy; both series give
     # exactly 0 at 0, so only z = 1 (whose reflection needs log 0) is set
     # aside, as 0 with offset pi^2/6
     shape = z.shape
     z = np.array(z, dtype=complex).reshape(-1)
     if not np.isfinite(z).all():
         bad = z[~np.isfinite(z)][0]
-        raise InvalidArgumentError(f"dilog: non-finite argument {bad!r}")
+        raise InvalidArgumentError(f"dilog: non-finite argument {complex(bad)!r}")
     offset = np.zeros_like(z)
     sign = np.ones(z.shape)
     one = z == 1.0
@@ -194,12 +165,12 @@ def lobachevsky(theta):
     return 0.5 * clausen(2.0 * theta)
 
 
-def acosh_checked(x, eps_clamp=EPS_CLAMP):
-    """arccosh(max(x, 1)), rejecting arguments below 1 - eps_clamp."""
+def acosh_checked(x):
+    """arccosh(max(x, 1)), rejecting arguments below 1 - EPS_CLAMP."""
     x = float(x)
     if not math.isfinite(x):
         raise InvalidArgumentError(f"acosh_checked: non-finite argument {x!r}")
-    if x < 1.0 - eps_clamp:
+    if x < 1.0 - EPS_CLAMP:
         raise DomainError(f"acosh_checked: argument {x!r} below 1", value=x)
     return math.acosh(max(x, 1.0))
 
@@ -223,7 +194,12 @@ def _panel(f, a, b):
     return g15, abs(g15 - g7)
 
 
-def integrate(f, a, b, tol=1e-10, max_depth=60, max_panels=8192):
+#: bisection depth and panel count at which ``integrate`` gives up
+_MAX_DEPTH = 60
+_MAX_PANELS = 8192
+
+
+def integrate(f, a, b, tol=1e-10):
     """Adaptive quadrature of f on [a, b] to estimated absolute error tol.
 
     Globally adaptive bisection: the panel with the largest 15-vs-7-point
@@ -246,7 +222,7 @@ def integrate(f, a, b, tol=1e-10, max_depth=60, max_panels=8192):
     total_err = err
     while total_err > tol:
         neg_err, lo, hi, est, depth = heapq.heappop(heap)
-        if depth >= max_depth or len(heap) + 2 > max_panels:
+        if depth >= _MAX_DEPTH or len(heap) + 2 > _MAX_PANELS:
             heapq.heappush(heap, (neg_err, lo, hi, est, depth))
             raise AccuracyError(
                 f"integrate: tolerance {tol} not reached "

@@ -19,6 +19,9 @@ from .errors import (
 
 ROUND_TRIP_TOL = 1e-9
 
+#: lengths closer than this tie
+TIE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Tetrahedron:
@@ -56,12 +59,12 @@ class Tetrahedron:
     def max_length(self):
         return max(self.lengths)
 
-    def is_regular(self, tol=1e-9):
-        return self.max_length - self.min_length < tol
+    def is_regular(self):
+        return self.max_length - self.min_length < TIE_TOL
 
-    def maximal_edge_count(self, tie_tol=1e-9):
+    def maximal_edge_count(self):
         """Number of edges whose length ties with the maximum."""
-        return sum(1 for l in self.lengths if l >= self.max_length - tie_tol)
+        return sum(1 for l in self.lengths if l >= self.max_length - TIE_TOL)
 
     def permuted(self, sigma):
         """The same tetrahedron with its vertices relabelled by ``sigma``:
@@ -202,6 +205,6 @@ def sample_O_batch(rng, n, constraint=INTERIOR, floor=None, budget=None):
     return list(rows)
 
 
-def sample_O(rng, constraint=INTERIOR, floor=None, budget=None):
+def sample_O(rng, constraint=INTERIOR, floor=None):
     """One point of the angle polytope satisfying the requested constraint."""
-    return sample_O_batch(rng, 1, constraint, floor, budget)[0]
+    return sample_O_batch(rng, 1, constraint, floor)[0]

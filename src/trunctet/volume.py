@@ -25,14 +25,17 @@ is a signed sum of sixteen real Clausen values:
 
 ``ushijima_volume`` takes one 6-vector, evaluated in Python floats, or an
 (m, 6) ndarray of rows, evaluated as arrays with one ``clausen`` call per
-block of rows; the scalar form is kept because it is the cheaper one for a
-single tetrahedron. Both form the phases and the Clausen sum by the same
-operations in the same order, with elementwise operations only. So an array
-row's volume is the same bits alone and at any place in any block, and a
-row's phases are the same bits on both paths; this matters near the flat
-limit, where the denominator cancels. The two paths' volumes may still
-differ in the last bit, since the scalar ``clausen`` takes its logarithm
-from libm.
+block of rows. Both paths stay, since a one-row array call costs several
+times the 6-vector path (200-270 us against 40-77 us on a 2-core host), and
+single tetrahedra are what the gradient certificates evaluate. The formula
+is written once: ``_phases`` forms det G, S, the denominator and the offsets
+from six floats or six (m,) columns by the same operations in the same
+order, and both paths sum the Clausen values left to right with elementwise
+operations only. So an array row's volume is the same bits alone and at any
+place in any block, and a row's phases are the same bits on both paths; this
+matters near the flat limit, where the denominator cancels. The two paths'
+volumes may still differ in the last bit, since the scalar ``clausen`` takes
+its logarithm from libm.
 """
 
 import cmath
@@ -64,6 +67,7 @@ _CLOSURE_SLACK = 1e-6
 #: pi - math.pi, the rounding error of the double nearest pi
 _PI_LOW = 1.2246467991473532e-16
 
+
 def _left_sum(terms):
     # terms added left to right: with elementwise operations only, one row
     # gives the same bits alone and in a batch
@@ -73,31 +77,30 @@ def _left_sum(terms):
     return total
 
 
-def _clausen_sum(terms):
-    # the eight Clausen differences of z_1, z_2, floats or (m,) arrays alike,
-    # summed left to right with the signs + + + + - - - -; subtracting a
-    # term is adding its negation exactly, and the operations are
-    # elementwise, so a row gives the same bits alone and in any block
-    total = terms[0] + terms[1]
-    for term in terms[2:4]:
-        total += term
-    for term in terms[4:]:
-        total -= term
-    return total
-
-
-def _phase_sums(t):
-    # the eight psi_k (the opposite pairs, the faces, the total T) and the
-    # eight sigma_k (0, T minus each opposite pair, each vertex sum minus pi)
-    # of six angles t, floats or (m,) arrays alike. A phase of pi is taken as
+def _phases(t, cos, sin):
+    # det G, the sine sum S, the denominator's real and imaginary parts and
+    # the eight offsets sigma_k of six angles t with their cosines and sines:
+    # Python floats for one 6-vector, (m,) columns for a block of rows, by the
+    # same operations in the same order, so that a row gives the same bits on
+    # both paths. The denominator sums exp(i psi_k) over the opposite pairs,
+    # the faces and the total T; its cosines and sines are numpy's, since
+    # libm's may differ in the last bit. The offsets are 0, T minus each
+    # opposite pair and each vertex sum minus pi. A phase of pi is taken as
     # -pi, in two parts: a vertex sum near pi then gives an offset near 0
     # with no rounding of its own, where Cl2 has its steep log |t| slope
+    det_g = _gram_det_fast(*cos)
+    sin_sum = sin[0] * sin[3] + sin[1] * sin[4] + sin[2] * sin[5]
     pairs = [t[p] + t[OPPOSITE[p]] for p in range(3)]
     total = pairs[0] + pairs[1] + pairs[2]
     faces = [t[p] + t[q] + t[r] for p, q, r in OPPOSITE_FACE_EDGES]
     vertices = [t[p] + t[q] + t[r] - math.pi - _PI_LOW for p, q, r in VERTEX_EDGES]
     offsets = [0.0 * total] + [total - pair for pair in pairs] + vertices
-    return pairs + faces + [total], offsets
+    psi = np.array(pairs + faces + [total])
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    if psi.ndim == 1:
+        # one 6-vector: Python floats add faster than numpy scalars
+        cos_psi, sin_psi = cos_psi.tolist(), sin_psi.tolist()
+    return det_g, sin_sum, _left_sum(cos_psi), _left_sum(sin_psi), offsets
 
 
 def gram(angles):
@@ -170,17 +173,13 @@ def _alpha(sin_sum, re, im, root):
     return np.arctan2(np.array([s_im + r_re, s_im - r_re]), np.array([r_im - s_re, -r_im - s_re]))
 
 
-def _phases(angles):
+def _row_phases(angles):
     # det G, the phases (alpha_1, alpha_2) of z_1, z_2 (None on a flat row)
-    # and the eight offsets sigma_k of one 6-vector, by the operations of
-    # _volume_block on one row; its transcendental functions are numpy's,
-    # since libm's may differ in the last bit
+    # and the eight offsets sigma_k of one 6-vector, in Python floats
     t = np.array(angles, dtype=float)
     cos, sin = np.cos(t).tolist(), np.sin(t).tolist()
-    det_g = _gram_det_fast(*cos)
-    sin_sum = sin[0] * sin[3] + sin[1] * sin[4] + sin[2] * sin[5]
-    psi, offsets = _phase_sums(t.tolist())
-    denom = complex(_left_sum(np.cos(psi).tolist()), _left_sum(np.sin(psi).tolist()))
+    det_g, sin_sum, re, im, offsets = _phases(t.tolist(), cos, sin)
+    denom = complex(re, im)
     if abs(denom) < _DENOMINATOR_GUARD:
         if _flat(sin_sum, det_g):
             return det_g, None, offsets
@@ -188,7 +187,7 @@ def _phases(angles):
             _VANISHING,
             diagnostics={"detG": det_g, "denominator": denom, "sin_sum": sin_sum},
         )
-    alpha = _alpha(sin_sum, denom.real, denom.imag, math.sqrt(max(-det_g, 0.0)))
+    alpha = _alpha(sin_sum, re, im, math.sqrt(max(-det_g, 0.0)))
     return det_g, tuple(alpha.tolist()), offsets
 
 
@@ -202,7 +201,7 @@ def _arguments(alpha):
 def ushijima_intermediates(angles):
     """The quantities of Ushijima's formula for one 6-vector, with
     z_j = exp(i alpha_j) (both 0 on a flat configuration)."""
-    det_g, alpha, _ = _phases(angles)
+    det_g, alpha, _ = _row_phases(angles)
     a, b, c, d, e, f = (cmath.exp(1j * float(x)) for x in angles)
     return UshijimaIntermediates(a, b, c, d, e, f, det_g, *_arguments(alpha))
 
@@ -226,13 +225,13 @@ def ushijima_volume(angles):
         raise EvaluationError(
             f"angles {angles!r} outside the closure of the angle polytope"
         )
-    det_g, alpha, offsets = _phases(angles)
+    det_g, alpha, offsets = _row_phases(angles)
     if alpha is None:
         return 0.0
     alpha_1, alpha_2 = alpha
-    vol = 0.25 * _clausen_sum(
-        [clausen(alpha_1 + sigma) - clausen(alpha_2 + sigma) for sigma in offsets]
-    )
+    diff = [clausen(alpha_1 + sigma) - clausen(alpha_2 + sigma) for sigma in offsets]
+    # the signs + + + + - - - -: adding a negation is subtracting, exactly
+    vol = 0.25 * _left_sum(diff[:4] + [-d for d in diff[4:]])
     if not math.isfinite(vol) or vol < _NEGATIVE_VOLUME_CLAMP:
         z1, z2 = _arguments(alpha)
         message = (
@@ -277,12 +276,7 @@ def _volume_block(rows, first):
     check(~inside, "outside the closure of the angle polytope")
 
     t = np.ascontiguousarray(rows.T)
-    cos, sin = np.cos(t), np.sin(t)
-    det_g = _gram_det_fast(*cos)
-    sin_sum = sin[0] * sin[3] + sin[1] * sin[4] + sin[2] * sin[5]
-    psi, offsets = _phase_sums(t)
-    psi = np.array(psi)
-    re, im = _left_sum(np.cos(psi)), _left_sum(np.sin(psi))
+    det_g, sin_sum, re, im, offsets = _phases(t, np.cos(t), np.sin(t))
     vanishing = np.hypot(re, im) < _DENOMINATOR_GUARD
     flat = vanishing & _flat(sin_sum, det_g)
     check(vanishing & ~flat, _VANISHING,
@@ -290,7 +284,8 @@ def _volume_block(rows, first):
 
     alpha = _alpha(sin_sum, re, im, np.sqrt(np.maximum(-det_g, 0.0)))
     cl = clausen(alpha[:, None, :] + np.array(offsets))
-    vol = 0.25 * _clausen_sum(cl[0] - cl[1])
+    diff = cl[0] - cl[1]
+    vol = 0.25 * _left_sum([*diff[:4], *-diff[4:]])
     # flat rows: the volume is its continuous extension 0
     vol[flat] = 0.0
     bad = ~np.isfinite(vol) | (vol < _NEGATIVE_VOLUME_CLAMP)
@@ -304,8 +299,12 @@ def _volume_block(rows, first):
     return np.maximum(vol, 0.0)
 
 
+#: absolute error target of the quadrature in ``regular_volume_l0``
+_REGULAR_QUADRATURE_TOL = 1e-9
+
+
 @lru_cache(maxsize=1)
-def regular_volume_l0(tol=1e-9):
+def regular_volume_l0():
     """Closed form for the volume of the regular tetrahedron of edge length
     l0: eight Lobachevsky values minus three copies of an arccosh integral."""
 
@@ -313,7 +312,7 @@ def regular_volume_l0(tol=1e-9):
         return acosh_checked(math.cos(t) / (2.0 * math.cos(t) - 1.0))
 
     return 8.0 * lobachevsky(math.pi / 4.0) - 3.0 * integrate(
-        integrand, 0.0, math.pi / 6.0, tol=tol
+        integrand, 0.0, math.pi / 6.0, tol=_REGULAR_QUADRATURE_TOL
     )
 
 

@@ -163,6 +163,19 @@ class TestErrorsAndDeterminism:
         # an option after a vector flag is still an option
         assert run(["volume", "--angles", "--degrees"])[0] == 1
 
+    def test_negative_counts_are_usage_errors(self):
+        for argv in (["verify", "theorem", "--ell", "0.3", "--samples", "-5"],
+                     ["verify", "anglesum", "--sum", "3.0", "--samples", "-1"],
+                     ["conjecture", "prima2", "--angles", "0.4,0.5,0.3,0.45,0.35,0.5",
+                      "--ell", "0.3", "--probes", "-3"]):
+            code, out, err = run(argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: --") and "must be nonnegative" in err
+        # no samples is a valid, empty campaign
+        code, out, _ = run(["verify", "theorem", "--ell", "0.3", "--samples", "0"])
+        assert code == 0
+        assert json.loads(out)["report"]["samples"] == 0
+
     def test_unknown_flag(self):
         code, _, _ = run(["volume", "--bogus", "1"])
         assert code == 1

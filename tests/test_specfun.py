@@ -78,12 +78,18 @@ class TestDilogArray:
         points += [0.0, 1.0, -1.0, 0.5, 0.5 + 1e-16, 1j, -1j, 2.0, -3.0, 0.6 + 0.8j]
         return np.array(points, dtype=complex)
 
-    def test_matches_scalar_on_every_branch(self):
+    def test_matches_mpmath_on_every_branch(self):
+        # on the cut [1, inf) a zero imaginary part takes the side of its
+        # sign, so the 30-digit reference is nudged 1e-40 to that side
+        mpmath = pytest.importorskip("mpmath")
         z = self.branch_points()
-        got = dilog(z)
-        for zk, value in zip(z, got):
-            expected = dilog(complex(zk))
-            assert abs(value - expected) <= 1e-15 * max(1.0, abs(expected))
+        with mpmath.workdps(30):
+            nudged = [mpmath.mpc(zk.real, zk.imag or math.copysign(1e-40, zk.imag)) for zk in z]
+            exact = [complex(mpmath.polylog(2, w)) for w in nudged]
+        for zk, value, expected in zip(z, dilog(z), exact):
+            bound = 1e-14 * max(1.0, abs(expected))
+            assert abs(value - expected) <= bound
+            assert abs(dilog(complex(zk)) - expected) <= bound
 
     def test_keeps_shape(self):
         z = self.branch_points()[:60].reshape(3, 4, 5)

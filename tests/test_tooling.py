@@ -1,10 +1,10 @@
 """Packaging and benchmark-tooling guards: the package imports without
-SciPy, the CLI commands print no numpy RuntimeWarning, every name the
-benchmark's tracer wraps still exists, and the campaigns and the
-deformation flow reach the volume through the attribute the tracer and the
-benchmark's self-test wrap, the flow makes one chart call and one volume
-call per block of at most ``_FLOW_BLOCK`` rows, and a campaign makes records
-only for its reference and its witnesses."""
+SciPy, its public names are the pinned list, the CLI commands print no
+numpy RuntimeWarning, every name the benchmark's tracer wraps still exists,
+and the campaigns and the deformation flow reach the volume through the
+attribute the tracer and the benchmark's self-test wrap, the flow makes one
+chart call and one volume call per block of at most ``_FLOW_BLOCK`` rows,
+and a campaign makes records only for its reference and its witnesses."""
 
 import math
 import os
@@ -65,6 +65,8 @@ START = "0.7,0.7,0.8,0.7,0.7,0.8"
          "numerical error: length -0.7 is negative at edge {1,2}\n"),
         (["convert", "--lengths", "-0.7,0.7,0.8,0.7,0.7,0.8"], 2,
          "numerical error: length -0.7 is negative at edge {1,2}\n"),
+        (["scan", "--ells", "0.1,abc"], 1,
+         "error: bad --ells '0.1,abc': could not convert string to float: 'abc'\n"),
     ],
 )
 def test_cli_prints_no_runtime_warning(argv, code, stderr):
@@ -76,6 +78,27 @@ def test_cli_prints_no_runtime_warning(argv, code, stderr):
     )
     assert done.returncode == code, done.stderr
     assert done.stderr == stderr
+
+
+def test_public_names_are_the_contract():
+    assert sorted(trunctet.__all__) == [
+        "ALL_PERMUTATIONS", "AccuracyError", "COSH_L0", "DomainError", "EvaluationError",
+        "InconsistencyError", "InvalidArgumentError", "L0", "NearDegenerateError",
+        "NotATetrahedronError", "NotInClosureError", "SamplingError", "THETA_MAX",
+        "Tetrahedron", "Trajectory", "TruncTetError", "VerificationReport",
+        "acute_constraints_hold", "angles_to_lengths", "angles_to_lengths_batch",
+        "conjecture_prima2_test", "conjecture_prima_test", "deformation_flow",
+        "degeneration_path", "dilog", "dvol_dangles", "dvol_dlengths", "empirical_k",
+        "gram", "gram_det", "in_L", "in_O", "integrate", "jacobian_angles_of_lengths",
+        "jacobian_lengths_of_angles", "key_bracket", "lemma_gaps", "lengths_to_angles",
+        "lengths_to_angles_batch", "lobachevsky", "permutation_moving_edge_to_front",
+        "permute", "regular_from_angle", "regular_from_length", "regular_volume_l0",
+        "regular_volume_scan", "sample_O", "sample_O_batch", "sample_T_ell",
+        "tecnicofinale_gap", "truncation_area", "ushijima_intermediates",
+        "ushijima_volume", "verify_fixed_angle_sum", "verify_theorem", "vertex_sums",
+    ]
+    for name in trunctet.__all__:
+        assert hasattr(trunctet, name), name
 
 
 def test_tracer_points_exist_and_uninstall_restores(monkeypatch):

@@ -327,9 +327,10 @@ class TestUnitModulus:
 class TestNearFlatAccuracy:
     """Volumes along the flattening family of ``degeneration_path``,
     (e, e, pi - 2.5e, e, e, pi - 2.5e), against the 30-digit mpmath oracle
-    of ``bench/oracle.py``. Ushijima's denominator and numerators cancel to
-    O(e^2) there, so today the volume is 0.8% off at e = 1e-4, 19x too
-    large at 1e-5 and 3500x at 1e-6 (ROADMAP item A)."""
+    of ``bench/oracle.py``. The Gram determinant and Ushijima's denominator
+    lose their digits to cancellation there, so both paths give a volume
+    0.76% low at e = 1e-4, and 0 at 1e-5 and 1e-6, where the oracle gives
+    3.06e-5 and 3.06e-6 (ROADMAP item A)."""
 
     @pytest.mark.xfail(
         strict=True, reason="cancellation near the flat limit (ROADMAP item A)"
