@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import extremal, schlafli
-from .errors import TruncTetError
+from .errors import InvalidArgumentError, TruncTetError
 from .tetra import Tetrahedron, sample_O
 
 EXIT_OK = 0
@@ -334,7 +334,7 @@ def main(argv=None, out=None, err=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args, out)
-    except UsageError as exc:
+    except (UsageError, InvalidArgumentError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
     except TruncTetError as exc:

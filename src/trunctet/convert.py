@@ -21,18 +21,19 @@ directions, and each direction is one set of index tables built from
   and the ratio edge / root; ``_ratio_grad`` adds its exact partials, entry
   (ij, q) = d ratio_ij / d x_q, gathered in one step through the tables.
 
-The scalar functions validate their input and turn failed guards into typed
-errors, the batch functions (``angles_to_lengths_batch``,
-``lengths_to_angles_batch``, bitwise equal row by row) into NaN rows.
-``lengths_to_angles`` raises ``AccuracyError`` if the kernel overflowed,
-else ``NotInClosureError`` for a negative length, then for
-|cos theta_ij| > 1 + EPS_CLAMP. The length-chart test ``chart_angles`` (and
-``in_L``) runs on (m, 6) arrays too; a single 6-vector is a batch of one
-row. One pass of ``_ratio_grad`` gives the guards, angles and Jacobian
-d theta / d l of a row together (``jacobian_angles_of_lengths``);
-``angles_jacobian`` and ``lengths_jacobian`` are the batch Jacobians.
+Each direction has one guard table (``_LENGTH_GUARDS``, ``_ANGLE_GUARDS``)
+of conditions on a kernel pass and their typed errors. ``_guarded`` applies
+it: a 6-vector raises the error of the first guard it fails, a batch row
+that fails any turns NaN, so the batch functions (``angles_to_lengths_batch``,
+``lengths_to_angles_batch``) are NaN exactly where the scalar ones raise and
+bitwise equal elsewhere. The length-chart test ``chart_angles`` (and
+``in_L``) runs on (m, 6) arrays too. One pass of ``_ratio_grad`` gives the
+guards, the conversion and its Jacobian together (``jacobian_*`` in
+``schlafli``); ``angles_jacobian`` and ``lengths_jacobian`` are the batch
+Jacobians.
 """
 
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -146,6 +147,19 @@ def _ratio_grad(x, tables):
     return vertex, products, ratio, grad
 
 
+def _cosh_lengths(angles):
+    # the angle -> length kernel on (..., 6) arrays: d_i, the products
+    # d_i d_j and the cosh arguments c_ij / sqrt(d_i d_j)
+    return _ratio(np.cos(angles), _ANGLES)
+
+
+def _cosh_lengths_grad(angles):
+    # _cosh_lengths (bitwise) and, from the same pass, lengths_jacobian
+    d, products, arg, grad = _ratio_grad(np.cos(angles), _ANGLES)
+    sinh_lengths = np.sqrt((arg - 1.0) * (arg + 1.0))
+    return d, products, arg, grad * -np.sin(angles)[..., None, :] / sinh_lengths[..., None]
+
+
 def lengths_jacobian(angles):
     """Exact Jacobian d l / d theta of ``angles_to_lengths`` on (..., 6)
     angle arrays: entry (ij, q) is d l_ij / d theta_q.
@@ -154,49 +168,17 @@ def lengths_jacobian(angles):
     chains with d cos theta = -sin theta d theta and d l = d cosh l / sinh l.
     Inputs are not validated; rows off the polytope give NaN or inf.
     """
-    angles = np.asarray(angles, dtype=float)
-    _, _, cosh_lengths, grad = _ratio_grad(np.cos(angles), _ANGLES)
-    sinh_lengths = np.sqrt((cosh_lengths - 1.0) * (cosh_lengths + 1.0))
-    return grad * -np.sin(angles)[..., None, :] / sinh_lengths[..., None]
-
-
-def angles_to_lengths(angles):
-    """Edge lengths of the tetrahedron with the given dihedral angles."""
-    # a vertex coefficient d_i <= 0 leaves the ratio NaN or inf; it is
-    # rejected before the ratio is used
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d, _, arg = _ratio(np.cos(domain.as_vector(angles, "angles")), _ANGLES)
-    if (d <= 0.0).any():
-        vertex = int(np.argmin(d)) + 1
-        raise NotATetrahedronError(
-            f"vertex coefficient d_{vertex} = {d[vertex - 1]:.6g} is not positive",
-            index=vertex,
-            value=d[vertex - 1],
-        )
-    low = arg < 1.0 - EPS_CLAMP
-    if low.any():
-        pos = int(np.argmax(low))
-        i, j = EDGE_PAIRS[pos]
-        raise NotATetrahedronError(
-            f"cosh argument {arg[pos]:.6g} < 1 at edge {{{i},{j}}}",
-            index=(i, j),
-            value=arg[pos],
-        )
-    return np.arccosh(np.maximum(arg, 1.0))
+    return _cosh_lengths_grad(np.asarray(angles, dtype=float))[3]
 
 
 def _cos_angles(lengths):
     # the length -> angle kernel on (..., 6) arrays: z_k, the products
-    # z_k z_l and the cosine arguments w_ij / sqrt(z_k z_l). Long edges
-    # overflow the products to inf, and the arguments then read 0 or NaN;
-    # _chart_guards rejects those rows
+    # z_k z_l and the cosine arguments w_ij / sqrt(z_k z_l)
     return _ratio(np.cosh(lengths), _LENGTHS)
 
 
 def _cos_angles_grad(lengths):
-    # _cos_angles (bitwise) and, from the same pass, the Jacobian
-    # d theta / d l, (..., 6, 6), chained with d cosh l = sinh l d l and
-    # d theta = -d cos theta / sin theta
+    # _cos_angles (bitwise) and, from the same pass, angles_jacobian
     z, products, arg, grad = _ratio_grad(np.cosh(lengths), _LENGTHS)
     sin_angles = np.sqrt((1.0 - arg) * (1.0 + arg))
     return z, products, arg, grad * np.sinh(lengths)[..., None, :] / -sin_angles[..., None]
@@ -214,40 +196,92 @@ def angles_jacobian(lengths):
     return _cos_angles_grad(np.asarray(lengths, dtype=float))[3]
 
 
-def _chart_guards(lengths, products, arg):
-    # rows whose kernel did not overflow, whose lengths are not negative and
-    # whose cosine arguments all lie within 1 + EPS_CLAMP in size; written
-    # so that a NaN argument fails. z_k = 2xyz + x^2 + y^2 + z^2 - 1 >= 4 on
-    # cosh values >= 1, so z_k needs no guard of its own
-    ok = np.isfinite(products) & (lengths >= 0.0) & (np.abs(arg) <= 1.0 + EPS_CLAMP)
-    return ok.all(axis=-1)
+#: one kernel pass: the input angles or lengths, the vertex coefficients
+#: (..., 4), their products under each edge's root and the ratios (..., 6)
+_Pass = namedtuple("_Pass", "x vertex products ratio")
+
+_EDGES = [f"edge {{{i},{j}}}" for i, j in EDGE_PAIRS]
+
+# A guard table lists (condition, error) in the order a 6-vector raises them:
+# the condition holds elementwise on a _Pass, over its vertices or edges, and
+# NaN fails it; error(pass, pos) is the typed error of a 6-vector failing at pos.
+
+#: lengths -> angles: a kernel overflow (long edges overflow z_k z_l to inf,
+#: and the cosine arguments then read 0 or NaN), a negative length,
+#: |cos theta_ij| > 1 + EPS_CLAMP. z_k >= 4 on cosh values >= 1, so z_k
+#: needs no guard of its own
+_LENGTH_GUARDS = (
+    (lambda k: np.isfinite(k.products) & np.isfinite(k.ratio), lambda k, pos: AccuracyError(
+        f"length kernel overflows at {_EDGES[pos]}: z_k z_l = {k.products[pos]:.6g}, "
+        f"cosine argument {k.ratio[pos]:.6g}")),
+    (lambda k: k.x >= 0.0, lambda k, pos: NotInClosureError(
+        f"length {k.x[pos]:.6g} is negative at {_EDGES[pos]}", value=k.x[pos])),
+    (lambda k: np.abs(k.ratio) <= 1.0 + EPS_CLAMP, lambda k, pos: NotInClosureError(
+        f"cosine argument {k.ratio[pos]:.6g} exceeds 1 at {_EDGES[pos]}", value=k.ratio[pos])),
+)
+
+#: angles -> lengths: a vertex coefficient d_i not positive, then a cosh
+#: argument below 1 - EPS_CLAMP. A row that passes has finite lengths: d_i
+#: is the float s - 1.0, exact for s in [1/2, 2], so d_i > 0 means
+#: d_i >= 2^-52, and |c_ij| <= 5 over sqrt(d_i d_j) >= 2^-52 is finite
+_ANGLE_GUARDS = (
+    (lambda k: k.vertex > 0.0, lambda k, pos: NotATetrahedronError(
+        f"vertex coefficient d_{pos + 1} = {k.vertex[pos]:.6g} is not positive",
+        index=pos + 1, value=k.vertex[pos])),
+    (lambda k: k.ratio >= 1.0 - EPS_CLAMP, lambda k, pos: NotATetrahedronError(
+        f"cosh argument {k.ratio[pos]:.6g} < 1 at {_EDGES[pos]}",
+        index=EDGE_PAIRS[pos], value=k.ratio[pos])),
+)
 
 
-def _guard_error(lengths, products, arg):
-    # the typed error of the first guard a single row fails: a kernel
-    # overflow (a product z_k z_l or a cosine argument not finite), then a
-    # negative length, then a cosine argument outside the closure
-    overflow = ~(np.isfinite(products) & np.isfinite(arg))
-    if overflow.any():
-        pos = int(np.argmax(overflow))
-        i, j = EDGE_PAIRS[pos]
-        return AccuracyError(
-            f"length kernel overflows at edge {{{i},{j}}}: z_k z_l = {products[pos]:.6g}, "
-            f"cosine argument {arg[pos]:.6g}"
-        )
-    negative = lengths < 0.0
-    if negative.any():
-        pos = int(np.argmax(negative))
-        i, j = EDGE_PAIRS[pos]
-        return NotInClosureError(
-            f"length {lengths[pos]:.6g} is negative at edge {{{i},{j}}}", value=lengths[pos]
-        )
-    pos = int(np.argmax(~(np.abs(arg) <= 1.0 + EPS_CLAMP)))
-    i, j = EDGE_PAIRS[pos]
-    return NotInClosureError(
-        f"cosine argument {arg[pos]:.6g} exceeds 1 at edge {{{i},{j}}}",
-        value=arg[pos],
-    )
+def _guarded(guards, kernel, finish, x):
+    # a validated 6-vector, or (m, 6) rows, through a kernel of the guards'
+    # direction: finish(ratios) and what else the kernel returns. A row that
+    # fails a guard turns NaN; a 6-vector raises the error of the first, at
+    # the vertex with the smallest coefficient or the first failing edge
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vertex, products, ratio, *rest = kernel(x)
+    k = _Pass(x, vertex, products, ratio)
+    out = finish(ratio)
+    for condition, error in guards:
+        holds = condition(k)
+        if x.ndim == 2:
+            out[~holds.all(axis=1)] = np.nan
+        elif not all(holds.tolist()):  # on a few entries, faster than .all()
+            raise error(k, int(np.argmin(vertex) if holds.size == 4 else np.argmax(~holds)))
+    return out, *rest
+
+
+def _as_rows(batch, name):
+    rows = np.asarray(batch, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 6:
+        raise InvalidArgumentError(f"{name}: expected (m, 6) rows, got shape {rows.shape}")
+    return rows
+
+
+def _arccosh(arg):
+    return np.arccosh(np.maximum(arg, 1.0))
+
+
+def angles_to_lengths(angles):
+    """Edge lengths of the tetrahedron with the given dihedral angles.
+
+    Raises ``NotATetrahedronError`` for a vertex coefficient d_i <= 0,
+    naming the vertex with the smallest (``index`` 1-4), then for a cosh
+    argument below 1 - EPS_CLAMP, naming the edge (``index`` (i, j)); its
+    ``value`` is the failing coefficient or argument.
+    """
+    return _guarded(_ANGLE_GUARDS, _cosh_lengths, _arccosh, domain.as_vector(angles, "angles"))[0]
+
+
+def angles_to_lengths_batch(batch):
+    """Vectorized angles -> lengths for an (m, 6) batch.
+
+    Rows that fail the guards of ``angles_to_lengths`` come back as NaN
+    instead of raising; campaign samplers treat those rows as rejected.
+    The other rows agree bitwise with ``angles_to_lengths``.
+    """
+    return _guarded(_ANGLE_GUARDS, _cosh_lengths, _arccosh, _as_rows(batch, "angles"))[0]
 
 
 def _arccos(arg):
@@ -260,14 +294,9 @@ _CLOSURE_TOL = 1e-9
 
 def _row_angles(kernel, lengths):
     # a validated 6-vector through a length kernel (_cos_angles, or
-    # _cos_angles_grad): its angles and whatever else the kernel returns, or
-    # the typed error of the first guard the row fails, the closure test of
-    # the angles coming last. numpy need not warn on an overflowing kernel
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, products, arg, *rest = kernel(lengths)
-    if not _chart_guards(lengths, products, arg):
-        raise _guard_error(lengths, products, arg)
-    angles = _arccos(arg)
+    # _cos_angles_grad): its angles and whatever else the kernel returns,
+    # the closure test of the angles coming after the guards
+    angles, *rest = _guarded(_LENGTH_GUARDS, kernel, _arccos, lengths)
     if not domain.in_O(angles, strict=False, tol=_CLOSURE_TOL):
         raise InconsistencyError(
             f"angles {angles!r} computed from lengths lie outside the closure "
@@ -281,36 +310,23 @@ def lengths_to_angles(lengths):
 
     On interior points of the length chart the result lies strictly inside
     the angle polytope; closure points (e.g. flattening families) land on
-    its boundary and are accepted within a slack of 1e-9. Negative lengths
-    raise ``NotInClosureError`` naming the edge. Lengths so long that the
-    kernel overflows (all six edges from about 118 on, one among short edges
-    from about 180) raise ``AccuracyError`` naming the edge.
+    its boundary and are accepted within a slack of 1e-9. Lengths so long
+    that the kernel overflows (all six edges from about 118 on, one among
+    short edges from about 180) raise ``AccuracyError`` naming the edge;
+    then a negative length, or a cosine argument beyond 1 + EPS_CLAMP in
+    size, raises ``NotInClosureError`` naming the edge.
     """
     return _row_angles(_cos_angles, domain.as_vector(lengths, "lengths"))[0]
-
-
-def _as_rows(batch):
-    rows = np.asarray(batch, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 6:
-        raise InvalidArgumentError(f"lengths: expected (m, 6) rows, got shape {rows.shape}")
-    return rows
 
 
 def lengths_to_angles_batch(batch):
     """Vectorized lengths -> angles for an (m, 6) batch.
 
-    Rows that fail the guards of ``lengths_to_angles`` (a negative length,
-    a cosine argument beyond 1 + EPS_CLAMP in size, or a kernel overflow: a
-    product z_k z_l, or cosh itself, beyond the largest float) come back as
-    NaN instead of raising.
-    The other rows agree bitwise with ``lengths_to_angles``.
+    Rows that fail the guards of ``lengths_to_angles`` come back as NaN
+    instead of raising. The other rows agree bitwise with
+    ``lengths_to_angles``.
     """
-    rows = _as_rows(batch)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, products, arg = _cos_angles(rows)
-    angles = _arccos(arg)
-    angles[~_chart_guards(rows, products, arg)] = np.nan
-    return angles
+    return _guarded(_LENGTH_GUARDS, _cos_angles, _arccos, _as_rows(batch, "lengths"))[0]
 
 
 #: round-trip tolerance of the length-chart test
@@ -336,7 +352,7 @@ def chart_angles(lengths):
     NaN on the rows outside the chart, and the (m,) accept mask.
     """
     if np.ndim(lengths) == 2:
-        return _chart_rows(_as_rows(lengths))
+        return _chart_rows(_as_rows(lengths, "lengths"))
     try:
         l = domain.as_vector(lengths, "lengths")
     except InvalidArgumentError:
@@ -349,21 +365,7 @@ def in_L(lengths):
     """Membership in the length chart, decided by ``chart_angles``; an
     (m, 6) array of length rows gives an (m,) boolean mask."""
     if np.ndim(lengths) == 2:
-        rows = _as_rows(lengths)
+        rows = _as_rows(lengths, "lengths")
         return (rows > 0.0).all(axis=1) & chart_angles(rows)[1]
     l = domain.as_vector(lengths, "lengths")
     return bool(np.all(l > 0.0)) and chart_angles(l) is not None
-
-
-def angles_to_lengths_batch(batch):
-    """Vectorized angles -> lengths for an (m, 6) batch.
-
-    Rows that fail the positivity guards come back as NaN instead of
-    raising; campaign samplers treat those rows as rejected.
-    """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d, _, arg = _ratio(np.cos(np.asarray(batch, dtype=float)), _ANGLES)
-    lengths = np.arccosh(np.maximum(arg, 1.0))
-    ok = ((arg >= 1.0 - EPS_CLAMP) & np.isfinite(lengths)).all(axis=-1) & (d > 0.0).all(axis=-1)
-    lengths[~ok] = np.nan
-    return lengths

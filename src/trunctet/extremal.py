@@ -318,10 +318,9 @@ def verify_fixed_angle_sum(theta_sum, n, seed, tol=MARGIN_TOL):
 
     (angles,) = rejection_sample(np.random.default_rng(seed), n, propose, accept)
     lengths = convert.angles_to_lengths_batch(angles)
-    # rows the batch conversion marks NaN: the scalar conversion raises the
-    # typed error Tetrahedron.from_angles raises, or returns its lengths
-    for row in np.flatnonzero(np.isnan(lengths).any(axis=1)):
-        lengths[row] = convert.angles_to_lengths(angles[row])
+    # NaN rows are the rows the scalar conversion raises on: raise the first's
+    if np.isnan(lengths).any():
+        convert.angles_to_lengths(angles[np.isnan(lengths).any(axis=1).argmax()])
     _record_rows(report, reference, tol, angles, lengths, volume.ushijima_volume(angles))
     return report
 

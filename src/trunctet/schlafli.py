@@ -5,9 +5,8 @@ The angle-chart gradient is closed form (d vol = -1/2 * sum l_ij d theta_ij,
 Schlafli's formula). The length-chart gradient chains it with the exact
 Jacobian d theta / d l, from the same kernel pass as the angles (batch form:
 ``convert.angles_jacobian``). With ``check`` set, that Jacobian is validated
-against the inverse of d l / d theta, differentiated from the angles
-(``convert.lengths_jacobian``: the same kernel on the angle tables, at the
-angles instead of the lengths).
+against the inverse of ``jacobian_lengths_of_angles``, from the same kernel
+on the angle tables, at the angles instead of the lengths.
 """
 
 import math
@@ -60,9 +59,8 @@ def jacobian_lengths_of_angles(angles):
     where the Jacobian is not finite, NearDegenerateError.
     """
     a = domain.as_vector(angles, "angles")
-    convert.angles_to_lengths(a)  # only for its typed errors
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        jac = convert.lengths_jacobian(a)
+    kernel = convert._cosh_lengths_grad
+    _, jac = convert._guarded(convert._ANGLE_GUARDS, kernel, convert._arccosh, a)
     return _finite(jac, "length/angle", a)
 
 
@@ -97,10 +95,10 @@ def jacobian_angles_of_lengths(lengths, check=True):
     return jac
 
 
-def dvol_dlengths(tet, check=False):
+def dvol_dlengths(tet):
     """Gradient of volume in the length chart:
     component ij = -1/2 * sum_kl l_kl * d theta_kl / d l_ij."""
-    jac = jacobian_angles_of_lengths(tet.lengths, check=check)
+    jac = jacobian_angles_of_lengths(tet.lengths, check=False)
     values = -0.5 * (np.asarray(tet.lengths) @ jac)
     return GradientVector(tuple(values.tolist()), "lengths")
 

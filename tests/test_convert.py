@@ -14,6 +14,7 @@ from trunctet import (
     angles_to_lengths_batch,
     in_L,
     in_O,
+    jacobian_lengths_of_angles,
     lengths_to_angles,
     lengths_to_angles_batch,
     permute,
@@ -26,11 +27,18 @@ from trunctet.errors import (
     DomainError,
     InconsistencyError,
     InvalidArgumentError,
+    NearDegenerateError,
     NotATetrahedronError,
     NotInClosureError,
 )
 from trunctet.specfun import EPS_CLAMP
-from trunctet.indexing import EDGE_PAIRS, OPPOSITE, OPPOSITE_FACE_EDGES, edge_position
+from trunctet.indexing import (
+    EDGE_PAIRS,
+    OPPOSITE,
+    OPPOSITE_FACE_EDGES,
+    VERTEX_EDGES,
+    edge_position,
+)
 
 REGULAR = (math.pi / 6,) * 6
 
@@ -434,6 +442,121 @@ class TestBatchChartMatchesScalar:
             chart_angles(np.ones((3, 5)))
         with pytest.raises(InvalidArgumentError):
             lengths_to_angles_batch(np.ones(6))
+        assert angles_to_lengths_batch(np.empty((0, 6))).shape == (0, 6)
+        for shape in ((3, 5), (6,), (2, 3, 6)):
+            with pytest.raises(InvalidArgumentError, match=r"angles: expected \(m, 6\) rows"):
+                angles_to_lengths_batch(np.full(shape, 0.5))
         # a malformed 6-vector is not in the chart, as before
         assert chart_angles((1.0, 2.0, 3.0)) is None
         assert chart_angles((L0, L0, L0, L0, L0, math.nan)) is None
+
+
+def reference_cosh_args(angles):
+    """The vertex coefficients d_i and the cosh arguments c_ij / sqrt(d_i d_j)
+    of (m, 6) angle rows, written out."""
+    cos = np.cos(angles)
+    x, y, z = (cos[:, list(members)] for members in np.array(VERTEX_EDGES).T)
+    d = 2.0 * x * y * z + x * x + y * y + z * z - 1.0
+    ij, ik, il, jk, jl, kl = (cos[:, roles] for roles in ROLES)
+    c = ij * (il * jk + ik * jl) + il * jl + ik * jk + kl * (1.0 - ij * ij)
+    ends = np.array(EDGE_PAIRS).T - 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return d, c / np.sqrt(d[:, ends[0]] * d[:, ends[1]])
+
+
+def reference_angles_to_lengths(d, arg):
+    """The scalar conversion of one row as written before the guard tables,
+    from the row's d_i and cosh arguments."""
+    if (d <= 0.0).any():
+        vertex = int(np.argmin(d)) + 1
+        raise NotATetrahedronError(
+            f"vertex coefficient d_{vertex} = {d[vertex - 1]:.6g} is not positive",
+            index=vertex,
+            value=d[vertex - 1],
+        )
+    low = arg < 1.0 - EPS_CLAMP
+    if low.any():
+        pos = int(np.argmax(low))
+        i, j = EDGE_PAIRS[pos]
+        raise NotATetrahedronError(
+            f"cosh argument {arg[pos]:.6g} < 1 at edge {{{i},{j}}}", index=(i, j), value=arg[pos]
+        )
+    return np.arccosh(np.maximum(arg, 1.0))
+
+
+def reference_angles_to_lengths_batch(d, arg):
+    """The batch conversion as written before the guard tables, with its
+    finiteness test of the lengths."""
+    lengths = np.arccosh(np.maximum(arg, 1.0))
+    ok = ((arg >= 1.0 - EPS_CLAMP) & np.isfinite(lengths)).all(axis=-1) & (d > 0.0).all(axis=-1)
+    lengths[~ok] = np.nan
+    return lengths
+
+
+def angle_test_rows():
+    """Uniform angle rows (about 98% fail a guard), rows on the face
+    theta_12 = 0 of the polytope, and rows closing in on its boundary."""
+    rng = np.random.default_rng(60)
+    rows = [rng.uniform(0.0, math.pi, size=(20_000, 6))]
+    face = np.array(sample_O_batch(np.random.default_rng(61), 200, constraint="acute"))
+    face[:, 0] = 0.0
+    rows.append(face)
+    interior = np.array(sample_O_batch(np.random.default_rng(62), 30))
+    for k in range(1, 16):
+        for sign in (1.0, -1.0):
+            # vertex 1's sum -> pi from both sides (d_1 -> 0), and a short edge
+            # theta_12 -> 0 (its cosh argument -> 1)
+            near = interior.copy()
+            near[:, :3] *= (math.pi * (1.0 + sign * 10.0**-k) / near[:, :3].sum(axis=1))[:, None]
+            short = interior.copy()
+            short[:, 0] = 10.0**-k * (1.0 if sign > 0 else 0.5)
+            rows += [near, short]
+    return np.concatenate(rows)
+
+
+class TestAngleGuards:
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return angle_test_rows()
+
+    def test_batch_is_nan_exactly_where_the_scalar_raises(self, rows):
+        d, arg = reference_cosh_args(rows)
+        batch = angles_to_lengths_batch(rows)
+        assert batch.tobytes() == reference_angles_to_lengths_batch(d, arg).tobytes()
+        failed = {"vertex": 0, "edge": 0}
+        for row, got, row_d, row_arg in zip(rows, batch, d, arg):
+            try:
+                expected = reference_angles_to_lengths(row_d, row_arg)
+            except NotATetrahedronError as exc:
+                failed["vertex" if isinstance(exc.index, int) else "edge"] += 1
+                assert np.isnan(got).all()
+                with pytest.raises(NotATetrahedronError) as raised:
+                    angles_to_lengths(row)
+                assert str(raised.value) == str(exc)
+                assert raised.value.index == exc.index
+                assert raised.value.value.tobytes() == exc.value.tobytes()
+                continue
+            assert np.isfinite(got).all()
+            assert got.tobytes() == expected.tobytes()
+            assert angles_to_lengths(row).tobytes() == expected.tobytes()
+        # both guards fail often, and most uniform rows fail one
+        assert failed["vertex"] >= 10_000 and failed["edge"] >= 3000
+        assert sum(failed.values()) >= 0.95 * 20_000
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_jacobian_raises_as_the_conversion_does(self, rows):
+        # same error as angles_to_lengths, from the Jacobian's own kernel pass;
+        # on the rows it converts, a Jacobian or NearDegenerateError
+        for row in rows[::7]:
+            try:
+                angles_to_lengths(row)
+            except NotATetrahedronError as exc:
+                with pytest.raises(NotATetrahedronError) as raised:
+                    jacobian_lengths_of_angles(row)
+                assert str(raised.value) == str(exc) and raised.value.index == exc.index
+                continue
+            try:
+                assert jacobian_lengths_of_angles(row).shape == (6, 6)
+            except NearDegenerateError:
+                pass
+

@@ -156,8 +156,13 @@ class TestJacobians:
 
     def test_check_rejects_inconsistent_inverse(self, monkeypatch):
         tet = regular_from_length(0.8)
-        kernel = convert.lengths_jacobian
-        monkeypatch.setattr(convert, "lengths_jacobian", lambda a: 1.001 * kernel(a))
+        kernel = convert._cosh_lengths_grad
+
+        def perturbed(a):
+            *outputs, jac = kernel(a)
+            return *outputs, 1.001 * jac
+
+        monkeypatch.setattr(convert, "_cosh_lengths_grad", perturbed)
         with pytest.raises(InconsistencyError):
             jacobian_angles_of_lengths(tet.lengths, check=True)
         jacobian_angles_of_lengths(tet.lengths, check=False)
@@ -225,6 +230,22 @@ class TestLengthGradient:
             monkeypatch.setattr(convert, name, counted)
         dvol_dlengths(tet)
         assert sorted(calls) == ["_cos_angles_grad", "_edge_poly"]
+
+    def test_lengths_of_angles_evaluates_the_angle_kernel_once(self, acute_points, monkeypatch):
+        # the guards and the Jacobian d l / d theta come from one _ratio_grad
+        # pass (which evaluates _ratio once): no conversion call for the
+        # typed errors, and no second pass through the batch Jacobian
+        calls = []
+        for name in ("angles_to_lengths", "lengths_jacobian", "_ratio", "_ratio_grad"):
+            original = getattr(convert, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(convert, name, counted)
+        jacobian_lengths_of_angles(acute_points[0])
+        assert sorted(calls) == ["_ratio", "_ratio_grad"]
 
 
 # --- the Jacobian as computed before the one-pass kernel ------------------

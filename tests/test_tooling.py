@@ -67,6 +67,12 @@ START = "0.7,0.7,0.8,0.7,0.7,0.8"
          "numerical error: length -0.7 is negative at edge {1,2}\n"),
         (["scan", "--ells", "0.1,abc"], 1,
          "error: bad --ells '0.1,abc': could not convert string to float: 'abc'\n"),
+        # malformed arguments (InvalidArgumentError) are validation failures
+        (["degenerate", "--steps", "1"], 1, "error: degeneration_path needs at least 2 steps\n"),
+        (["flow", "--lengths", START, "--ell", "0.5", "--dt", "0"], 1,
+         "error: dt must be positive\n"),
+        (["volume", "--angles", "nan,0.5,0.5,0.5,0.5,0.5"], 1,
+         "error: angles: non-finite entries in array([nan, 0.5, 0.5, 0.5, 0.5, 0.5])\n"),
     ],
 )
 def test_cli_prints_no_runtime_warning(argv, code, stderr):
