@@ -26,9 +26,17 @@ def as_vector(values, name="vector"):
     arr = np.asarray(values, dtype=float)
     if arr.shape != (6,):
         raise InvalidArgumentError(f"{name}: expected 6 entries, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, arr.tolist())):  # on 6 entries, faster than numpy
         raise InvalidArgumentError(f"{name}: non-finite entries in {arr!r}")
     return arr
+
+
+def as_finite(value, name, nonnegative=False):
+    """Validate and return a finite number, nonnegative if asked, as a float."""
+    if not math.isfinite(value) or (nonnegative and value < 0):
+        bounds = "finite and nonnegative" if nonnegative else "finite"
+        raise InvalidArgumentError(f"{name} must be {bounds}, got {value!r}")
+    return float(value)
 
 
 def vertex_sums(angles):
@@ -110,7 +118,9 @@ def permutation_moving_edge_to_front(pos):
 
 
 # --- vectorized helpers for the samplers -------------------------------
+# Their sums may overflow on huge finite rows; an infinite sum fails the test.
 
+@np.errstate(over="ignore")
 def in_O_mask(batch, strict=True, tol=0.0):
     """Polytope membership, as ``in_O``, for an (m, 6) batch of angle rows.
 
@@ -134,6 +144,7 @@ def in_O_mask(batch, strict=True, tol=0.0):
     return ok
 
 
+@np.errstate(over="ignore")
 def acute_mask(batch):
     """Acute-region membership for an (m, 6) batch of angle rows."""
     A = np.asarray(batch, dtype=float)

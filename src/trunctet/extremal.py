@@ -143,7 +143,10 @@ def _T_ell_rows(rng, ell, n, budget=None, require_volume_floor=None):
     # drawn as sample_T_ell describes. Without a floor the volumes come from
     # one batch call on the n rows; with one, each batch's rows above the
     # length floor are evaluated in one call
+    ell = domain.as_finite(ell, "ell")
     acute = require_volume_floor is not None
+    if acute:
+        require_volume_floor = domain.as_finite(require_volume_floor, "volume floor")
 
     def accept(batch):
         angles = batch[domain.acute_mask(batch) if acute else domain.in_O_mask(batch)]
@@ -244,6 +247,7 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
     first row outside the chart; memory is bounded by one block whatever
     ``dt`` and ``max_steps`` are.
     """
+    dt, ell_floor = domain.as_finite(dt, "dt"), domain.as_finite(ell_floor, "ell_floor")
     if dt <= 0:
         raise InvalidArgumentError("dt must be positive")
     if start.min_length < ell_floor - 1e-9:
@@ -254,7 +258,7 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
     points = [(0.0, start)]
 
     def finish(reason):
-        return Trajectory(tuple(points), float(ell_floor), float(dt), reason)
+        return Trajectory(tuple(points), ell_floor, dt, reason)
 
     t_global = 0.0
     steps = 0
@@ -277,7 +281,8 @@ def verify_theorem(ell, n, seed, tol=MARGIN_TOL):
     """Sample n tetrahedra of T_ell and check vol <= vol of the regular
     tetrahedron of edge length ell (plus tol). For ell > l0 the theorem is
     only conjectured; the report is flagged accordingly."""
-    ell = float(ell)
+    ell = domain.as_finite(ell, "ell")
+    tol = domain.as_finite(tol, "tol", nonnegative=True)
     if ell <= 0:
         raise DomainError(f"ell must be positive, got {ell!r}")
     reference = regular_from_length(ell).volume
@@ -297,7 +302,8 @@ def verify_theorem(ell, n, seed, tol=MARGIN_TOL):
 def verify_fixed_angle_sum(theta_sum, n, seed, tol=MARGIN_TOL):
     """Sample n angle tuples with the prescribed total angle sum and check
     vol <= vol of the regular tetrahedron with angles theta_sum / 6."""
-    theta_sum = float(theta_sum)
+    theta_sum = domain.as_finite(theta_sum, "theta_sum")
+    tol = domain.as_finite(tol, "tol", nonnegative=True)
     if not 0.0 < theta_sum < 2.0 * math.pi:
         raise DomainError(
             f"theta_sum must lie in (0, 2*pi) so the regular comparison "

@@ -6,10 +6,13 @@ Schlafli's formula). The length-chart gradient chains it with the exact
 Jacobian d theta / d l, from the same kernel pass as the angles (batch form:
 ``convert.angles_jacobian``). With ``check`` set, that Jacobian is validated
 against the inverse of ``jacobian_lengths_of_angles``, from the same kernel
-on the angle tables, at the angles instead of the lengths.
+on the angle tables, at the angles instead of the lengths. The sign
+conditions at a maximal edge (``key_bracket``, ``tecnicofinale_gap``,
+``lemma_gaps``) read one set of trigonometric terms, formed once by ``_terms``.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,26 +106,40 @@ def dvol_dlengths(tet):
     return GradientVector(tuple(values.tolist()), "lengths")
 
 
+_Terms = namedtuple("_Terms", "c13 c14 c24 c23 paired lhs cross rhs chord")
+
+
+def _terms(t12, t13, t14, t34, t24, t23):
+    # the cosines and sums of the three certificates once, added in the order
+    # that keeps each bitwise as written out: paired = c12 (c13 c23 + c14 c24),
+    # the final inequality's sides lhs = paired + c13 c24 + c14 c23 (left to
+    # right) and rhs = s12 (sin(t13 + t23) + sin(t14 + t24)), the cross sum
+    # c13 c24 + c14 c23 and the chord 2 sin(t12 / 2)
+    c12, c13, c14 = math.cos(t12), math.cos(t13), math.cos(t14)
+    c24, c23 = math.cos(t24), math.cos(t23)
+    paired = c12 * (c13 * c23 + c14 * c24)
+    c13_c24, c14_c23 = c13 * c24, c14 * c23
+    rhs = math.sin(t12) * (math.sin(t13 + t23) + math.sin(t14 + t24))
+    return _Terms(c13, c14, c24, c23, paired, paired + c13_c24 + c14_c23, c13_c24 + c14_c23,
+                  rhs, 2.0 * math.sin(0.5 * t12))
+
+
 def key_bracket(tet):
     """The bracket whose sign is opposite to that of d vol / d l_12.
 
     Positive bracket at a maximal edge 12 certifies that shrinking the edge
     increases the volume.
     """
-    t12, t13, t14, t34, t24, t23 = tet.angles
+    k = _terms(*tet.angles)
+    s12, s13, s14, s34, s24, s23 = map(math.sin, tet.angles)
     l12, l13, l14, l34, l24, l23 = tet.lengths
     return (
-        l12
-        * (
-            math.cos(t12) * (math.cos(t13) * math.cos(t23) + math.cos(t14) * math.cos(t24))
-            + math.cos(t13) * math.cos(t24)
-            + math.cos(t14) * math.cos(t23)
-        )
-        - l13 * math.sin(t12) * math.sin(t13) * math.cos(t23)
-        - l14 * math.sin(t12) * math.sin(t14) * math.cos(t24)
-        + l34 * math.sin(t12) * math.sin(t34)
-        - l24 * math.sin(t12) * math.sin(t24) * math.cos(t14)
-        - l23 * math.sin(t12) * math.sin(t23) * math.cos(t13)
+        l12 * k.lhs
+        - l13 * s12 * s13 * k.c23
+        - l14 * s12 * s14 * k.c24
+        + l34 * s12 * s34
+        - l24 * s12 * s24 * k.c14
+        - l23 * s12 * s23 * k.c13
     )
 
 
@@ -130,14 +147,8 @@ def tecnicofinale_gap(angles):
     """Left minus right side of the final trigonometric inequality; it is
     nonnegative whenever the volume is at least vol of the regular
     tetrahedron of edge length l0."""
-    t12, t13, t14, _, t24, t23 = domain.as_vector(angles, "angles").tolist()
-    lhs = (
-        math.cos(t12) * (math.cos(t13) * math.cos(t23) + math.cos(t14) * math.cos(t24))
-        + math.cos(t13) * math.cos(t24)
-        + math.cos(t14) * math.cos(t23)
-    )
-    rhs = math.sin(t12) * (math.sin(t13 + t23) + math.sin(t14 + t24))
-    return lhs - rhs
+    k = _terms(*domain.as_vector(angles, "angles").tolist())
+    return k.lhs - k.rhs
 
 
 def lemma_gaps(angles):
@@ -149,16 +160,9 @@ def lemma_gaps(angles):
       g3: cos12 (cos13 cos23 + cos14 cos24)
           - sin12 (sin(13+23) + sin(14+24)) + 2 sin(theta12 / 2)
     """
-    t12, t13, t14, _, t24, t23 = domain.as_vector(angles, "angles").tolist()
-    cross = math.cos(t13) * math.cos(t24) + math.cos(t14) * math.cos(t23)
-    g1 = cross - 2.0 * math.sin(0.5 * t12)
-    g2 = cross - (1.0 - math.sin(math.pi / 12.0))
-    g3 = (
-        math.cos(t12) * (math.cos(t13) * math.cos(t23) + math.cos(t14) * math.cos(t24))
-        - math.sin(t12) * (math.sin(t13 + t23) + math.sin(t14 + t24))
-        + 2.0 * math.sin(0.5 * t12)
-    )
-    return g1, g2, g3
+    k = _terms(*domain.as_vector(angles, "angles").tolist())
+    g2 = k.cross - (1.0 - math.sin(math.pi / 12.0))
+    return k.cross - k.chord, g2, k.paired - k.rhs + k.chord
 
 
 def empirical_k(tet):

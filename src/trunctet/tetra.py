@@ -4,6 +4,7 @@ polytope.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,11 @@ class Tetrahedron:
         stored volume that disagree with them beyond ``ROUND_TRIP_TOL``."""
         tet = cls.from_angles(record["angles"])
         lengths = domain.as_vector(record["lengths"], "lengths")
-        defect = max(np.max(np.abs(lengths - tet.lengths)), abs(record["volume"] - tet.volume))
+        volume = record["volume"]
+        if not isinstance(volume, numbers.Real):
+            raise InvalidArgumentError(f"volume: expected a number, got {volume!r}")
+        # np.max, unlike max, keeps a NaN
+        defect = np.max(np.abs(np.append(lengths, volume) - (*tet.lengths, tet.volume)))
         if not defect <= ROUND_TRIP_TOL:
             raise InconsistencyError(f"record differs from its angles' tetrahedron by {defect:.3g}")
         return tet
@@ -189,8 +194,10 @@ def sample_O_batch(rng, n, constraint=INTERIOR, floor=None, budget=None):
     """
     if constraint not in (INTERIOR, ACUTE, VOLUME_FLOOR):
         raise InvalidArgumentError(f"unknown constraint {constraint!r}")
-    if constraint == VOLUME_FLOOR and floor is None:
-        raise InvalidArgumentError("volume_floor constraint requires a floor value")
+    if constraint == VOLUME_FLOOR:
+        if floor is None:
+            raise InvalidArgumentError("volume_floor constraint requires a floor value")
+        floor = domain.as_finite(floor, "volume floor")
 
     def accept(batch):
         if constraint == INTERIOR:

@@ -23,23 +23,23 @@ is a signed sum of sixteen real Clausen values:
 
     V = (u_1 - u_2) / 2,   u_j = sum_k eps_k Cl2(alpha_j + sigma_k) / 2.
 
-``ushijima_volume`` takes one 6-vector, evaluated in Python floats, or an
-(m, 6) ndarray of rows, evaluated as arrays with one ``clausen`` call per
-block of rows. Both paths stay, since a one-row array call costs several
-times the 6-vector path (200-270 us against 40-77 us on a 2-core host), and
-single tetrahedra are what the gradient certificates evaluate. The formula
-is written once: ``_phases`` forms det G, S, the denominator and the offsets
-from six floats or six (m,) columns by the same operations in the same
-order, and both paths sum the Clausen values left to right with elementwise
-operations only. So an array row's volume is the same bits alone and at any
-place in any block, and a row's phases are the same bits on both paths; this
-matters near the flat limit, where the denominator cancels. The two paths'
-volumes may still differ in the last bit, since the scalar ``clausen`` takes
-its logarithm from libm.
+``ushijima_volume`` takes one 6-vector, evaluated in Python floats with
+sixteen scalar ``clausen`` calls, or an (m, 6) ndarray of rows, evaluated as
+arrays with one ``clausen`` call per block; a one-row array call costs
+several times the 6-vector path that the gradient certificates take.
+``_phases`` evaluates both shapes up to the phases by the same operations,
+so a row's phases are the same bits on both paths and an array row's volume
+is the same bits at any place in any block (the scalar ``clausen`` takes its
+logarithm from libm, so the volumes may differ in the last bit). One ordered
+guard table, ``_VOLUME_GUARDS``, checks the evaluated volume of both shapes:
+a 6-vector raises the first guard it fails, a block raises it at its first
+failing row, with the message behind a ``row r, angles ...:`` prefix and
+the diagnostics plus ``row``.
 """
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import domain
 from .errors import EvaluationError, InvalidArgumentError
-from .indexing import OPPOSITE, OPPOSITE_FACE_EDGES, VERTEX_EDGES
+from .indexing import OPPOSITE, OPPOSITE_FACE_EDGES
 # ``dilog`` is not called here; it stays a module attribute because the
 # benchmark's tracer wraps ``trunctet.volume.dilog``
 from .specfun import acosh_checked, clausen, dilog, integrate, lobachevsky  # noqa: F401
@@ -77,30 +77,51 @@ def _left_sum(terms):
     return total
 
 
+def _alpha(sin_sum, re, im, root):
+    # (2, ...): the phases of z_j = -2 (S -+ i sqrt(-det G)) / denominator,
+    # as arg((-S +- i root) conj(denominator)) in one arctan2 each, so that
+    # they carry one rounding of (-pi, pi] rather than the difference of two
+    # angles; root is sqrt(max(-det G, 0)), 0 where rounding makes det G > 0
+    s_re, s_im, r_re, r_im = sin_sum * re, sin_sum * im, root * re, root * im
+    return np.arctan2(np.array([s_im + r_re, s_im - r_re]), np.array([r_im - s_re, -r_im - s_re]))
+
+
+#: one evaluation of the formula up to the phases, in Python floats for a
+#: 6-vector or (m,) columns for a block of rows
+_Evaluation = namedtuple("_Evaluation", "det_g sin_sum re im vanishing flat alpha")
+
+
 def _phases(t, cos, sin):
-    # det G, the sine sum S, the denominator's real and imaginary parts and
-    # the eight offsets sigma_k of six angles t with their cosines and sines:
-    # Python floats for one 6-vector, (m,) columns for a block of rows, by the
-    # same operations in the same order, so that a row gives the same bits on
-    # both paths. The denominator sums exp(i psi_k) over the opposite pairs,
-    # the faces and the total T; its cosines and sines are numpy's, since
-    # libm's may differ in the last bit. The offsets are 0, T minus each
-    # opposite pair and each vertex sum minus pi. A phase of pi is taken as
-    # -pi, in two parts: a vertex sum near pi then gives an offset near 0
-    # with no rounding of its own, where Cl2 has its steep log |t| slope
+    # the evaluation up to the phases and the eight offsets
+    # sigma_k of six angles t with their cosines and sines, by the same
+    # operations on both shapes. The denominator sums exp(i psi_k) over the
+    # opposite pairs, the faces and the total T, with numpy's cosines and
+    # sines, since libm's may differ in the last bit. The offsets are 0, T
+    # minus each opposite pair and each vertex sum minus pi. A phase of pi is
+    # taken as -pi, in two parts: a vertex sum near pi then gives an offset
+    # near 0 with no rounding of its own, where Cl2 has its steep log |t| slope
     det_g = _gram_det_fast(*cos)
     sin_sum = sin[0] * sin[3] + sin[1] * sin[4] + sin[2] * sin[5]
     pairs = [t[p] + t[OPPOSITE[p]] for p in range(3)]
     total = pairs[0] + pairs[1] + pairs[2]
     faces = [t[p] + t[q] + t[r] for p, q, r in OPPOSITE_FACE_EDGES]
-    vertices = [t[p] + t[q] + t[r] - math.pi - _PI_LOW for p, q, r in VERTEX_EDGES]
+    vertices = [s - math.pi - _PI_LOW for s in domain._vertex_sums(t)]
     offsets = [0.0 * total] + [total - pair for pair in pairs] + vertices
     psi = np.array(pairs + faces + [total])
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
     if psi.ndim == 1:
         # one 6-vector: Python floats add faster than numpy scalars
-        cos_psi, sin_psi = cos_psi.tolist(), sin_psi.tolist()
-    return det_g, sin_sum, _left_sum(cos_psi), _left_sum(sin_psi), offsets
+        re, im = _left_sum(cos_psi.tolist()), _left_sum(sin_psi.tolist())
+        magnitude, root = abs(complex(re, im)), math.sqrt(max(-det_g, 0.0))
+    else:
+        re, im = _left_sum(cos_psi), _left_sum(sin_psi)
+        magnitude, root = np.hypot(re, im), np.sqrt(np.maximum(-det_g, 0.0))
+    # the flat configurations, where both numerators vanish with the
+    # denominator and the volume is its continuous extension 0
+    vanishing = magnitude < _DENOMINATOR_GUARD
+    flat = vanishing & (abs(sin_sum) < 1e-9) & (abs(det_g) < 1e-9)
+    alpha = _alpha(sin_sum, re, im, root)
+    return _Evaluation(det_g, sin_sum, re, im, vanishing, flat, alpha), offsets
 
 
 def gram(angles):
@@ -155,55 +176,63 @@ class UshijimaIntermediates:
     z2: complex
 
 
-def _flat(sin_sum, det_g):
-    # fully flat configuration: both numerators vanish with the denominator
-    # and the continuous extension of the volume is 0
-    return (abs(sin_sum) < 1e-9) & (abs(det_g) < 1e-9)
+def _roots(e, **diagnostics):
+    # detG and z_j = exp(i alpha_j), 0 on the flat branch, as numpy values
+    z1, z2 = np.where(e.flat, 0j, np.exp(1j * np.asarray(e.alpha)))
+    return {**diagnostics, "detG": e.det_g, "z1": z1, "z2": z2}
 
 
-_VANISHING = "degenerate configuration: vanishing denominator in the volume formula"
+#: the guards of an evaluation e and its volume, 0 on the flat branch, in the
+#: order they raise, as (condition, message, diagnostics); a condition holds
+#: where the input passes, and NaN fails it. A vanishing denominator only on
+#: the flat branch (<= on booleans is implication), a finite volume, none
+#: below the clamp
+_VOLUME_GUARDS = (
+    (lambda e, vol: e.vanishing <= e.flat,
+     "degenerate configuration: vanishing denominator in the volume formula",
+     lambda e, vol: {"detG": e.det_g, "denominator": e.re + 1j * e.im, "sin_sum": e.sin_sum}),
+    (lambda e, vol: abs(vol) < math.inf, "non-finite volume", lambda e, vol: _roots(e)),
+    (lambda e, vol: vol >= _NEGATIVE_VOLUME_CLAMP, "volume is negative beyond round-off",
+     lambda e, vol: _roots(e, volume=vol)),
+)
+
+#: the guards of the angle rows of a block, in front of its evaluation
+_ROW_GUARDS = (
+    (lambda rows: np.isfinite(rows).all(axis=1), "non-finite angles", lambda rows: {}),
+    (lambda rows: domain.in_O_mask(rows, strict=False, tol=_CLOSURE_SLACK),
+     "outside the closure of the angle polytope", lambda rows: {}),
+)
 
 
-def _alpha(sin_sum, re, im, root):
-    # (2, ...): the phases of z_j = -2 (S -+ i sqrt(-det G)) / denominator,
-    # as arg((-S +- i root) conj(denominator)) in one arctan2 each, so that
-    # they carry one rounding of (-pi, pi] rather than the difference of two
-    # angles; root is sqrt(max(-det G, 0)), 0 where rounding makes det G > 0
-    s_re, s_im, r_re, r_im = sin_sum * re, sin_sum * im, root * re, root * im
-    return np.arctan2(np.array([s_im + r_re, s_im - r_re]), np.array([r_im - s_re, -r_im - s_re]))
+def _raise_first(guards, *args, rows=None, first=0):
+    # raise EvaluationError for the first of the guards that args fail: as is
+    # for a 6-vector (rows None); for a block, whose columns hold the rows
+    # first, first + 1, ..., naming its first failing row
+    for holds, message, diagnostics in guards:
+        ok = holds(*args)
+        if not (ok.all() if rows is not None else ok):
+            r = int(np.argmin(ok))
+            values = {k: np.atleast_1d(v)[r].item() for k, v in diagnostics(*args).items()}
+            if rows is not None:
+                message = f"row {first + r}, angles {rows[r]!r}: {message}"
+                values = {"row": first + r, **values}
+            raise EvaluationError(message, diagnostics=values)
 
 
 def _row_phases(angles):
-    # det G, the phases (alpha_1, alpha_2) of z_1, z_2 (None on a flat row)
-    # and the eight offsets sigma_k of one 6-vector, in Python floats
+    # _phases of one 6-vector, in Python floats
     t = np.array(angles, dtype=float)
-    cos, sin = np.cos(t).tolist(), np.sin(t).tolist()
-    det_g, sin_sum, re, im, offsets = _phases(t.tolist(), cos, sin)
-    denom = complex(re, im)
-    if abs(denom) < _DENOMINATOR_GUARD:
-        if _flat(sin_sum, det_g):
-            return det_g, None, offsets
-        raise EvaluationError(
-            _VANISHING,
-            diagnostics={"detG": det_g, "denominator": denom, "sin_sum": sin_sum},
-        )
-    alpha = _alpha(sin_sum, re, im, math.sqrt(max(-det_g, 0.0)))
-    return det_g, tuple(alpha.tolist()), offsets
-
-
-def _arguments(alpha):
-    # z_1, z_2 from their phases; 0 on a flat row
-    if alpha is None:
-        return 0j, 0j
-    return cmath.exp(1j * alpha[0]), cmath.exp(1j * alpha[1])
+    return _phases(t.tolist(), np.cos(t).tolist(), np.sin(t).tolist())
 
 
 def ushijima_intermediates(angles):
     """The quantities of Ushijima's formula for one 6-vector, with
     z_j = exp(i alpha_j) (both 0 on a flat configuration)."""
-    det_g, alpha, _ = _row_phases(angles)
+    phases, _ = _row_phases(angles)
+    _raise_first(_VOLUME_GUARDS[:1], phases, None)  # the guard before any volume
     a, b, c, d, e, f = (cmath.exp(1j * float(x)) for x in angles)
-    return UshijimaIntermediates(a, b, c, d, e, f, det_g, *_arguments(alpha))
+    z = _roots(phases)
+    return UshijimaIntermediates(a, b, c, d, e, f, phases.det_g, z["z1"].item(), z["z2"].item())
 
 
 def ushijima_volume(angles):
@@ -225,20 +254,14 @@ def ushijima_volume(angles):
         raise EvaluationError(
             f"angles {angles!r} outside the closure of the angle polytope"
         )
-    det_g, alpha, offsets = _row_phases(angles)
-    if alpha is None:
-        return 0.0
-    alpha_1, alpha_2 = alpha
-    diff = [clausen(alpha_1 + sigma) - clausen(alpha_2 + sigma) for sigma in offsets]
-    # the signs + + + + - - - -: adding a negation is subtracting, exactly
-    vol = 0.25 * _left_sum(diff[:4] + [-d for d in diff[4:]])
-    if not math.isfinite(vol) or vol < _NEGATIVE_VOLUME_CLAMP:
-        z1, z2 = _arguments(alpha)
-        message = (
-            "non-finite volume" if not math.isfinite(vol)
-            else f"volume {vol!r} is negative beyond round-off"
-        )
-        raise EvaluationError(message, diagnostics={"detG": det_g, "z1": z1, "z2": z2})
+    e, offsets = _row_phases(angles)
+    vol = 0.0
+    if not e.flat:
+        alpha_1, alpha_2 = e.alpha.tolist()
+        diff = [clausen(alpha_1 + sigma) - clausen(alpha_2 + sigma) for sigma in offsets]
+        # the signs + + + + - - - -: adding a negation is subtracting, exactly
+        vol = 0.25 * _left_sum(diff[:4] + [-d for d in diff[4:]])
+    _raise_first(_VOLUME_GUARDS, e, vol)
     return max(vol, 0.0)
 
 
@@ -259,43 +282,16 @@ def _volume_rows(angles):
 
 
 def _volume_block(rows, first):
-    # _phases, the Clausen sum and the scalar guards on (m, 6) rows, one row
-    # per column of the (6, m) working arrays; the 16 phases of all rows go
-    # to one clausen call
-    def check(bad, message, **diagnostics):
-        if bad.any():
-            row = int(np.flatnonzero(bad)[0])
-            raise EvaluationError(
-                f"row {first + row}, angles {rows[row]!r}: {message}",
-                diagnostics={"row": first + row,
-                             **{k: v[row].item() for k, v in diagnostics.items()}},
-            )
-
-    check(~np.isfinite(rows).all(axis=1), "non-finite angles")
-    inside = domain.in_O_mask(rows, strict=False, tol=_CLOSURE_SLACK)
-    check(~inside, "outside the closure of the angle polytope")
-
+    # _phases and the Clausen sum on (m, 6) rows, one row per column of the
+    # (6, m) working arrays, the 16 phases of all rows in one clausen call
+    _raise_first(_ROW_GUARDS, rows, rows=rows, first=first)
     t = np.ascontiguousarray(rows.T)
-    det_g, sin_sum, re, im, offsets = _phases(t, np.cos(t), np.sin(t))
-    vanishing = np.hypot(re, im) < _DENOMINATOR_GUARD
-    flat = vanishing & _flat(sin_sum, det_g)
-    check(vanishing & ~flat, _VANISHING,
-          detG=det_g, denominator=re + 1j * im, sin_sum=sin_sum)
-
-    alpha = _alpha(sin_sum, re, im, np.sqrt(np.maximum(-det_g, 0.0)))
-    cl = clausen(alpha[:, None, :] + np.array(offsets))
+    e, offsets = _phases(t, np.cos(t), np.sin(t))
+    cl = clausen(e.alpha[:, None, :] + np.array(offsets))
     diff = cl[0] - cl[1]
     vol = 0.25 * _left_sum([*diff[:4], *-diff[4:]])
-    # flat rows: the volume is its continuous extension 0
-    vol[flat] = 0.0
-    bad = ~np.isfinite(vol) | (vol < _NEGATIVE_VOLUME_CLAMP)
-    if bad.any():
-        z = np.exp(1j * alpha)
-        z[:, flat] = 0.0
-        diagnostics = {"detG": det_g, "z1": z[0], "z2": z[1]}
-        check(~np.isfinite(vol), "non-finite volume", **diagnostics)
-        check(vol < _NEGATIVE_VOLUME_CLAMP, "volume is negative beyond round-off",
-              volume=vol, **diagnostics)
+    vol[e.flat] = 0.0
+    _raise_first(_VOLUME_GUARDS, e, vol, rows=rows, first=first)
     return np.maximum(vol, 0.0)
 
 

@@ -136,6 +136,11 @@ class TestAcuteConstraints:
         for a in sample_O_batch(rng, 50, constraint="volume_floor", floor=3.226):
             assert acute_constraints_hold(a)
 
+    def test_huge_finite_angles_fail_quietly(self):
+        # the sums overflow to inf, which fails the test; the suite turns a
+        # numpy overflow warning into an error
+        assert not acute_constraints_hold((1e308,) * 6)
+
 
 class TestPermute:
     def test_identity(self):
@@ -264,6 +269,14 @@ class TestSamplers:
         with pytest.raises(InvalidArgumentError):
             sample_O(np.random.default_rng(20), constraint="nope")
 
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floor_is_rejected_before_any_draw(self, floor):
+        rng = np.random.default_rng(21)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidArgumentError, match="volume floor must be finite"):
+            sample_O_batch(rng, 1, constraint="volume_floor", floor=floor)
+        assert rng.bit_generator.state == state
+
 
 class TestTetrahedronRecord:
     def test_coherent_fields(self):
@@ -289,6 +302,20 @@ class TestTetrahedronRecord:
         record = Tetrahedron.from_angles((0.3, 0.4, 0.5, 0.35, 0.45, 0.55)).to_json_dict()
         record["volume"] += 1e-6
         with pytest.raises(InconsistencyError):
+            Tetrahedron.from_json_dict(record)
+
+    def test_json_rejects_nan_volume(self):
+        # max(defect, nan) would keep the first argument
+        record = Tetrahedron.from_angles((0.3, 0.4, 0.5, 0.35, 0.45, 0.55)).to_json_dict()
+        record["volume"] = math.nan
+        with pytest.raises(InconsistencyError):
+            Tetrahedron.from_json_dict(record)
+
+    @pytest.mark.parametrize("stored", ["3.37", None, [3.37]])
+    def test_json_rejects_non_number_volume(self, stored):
+        record = Tetrahedron.from_angles((0.3, 0.4, 0.5, 0.35, 0.45, 0.55)).to_json_dict()
+        record["volume"] = stored
+        with pytest.raises(InvalidArgumentError, match="volume: expected a number"):
             Tetrahedron.from_json_dict(record)
 
     def test_json_rejects_tampered_lengths(self):

@@ -406,6 +406,13 @@ class TestDeformationFlow:
             deformation_flow(tet, 0.5, dt=0.0)
         with pytest.raises(DomainError):
             deformation_flow(tet, 2.0)
+        # dt <= 0 is False for NaN: non-finite values are rejected first
+        for dt in (math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError, match="dt must be finite"):
+                deformation_flow(tet, 0.5, dt=dt)
+        for ell_floor in (math.nan, -math.inf):
+            with pytest.raises(InvalidArgumentError, match="ell_floor must be finite"):
+                deformation_flow(tet, ell_floor)
 
 
 def reference_flow(start, ell_floor, dt=1e-3, max_steps=200_000):
@@ -554,6 +561,25 @@ class TestVerifyTheorem:
         with pytest.raises(DomainError):
             verify_theorem(-0.1, 1, seed=72)
 
+    @pytest.mark.parametrize("ell, tol, match", [
+        (math.nan, 1e-9, "ell must be finite"),
+        (math.inf, 1e-9, "ell must be finite"),
+        (0.3, math.nan, "tol must be finite and nonnegative"),
+        (0.3, math.inf, "tol must be finite and nonnegative"),
+        (0.3, -1e-9, "tol must be finite and nonnegative"),
+    ])
+    def test_rejects_non_finite_arguments(self, ell, tol, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            verify_theorem(ell, 3, seed=72, tol=tol)
+
+    @pytest.mark.parametrize("ell, floor", [(math.nan, None), (math.inf, None), (0.3, math.nan)])
+    def test_T_ell_rejects_non_finite_arguments_before_any_draw(self, ell, floor):
+        rng = np.random.default_rng(72)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            sample_T_ell(rng, ell, 1, require_volume_floor=floor)
+        assert rng.bit_generator.state == state
+
     def test_json_shape(self):
         record = verify_theorem(0.3, 10, seed=73).to_json_dict()
         assert record["passes"] == 10
@@ -578,6 +604,15 @@ class TestVerifyFixedAngleSum:
     def test_rejects_large_sum(self):
         with pytest.raises(DomainError):
             verify_fixed_angle_sum(2.0 * math.pi, 1, seed=77)
+
+    @pytest.mark.parametrize("theta_sum, tol, match", [
+        (math.nan, 1e-9, "theta_sum must be finite"),
+        (math.pi, math.inf, "tol must be finite and nonnegative"),
+        (math.pi, -1.0, "tol must be finite and nonnegative"),
+    ])
+    def test_rejects_non_finite_arguments(self, theta_sum, tol, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            verify_fixed_angle_sum(theta_sum, 3, seed=77, tol=tol)
 
 
 class TestRegularScan:

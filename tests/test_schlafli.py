@@ -27,7 +27,7 @@ from trunctet import (
     tecnicofinale_gap,
     ushijima_volume,
 )
-from trunctet import convert
+from trunctet import convert, domain
 from trunctet.errors import InconsistencyError, TruncTetError
 from trunctet.indexing import EDGE_PAIRS, VERTEX_EDGES, edge_position
 from trunctet.schlafli import volume_of_lengths
@@ -509,3 +509,66 @@ class TestInequalityExpressions:
                 and tet.lengths[3] * math.sin(t12) * math.sin(t34) > 0.0
             ):
                 assert key_bracket(tet) > 0.0
+
+
+def reference_key_bracket(tet):
+    """``key_bracket`` as written before its terms were shared."""
+    t12, t13, t14, t34, t24, t23 = tet.angles
+    l12, l13, l14, l34, l24, l23 = tet.lengths
+    return (
+        l12
+        * (
+            math.cos(t12) * (math.cos(t13) * math.cos(t23) + math.cos(t14) * math.cos(t24))
+            + math.cos(t13) * math.cos(t24)
+            + math.cos(t14) * math.cos(t23)
+        )
+        - l13 * math.sin(t12) * math.sin(t13) * math.cos(t23)
+        - l14 * math.sin(t12) * math.sin(t14) * math.cos(t24)
+        + l34 * math.sin(t12) * math.sin(t34)
+        - l24 * math.sin(t12) * math.sin(t24) * math.cos(t14)
+        - l23 * math.sin(t12) * math.sin(t23) * math.cos(t13)
+    )
+
+
+def reference_tecnicofinale_gap(angles):
+    """``tecnicofinale_gap`` as written before its terms were shared."""
+    t12, t13, t14, _, t24, t23 = angles
+    lhs = (
+        math.cos(t12) * (math.cos(t13) * math.cos(t23) + math.cos(t14) * math.cos(t24))
+        + math.cos(t13) * math.cos(t24)
+        + math.cos(t14) * math.cos(t23)
+    )
+    rhs = math.sin(t12) * (math.sin(t13 + t23) + math.sin(t14 + t24))
+    return lhs - rhs
+
+
+def reference_lemma_gaps(angles):
+    """``lemma_gaps`` as written before its terms were shared."""
+    t12, t13, t14, _, t24, t23 = angles
+    cross = math.cos(t13) * math.cos(t24) + math.cos(t14) * math.cos(t23)
+    g1 = cross - 2.0 * math.sin(0.5 * t12)
+    g2 = cross - (1.0 - math.sin(math.pi / 12.0))
+    g3 = (
+        math.cos(t12) * (math.cos(t13) * math.cos(t23) + math.cos(t14) * math.cos(t24))
+        - math.sin(t12) * (math.sin(t13 + t23) + math.sin(t14 + t24))
+        + 2.0 * math.sin(0.5 * t12)
+    )
+    return g1, g2, g3
+
+
+class TestSharedTermsMatchReference:
+    def test_bitwise_on_criterion_8_rows(self):
+        # the 10^4 rows of criterion 8, longest edge first, from the batch
+        # conversion (bitwise the scalar one that criterion 8 uses)
+        floor = regular_volume_l0()
+        rows = np.array(sample_O_batch(np.random.default_rng(108), 10_000,
+                                       constraint="volume_floor", floor=floor))
+        lengths = angles_to_lengths_batch(rows)
+        got, expected = [], []
+        for a, l in zip(rows, lengths):
+            front = domain._EDGE_IMAGES[permutation_moving_edge_to_front(int(np.argmax(l)))]
+            tet = Tetrahedron(tuple(a[front].tolist()), tuple(l[front].tolist()), 0.0)
+            got.append((key_bracket(tet), tecnicofinale_gap(tet.angles), *lemma_gaps(tet.angles)))
+            expected.append((reference_key_bracket(tet), reference_tecnicofinale_gap(tet.angles),
+                             *reference_lemma_gaps(tet.angles)))
+        assert np.array(got).tobytes() == np.array(expected).tobytes()

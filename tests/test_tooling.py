@@ -43,6 +43,7 @@ def test_import_loads_no_scipy():
 
 
 START = "0.7,0.7,0.8,0.7,0.7,0.8"
+FLOW = "0.9,0.8,0.7,0.9,0.8,0.7"
 
 
 @pytest.mark.parametrize(
@@ -73,6 +74,23 @@ START = "0.7,0.7,0.8,0.7,0.7,0.8"
          "error: dt must be positive\n"),
         (["volume", "--angles", "nan,0.5,0.5,0.5,0.5,0.5"], 1,
          "error: angles: non-finite entries in array([nan, 0.5, 0.5, 0.5, 0.5, 0.5])\n"),
+        # non-finite flow and campaign arguments, rejected before any step or draw
+        (["flow", "--lengths", FLOW, "--ell", "0.3", "--dt", "nan"], 1,
+         "error: dt must be finite, got nan\n"),
+        (["flow", "--lengths", FLOW, "--ell", "0.3", "--dt", "inf"], 1,
+         "error: dt must be finite, got inf\n"),
+        (["flow", "--lengths", FLOW, "--ell", "nan", "--json"], 1,
+         "error: ell_floor must be finite, got nan\n"),
+        (["verify", "theorem", "--ell", "0.3", "--samples", "3", "--tol", "nan"], 1,
+         "error: tol must be finite and nonnegative, got nan\n"),
+        (["verify", "theorem", "--ell", "0.3", "--samples", "3", "--tol", "inf"], 1,
+         "error: tol must be finite and nonnegative, got inf\n"),
+        (["verify", "theorem", "--ell", "0.3", "--samples", "3", "--tol=-1e-9"], 1,
+         "error: tol must be finite and nonnegative, got -1e-09\n"),
+        (["verify", "theorem", "--ell", "nan"], 1, "error: ell must be finite, got nan\n"),
+        (["verify", "anglesum", "--sum", "nan"], 1, "error: theta_sum must be finite, got nan\n"),
+        (["sample", "--constraint", "volume_floor", "--floor", "nan"], 1,
+         "error: volume floor must be finite, got nan\n"),
     ],
 )
 def test_cli_prints_no_runtime_warning(argv, code, stderr):

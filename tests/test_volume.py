@@ -23,6 +23,7 @@ from trunctet import (
     ushijima_intermediates,
     ushijima_volume,
 )
+import trunctet.volume as volume_module
 from trunctet.errors import EvaluationError
 from trunctet.indexing import VERTEX_EDGES
 from trunctet.specfun import dilog
@@ -55,6 +56,26 @@ class TestGram:
         assert np.allclose(np.abs(g), 1.0)
         assert gram_det(np.zeros(6)) == pytest.approx(np.linalg.det(g), abs=1e-12)
         assert gram_det(np.zeros(6)) == pytest.approx(-16.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ushijima_layout_on_asymmetric_rows(self, seed):
+        # vertex 1 carries t12, t13, t14 in row 0, and (0, 3) holds t23, the
+        # edge opposite to t14: a layout that swaps t14 and t23 turns the
+        # determinant's vertex triples into face triples
+        rows = [(0.0, 0.0, 0.0, math.pi / 2, math.pi / 2, math.pi / 2)]
+        rows += list(sample_O_batch(np.random.default_rng(seed), 20))
+        for angles in rows:
+            c12, c13, c14, c34, c24, c23 = np.cos(angles)
+            expected = np.array([
+                [1.0, -c12, -c13, -c23],
+                [-c12, 1.0, -c14, -c24],
+                [-c13, -c14, 1.0, -c34],
+                [-c23, -c24, -c34, 1.0],
+            ])
+            g = gram(angles)
+            assert g.tobytes() == expected.tobytes()
+            assert gram_det(angles) == pytest.approx(np.linalg.det(g), abs=1e-12)
+        assert gram_det(rows[0]) == pytest.approx(-4.0, abs=1e-12)
 
 
 class TestIntermediates:
@@ -199,6 +220,80 @@ class TestVolumeRows:
             ushijima_volume(np.array([REGULAR, (math.nan,) * 6]))
         with pytest.raises(EvaluationError):
             ushijima_volume(np.zeros((3, 5)))
+
+    def test_huge_finite_row_fails_the_closure_test_quietly(self):
+        # its vertex sums overflow to inf, which fails the closure test; the
+        # suite turns a numpy overflow warning into an error
+        with pytest.raises(EvaluationError, match=r"^row 0, .*: outside the closure") as raised:
+            ushijima_volume(np.array([(1e308,) * 6]))
+        assert raised.value.diagnostics == {"row": 0}
+
+
+def volume_error(angles):
+    """The EvaluationError that ``ushijima_volume(angles)`` raises, or None."""
+    try:
+        with np.errstate(invalid="ignore"):  # inf - inf under an infinite clausen
+            ushijima_volume(angles)
+    except EvaluationError as exc:
+        return exc
+    return None
+
+
+class TestVolumeGuards:
+    """The guards of the evaluated volume, forced through module attributes:
+    a 6-vector raises the error of its one-row batch without the row prefix
+    and without the ``row`` diagnostic, and a batch raises at its first
+    failing row, named by its global index."""
+
+    FORCED = {
+        "degenerate configuration: vanishing denominator in the volume formula":
+            ("_DENOMINATOR_GUARD", 10.0),
+        "non-finite volume": ("clausen", lambda x: 0.0 * x + math.inf),
+        "volume is negative beyond round-off": ("_NEGATIVE_VOLUME_CLAMP", 10.0),
+    }
+
+    @staticmethod
+    def rows():
+        rows = TestVolumeRows.rows()
+        return np.concatenate([rows[:2000:25], rows[-8:]])
+
+    @pytest.mark.parametrize("message", list(FORCED))
+    def test_vector_error_is_the_row_error(self, message, monkeypatch):
+        rows = self.rows()
+        # the flat rows, whose volume is 0, pass the first two guards only
+        flat = [i for i, row in enumerate(rows) if ushijima_volume(tuple(row)) == 0.0]
+        monkeypatch.setattr(volume_module, *self.FORCED[message])
+        failed = []
+        for i, row in enumerate(rows):
+            vector, single = volume_error(tuple(row)), volume_error(row[None, :])
+            assert (vector is None) == (single is None), i
+            if vector is None:
+                continue
+            failed.append(i)
+            assert str(vector) == message
+            assert str(single) == f"row 0, angles {row!r}: {message}"
+            expected = {"row": 0, **vector.diagnostics}
+            if "volume" in expected:
+                # the paths' volumes may differ in the last bit (scalar clausen)
+                assert abs(single.diagnostics["volume"] - expected["volume"]) < 1e-13
+                expected["volume"] = single.diagnostics["volume"]
+            assert single.diagnostics == expected
+        assert flat and len(failed) == len(rows) - (0 if "negative" in message else len(flat))
+        batch, single = volume_error(rows), volume_error(rows[failed[0]][None, :])
+        assert str(batch) == str(single).replace("row 0", f"row {failed[0]}", 1)
+        assert batch.diagnostics == {**single.diagnostics, "row": failed[0]}
+
+    @pytest.mark.parametrize("attr, value", [("_DENOMINATOR_GUARD", 6.0),
+                                             ("_NEGATIVE_VOLUME_CLAMP", 3.1)])
+    def test_batch_names_the_global_row(self, attr, value, monkeypatch):
+        # the regular rows pass (|denominator| 6.62, volume 3.23), the
+        # ASYMMETRIC ones fail (5.66, 3.01); 5000 rows are two blocks
+        monkeypatch.setattr(volume_module, attr, value)
+        rows = np.tile(REGULAR, (5000, 1))
+        rows[[4500, 4700]] = ASYMMETRIC
+        error = volume_error(rows)
+        assert str(error).startswith("row 4500, ") and error.diagnostics["row"] == 4500
+        assert volume_error(ASYMMETRIC) is not None and volume_error(REGULAR) is None
 
 
 def reference_terms(rows):
