@@ -52,12 +52,32 @@ def _tetrahedron_from_args(args):
     raise UsageError("provide either --angles or --lengths")
 
 
+def _json_value(obj):
+    # records in a payload become JSON only when it is printed, so a table
+    # printed in its place never builds them
+    if isinstance(obj, extremal.Trajectory):
+        return {
+            "ell_floor": obj.ell_floor,
+            "dt": obj.dt,
+            "reason": obj.reason,
+            "points": [{"t": t, "tetrahedron": tet} for t, tet in obj.points],
+        }
+    return obj.to_json_dict()
+
+
 def _dump(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_value)
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+def _row(cells):
+    # one CSV line; 17 significant digits give back every double
+    return ",".join(c if isinstance(c, str) else f"{c:.17g}" for c in cells) + "\n"
+
+
+def _write(out, args, payload, table=None):
+    """Print the CSV ``table`` under the csv format, when the command has
+    one, and the JSON ``payload`` otherwise."""
+    out.write(table if args.format == "csv" and table is not None else _dump(payload) + "\n")
 
 
 def _add_vector_flags(parser):
@@ -68,10 +88,13 @@ def _add_vector_flags(parser):
     )
 
 
-def _add_output_flags(parser):
+def _add_output_flags(parser, default):
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="JSON output")
-    group.add_argument("--csv", action="store_true", help="CSV output")
+    group.add_argument(
+        "--json", action="store_const", const="json", dest="format", help="JSON output"
+    )
+    group.add_argument("--csv", action="store_const", const="csv", dest="format", help="CSV output")
+    parser.set_defaults(format=default)
 
 
 @functools.cache
@@ -87,15 +110,15 @@ def build_parser():
 
     p = sub.add_parser("convert", help="convert between angle and length charts")
     _add_vector_flags(p)
-    _add_output_flags(p)
+    _add_output_flags(p, "json")
 
     p = sub.add_parser("volume", help="volume of a tetrahedron")
     _add_vector_flags(p)
-    _add_output_flags(p)
+    _add_output_flags(p, "csv")
 
     p = sub.add_parser("grad", help="volume gradients in both charts")
     _add_vector_flags(p)
-    _add_output_flags(p)
+    _add_output_flags(p, "json")
 
     p = sub.add_parser("verify", help="sampling campaigns")
     p.add_argument("campaign", choices=["theorem", "anglesum"])
@@ -104,13 +127,13 @@ def build_parser():
     p.add_argument("--samples", type=int, default=DEFAULTS["samples"])
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p.add_argument("--tol", type=float, default=DEFAULTS["tol"])
-    _add_output_flags(p)
+    _add_output_flags(p, "json")
 
     p = sub.add_parser("flow", help="edge-shrinking deformation flow")
     _add_vector_flags(p)
     p.add_argument("--ell", type=float, required=True, help="edge length floor")
     p.add_argument("--dt", type=float, default=DEFAULTS["dt"])
-    _add_output_flags(p)
+    _add_output_flags(p, "csv")
 
     p = sub.add_parser("conjecture", help="exploratory conjecture probes")
     p.add_argument("name", choices=["prima", "prima2"])
@@ -118,16 +141,16 @@ def build_parser():
     p.add_argument("--ell", type=float, required=True)
     p.add_argument("--probes", type=int, default=1000)
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-    _add_output_flags(p)
+    _add_output_flags(p, "json")
 
     p = sub.add_parser("degenerate", help="flat degeneration path")
     p.add_argument("--steps", type=int, default=20)
-    _add_output_flags(p)
+    _add_output_flags(p, "csv")
 
     p = sub.add_parser("scan", help="volumes of the regular family")
     p.add_argument("--ells", help="comma-separated grid of edge lengths")
     p.add_argument("--grid", help="START:STOP:COUNT grid specification")
-    _add_output_flags(p)
+    _add_output_flags(p, "csv")
 
     p = sub.add_parser("sample", help="draw one admissible angle tuple")
     p.add_argument(
@@ -135,45 +158,31 @@ def build_parser():
     )
     p.add_argument("--floor", type=float, help="volume floor value")
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-    _add_output_flags(p)
+    _add_output_flags(p, "json")
 
     return parser
 
 
 def _cmd_convert(args, out):
     tet = _tetrahedron_from_args(args)
-    if args.csv:
-        out.write("l12,l13,l14,l34,l24,l23\n")
-        out.write(",".join(_fmt(l) for l in tet.lengths) + "\n")
-    else:
-        out.write(_dump(tet.to_json_dict()) + "\n")
+    _write(out, args, tet, "l12,l13,l14,l34,l24,l23\n" + _row(tet.lengths))
     return EXIT_OK
 
 
 def _cmd_volume(args, out):
     tet = _tetrahedron_from_args(args)
-    if args.json:
-        out.write(_dump(tet.to_json_dict()) + "\n")
-    else:
-        out.write(_fmt(tet.volume) + "\n")
+    _write(out, args, tet, _row([tet.volume]))
     return EXIT_OK
 
 
 def _cmd_grad(args, out):
     tet = _tetrahedron_from_args(args)
-    d_angles = schlafli.dvol_dangles(tet)
-    d_lengths = schlafli.dvol_dlengths(tet)
-    payload = {
-        "tetrahedron": tet.to_json_dict(),
-        "dvol_dangles": [float(_fmt(v)) for v in d_angles.values],
-        "dvol_dlengths": [float(_fmt(v)) for v in d_lengths.values],
-    }
-    if args.csv:
-        out.write("chart," + ",".join(f"e{i}" for i in range(1, 7)) + "\n")
-        out.write("angles," + ",".join(_fmt(v) for v in d_angles.values) + "\n")
-        out.write("lengths," + ",".join(_fmt(v) for v in d_lengths.values) + "\n")
-    else:
-        out.write(_dump(payload) + "\n")
+    d_angles = schlafli.dvol_dangles(tet).values
+    d_lengths = schlafli.dvol_dlengths(tet).values
+    payload = {"tetrahedron": tet, "dvol_dangles": d_angles, "dvol_dlengths": d_lengths}
+    table = _row(["chart", *(f"e{i}" for i in range(1, 7))])
+    table += _row(["angles", *d_angles]) + _row(["lengths", *d_lengths])
+    _write(out, args, payload, table)
     return EXIT_OK
 
 
@@ -192,27 +201,13 @@ def _cmd_verify(args, out):
         )
     header = dict(DEFAULTS)
     header.update({"samples": args.samples, "seed": args.seed, "tol": args.tol})
-    payload = {"defaults": header, "report": report.to_json_dict()}
-    out.write(_dump(payload) + "\n")
+    _write(out, args, {"defaults": header, "report": report})
     return EXIT_OK if report.failures == 0 else EXIT_CAMPAIGN_FAILED
 
 
 def _cmd_flow(args, out):
-    tet = _tetrahedron_from_args(args)
-    traj = extremal.deformation_flow(tet, args.ell, dt=args.dt)
-    if args.json:
-        payload = {
-            "ell_floor": traj.ell_floor,
-            "dt": traj.dt,
-            "reason": traj.reason,
-            "points": [
-                {"t": float(_fmt(t)), "tetrahedron": tt.to_json_dict()}
-                for t, tt in traj.points
-            ],
-        }
-        out.write(_dump(payload) + "\n")
-    else:
-        out.write(traj.to_csv())
+    traj = extremal.deformation_flow(_tetrahedron_from_args(args), args.ell, dt=args.dt)
+    _write(out, args, traj, traj.to_csv())
     return EXIT_OK
 
 
@@ -222,12 +217,11 @@ def _cmd_conjecture(args, out):
     tet = _tetrahedron_from_args(args)
     if args.name == "prima":
         holds, margin = extremal.conjecture_prima_test(tet, args.ell)
-        indeterminate = bool(abs(margin) < extremal.INDETERMINATE_BAND)
         payload = {
             "conjecture": "prima",
             "holds": bool(holds),
-            "margin": float(_fmt(margin)),
-            "indeterminate": indeterminate,
+            "margin": margin,
+            "indeterminate": bool(abs(margin) < extremal.INDETERMINATE_BAND),
         }
     else:
         nonempty, witness = extremal.conjecture_prima2_test(
@@ -237,24 +231,17 @@ def _cmd_conjecture(args, out):
             "conjecture": "prima2",
             "nonempty": bool(nonempty),
             "inconclusive": not nonempty,
-            "witness": witness.to_json_dict() if witness else None,
+            "witness": witness,
         }
-    out.write(_dump(payload) + "\n")
+    _write(out, args, payload)
     return EXIT_OK
 
 
 def _cmd_degenerate(args, out):
     path = extremal.degeneration_path(args.steps)
-    if args.json:
-        payload = [
-            {"angles": [float(_fmt(a)) for a in angles], "volume": float(_fmt(v))}
-            for angles, v in path
-        ]
-        out.write(_dump(payload) + "\n")
-    else:
-        out.write("t12,t13,t14,t34,t24,t23,volume\n")
-        for angles, v in path:
-            out.write(",".join(_fmt(a) for a in angles) + "," + _fmt(v) + "\n")
+    payload = [{"angles": angles, "volume": v} for angles, v in path]
+    table = "t12,t13,t14,t34,t24,t23,volume\n" + "".join(_row([*a, v]) for a, v in path)
+    _write(out, args, payload, table)
     return EXIT_OK
 
 
@@ -271,13 +258,8 @@ def _cmd_scan(args, out):
         flag = f"--ells {args.ells!r}" if args.ells else f"--grid {args.grid!r}"
         raise UsageError(f"bad {flag}: {exc}") from exc
     rows = extremal.regular_volume_scan(grid)
-    if args.json:
-        payload = [{"ell": float(_fmt(e)), "volume": float(_fmt(v))} for e, v in rows]
-        out.write(_dump(payload) + "\n")
-    else:
-        out.write("ell,volume\n")
-        for e, v in rows:
-            out.write(_fmt(e) + "," + _fmt(v) + "\n")
+    payload = [{"ell": e, "volume": v} for e, v in rows]
+    _write(out, args, payload, "ell,volume\n" + "".join(_row(row) for row in rows))
     return EXIT_OK
 
 
@@ -285,9 +267,7 @@ def _cmd_sample(args, out):
     if args.constraint == "volume_floor" and args.floor is None:
         raise UsageError("--constraint volume_floor requires --floor")
     rng = np.random.default_rng(args.seed)
-    angles = sample_O(rng, args.constraint, floor=args.floor)
-    tet = Tetrahedron.from_angles(angles)
-    out.write(_dump(tet.to_json_dict()) + "\n")
+    _write(out, args, Tetrahedron.from_angles(sample_O(rng, args.constraint, floor=args.floor)))
     return EXIT_OK
 
 
@@ -304,20 +284,27 @@ _HANDLERS = {
 }
 
 
-#: flags whose value is a comma-separated vector
-_VECTOR_FLAGS = ("--angles", "--lengths")
+#: the flags that take no value
+_SWITCHES = ("--degrees", "--json", "--csv", "--help")
 
 #: a value that starts with a minus sign, which argparse would take for an
-#: option unless it is a single number
+#: option unless it is a single number in plain notation
 _NEGATIVE_VALUE = re.compile(r"-[\d.]")
 
 
-def _join_vector_values(argv):
-    # "--lengths -0.7,..." as "--lengths=-0.7,...", the one form argparse
-    # reads when the vector starts with a negative value
+def _takes_value(token):
+    # a long flag, or an abbreviation argparse accepts, other than a switch
+    return token.startswith("--") and "=" not in token and not any(
+        switch.startswith(token) for switch in _SWITCHES
+    )
+
+
+def _join_negative_values(argv):
+    # "--tol -1e-3" as "--tol=-1e-3", the one form argparse reads when a
+    # flag's value starts with a minus sign and is not a plain number
     joined = []
     for token in argv:
-        if joined and joined[-1] in _VECTOR_FLAGS and _NEGATIVE_VALUE.match(token):
+        if joined and _takes_value(joined[-1]) and _NEGATIVE_VALUE.match(token):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -329,7 +316,7 @@ def main(argv=None, out=None, err=None):
     err = err or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_vector_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

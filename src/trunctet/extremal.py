@@ -4,6 +4,7 @@ family scan, flat degenerations, and exploratory tests for the open
 conjectures.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -32,25 +33,30 @@ TERMINATED_BUDGET = "budget"
 CSV_HEADER = "t,l12,l13,l14,l34,l24,l23,volume"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled deformation path: (t, tetrahedron) pairs with metadata."""
+    """Sampled deformation path: the times ``t`` (n,), ``angles`` and
+    ``lengths`` (n, 6) and ``volumes`` (n,) of its n points, with metadata.
+    Trajectories compare by identity; compare their ``points`` instead."""
 
-    points: tuple
+    t: np.ndarray
+    angles: np.ndarray
+    lengths: np.ndarray
+    volumes: np.ndarray
     ell_floor: float
     dt: float
     reason: str
 
-    @property
-    def volumes(self):
-        return [tet.volume for _, tet in self.points]
+    @functools.cached_property
+    def points(self):
+        """The (t, Tetrahedron) pairs of the path, built on first use."""
+        fields = (f.tolist() for f in (self.t, self.angles, self.lengths, self.volumes))
+        return tuple((t, Tetrahedron(tuple(a), tuple(l), v)) for t, a, l, v in zip(*fields))
 
     def to_csv(self):
         lines = [CSV_HEADER]
-        for t, tet in self.points:
-            cells = [f"{t:.17g}"] + [f"{l:.17g}" for l in tet.lengths]
-            cells.append(f"{tet.volume:.17g}")
-            lines.append(",".join(cells))
+        for row in np.column_stack([self.t, self.lengths, self.volumes]).tolist():
+            lines.append(",".join(f"{x:.17g}" for x in row))
         return "\n".join(lines) + "\n"
 
 
@@ -230,7 +236,7 @@ def _flow_blocks(current, dt, max_steps):
 
 def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
     """Shrink the maximal-length edges in lockstep until the tetrahedron is
-    regular, recording one tetrahedron per step.
+    regular, recording the angles, lengths and volume of every step.
 
     Each segment lowers the tied set of longest edges until it merges with
     the second-largest value; the tied set then grows and the process
@@ -244,8 +250,8 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
     path is built ahead of its evaluation, in blocks of up to ``_FLOW_BLOCK``
     rows that run across segment ends. Each block is decided by one batch
     ``chart_angles`` call and evaluated by one batch volume call up to its
-    first row outside the chart; memory is bounded by one block whatever
-    ``dt`` and ``max_steps`` are.
+    first row outside the chart. The path is returned as arrays; records
+    are built only when ``Trajectory.points`` is read.
     """
     dt, ell_floor = domain.as_finite(dt, "dt"), domain.as_finite(ell_floor, "ell_floor")
     if dt <= 0:
@@ -255,24 +261,25 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
             f"start tetrahedron has min length {start.min_length:.6g} below "
             f"the floor {ell_floor:.6g}"
         )
-    points = [(0.0, start)]
-
-    def finish(reason):
-        return Trajectory(tuple(points), ell_floor, dt, reason)
-
-    t_global = 0.0
-    steps = 0
-    for rows, increments in _flow_blocks(np.asarray(start.lengths, dtype=float), dt, max_steps):
-        angles, ok = convert.chart_angles(rows)
+    # the start and each block's rows up to its first outside the chart
+    angles, lengths = [np.array([start.angles])], [np.array([start.lengths])]
+    vols, increments = [np.array([start.volume])], [0.0]
+    for rows, block_increments in _flow_blocks(lengths[0][0], dt, max_steps):
+        block_angles, ok = convert.chart_angles(rows)
         inside = len(ok) if ok.all() else int(ok.argmin())
-        vols = volume.ushijima_volume(angles[:inside]).tolist()
-        for a, l, v, increment in zip(angles.tolist(), rows.tolist(), vols, increments):
-            t_global = t_global + increment
-            points.append((t_global, Tetrahedron(tuple(a), tuple(l), v)))
+        angles.append(block_angles[:inside])
+        lengths.append(rows[:inside])
+        vols.append(volume.ushijima_volume(block_angles[:inside]))
+        increments += block_increments[:inside]
         if inside < len(ok):
-            return finish(TERMINATED_BOUNDARY)
-        steps += inside
-    return finish(TERMINATED_BUDGET if steps >= max_steps else TERMINATED_REGULAR)
+            reason = TERMINATED_BOUNDARY
+            break
+    else:
+        # increments holds the start's 0 and one entry per step
+        reason = TERMINATED_BUDGET if len(increments) > max_steps else TERMINATED_REGULAR
+    # accumulate adds left to right: t holds the bits of a running sum
+    arrays = (np.concatenate(parts) for parts in (angles, lengths, vols))
+    return Trajectory(np.cumsum(increments), *arrays, ell_floor, dt, reason)
 
 
 # --- campaigns -----------------------------------------------------------

@@ -77,11 +77,7 @@ class Tetrahedron:
         )
 
     def to_json_dict(self):
-        return {
-            "angles": [float(f"{x:.17g}") for x in self.angles],
-            "lengths": [float(f"{x:.17g}") for x in self.lengths],
-            "volume": float(f"{self.volume:.17g}"),
-        }
+        return {"angles": list(self.angles), "lengths": list(self.lengths), "volume": self.volume}
 
     @classmethod
     def from_json_dict(cls, record):

@@ -138,6 +138,55 @@ class TestOtherSubcommands:
         assert json.loads(out)["holds"] is True
 
 
+A = "0.4,0.5,0.3,0.45,0.35,0.5"
+
+
+def csv_rows(text):
+    # the numbers of each row below the header; grad's rows start with a label
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    return [[float(c) for c in row if c not in ("angles", "lengths")] for row in rows]
+
+
+class TestOneOutputPath:
+    @pytest.mark.parametrize(
+        "argv, default, rows",
+        [
+            (["convert", "--angles", A], "--json", lambda r: [r["lengths"]]),
+            (["grad", "--angles", A], "--json", lambda r: [r["dvol_dangles"], r["dvol_dlengths"]]),
+            (["flow", "--lengths", "0.9,0.8,0.7,0.9,0.8,0.7", "--ell", "0.3", "--dt", "0.01"],
+             "--csv",
+             lambda r: [[p["t"], *p["tetrahedron"]["lengths"], p["tetrahedron"]["volume"]]
+                        for p in r["points"]]),
+            (["degenerate", "--steps", "5"], "--csv", lambda r: [[*p["angles"], p["volume"]] for p in r]),
+            (["scan", "--ells", "0.3,0.5,1"], "--csv", lambda r: [[p["ell"], p["volume"]] for p in r]),
+        ],
+    )
+    def test_table_and_payload_carry_the_same_numbers(self, argv, default, rows):
+        code, table, _ = run(argv + ["--csv"])
+        assert code == 0
+        code, payload, _ = run(argv + ["--json"])
+        assert code == 0
+        assert csv_rows(table) == rows(json.loads(payload))
+        assert run(argv) == run(argv + [default])
+
+    def test_volume_prints_its_table(self):
+        argv = ["volume", "--angles", A]
+        assert run(argv) == run(argv + ["--csv"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "theorem", "--ell", "0.3", "--samples", "20", "--seed", "3"],
+            ["conjecture", "prima", "--angles", A, "--ell", "0.3"],
+            ["sample", "--constraint", "acute", "--seed", "3"],
+        ],
+    )
+    def test_commands_without_a_table_print_json(self, argv):
+        code, out, _ = run(argv)
+        assert code == 0 and json.loads(out)
+        assert run(argv + ["--csv"]) == run(argv + ["--json"]) == (code, out, "")
+
+
 class TestErrorsAndDeterminism:
     def test_malformed_vector(self):
         code, _, err = run(["volume", "--angles", "1,2,3"])
@@ -162,6 +211,25 @@ class TestErrorsAndDeterminism:
             assert code == 2 and "numerical error" in err
         # an option after a vector flag is still an option
         assert run(["volume", "--angles", "--degrees"])[0] == 1
+
+    def test_negative_values_in_scientific_notation(self, capsys):
+        # "-1e-3" is no plain number to argparse; after any flag that takes
+        # a value it reads as the "=" form does
+        lengths = "0.9,0.8,0.7,0.9,0.8,0.7"
+        for argv in (["verify", "theorem", "--ell", "0.3", "--samples", "3", "--tol"],
+                     ["verify", "anglesum", "--samples", "3", "--sum"],
+                     ["verify", "theorem", "--samples", "3", "--ell"],
+                     ["flow", "--lengths", lengths, "--ell", "0.3", "--dt"],
+                     ["sample", "--constraint", "volume_floor", "--floor"]):
+            separate = run(argv + ["-1e-3"]), capsys.readouterr()
+            joined = run(argv[:-1] + [argv[-1] + "=-1e-3"]), capsys.readouterr()
+            assert separate == joined
+            assert "expected one argument" not in separate[1].err
+        # a switch takes no value, so a number after it is not joined to it
+        for switch in ("--json", "--csv", "--degrees"):
+            code, _, _ = run(["volume", "--angles", PI6, switch, "-1e-3"])
+            assert code == 1
+            assert "unrecognized arguments: -1e-3" in capsys.readouterr().err
 
     def test_negative_counts_are_usage_errors(self):
         for argv in (["verify", "theorem", "--ell", "0.3", "--samples", "-5"],

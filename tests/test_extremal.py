@@ -36,7 +36,6 @@ from trunctet.extremal import (
     TERMINATED_BUDGET,
     TERMINATED_REGULAR,
     TIE_TOL,
-    Trajectory,
     VerificationReport,
 )
 from trunctet.tetra import _BATCH
@@ -400,6 +399,38 @@ class TestDeformationFlow:
         assert len(lines) == 1 + len(traj.points)
         assert len(lines[1].split(",")) == 8
 
+    def test_records_are_made_on_demand(self, monkeypatch):
+        start = floor_start(64)
+        argv = ["flow", "--lengths", ",".join(map(repr, start.lengths)), "--ell", "0.3"]
+        built = []
+        init = Tetrahedron.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tetrahedron, "__init__", counting_init)
+        traj = deformation_flow(start, 0.3)
+        assert built == []
+        points = traj.points
+        assert len(built) == len(points) == len(traj.t) > 100
+        assert traj.points is points and len(built) == len(points)
+        # the start's record is rebuilt, equal to it
+        assert points[0] == (0.0, start) and points[0][1] is not start
+        lines = [CSV_HEADER]
+        for t, tet in points:
+            lines.append(",".join(f"{x:.17g}" for x in (t, *tet.lengths, tet.volume)))
+        assert traj.to_csv() == "\n".join(lines) + "\n"
+        # the CSV of the command line builds the start's record alone
+        built.clear()
+        out = io.StringIO()
+        assert cli.main(argv, out=out) == 0
+        assert built == [1]
+        assert out.getvalue() == traj.to_csv()
+        built.clear()
+        assert cli.main(argv + ["--json"], out=io.StringIO()) == 0
+        assert len(built) == 1 + len(points)
+
     def test_rejects_bad_inputs(self):
         tet = regular_from_length(0.7)
         with pytest.raises(InvalidArgumentError):
@@ -417,7 +448,8 @@ class TestDeformationFlow:
 
 def reference_flow(start, ell_floor, dt=1e-3, max_steps=200_000):
     """The per-step loop the batch flow replaced: one chart test and one
-    scalar volume per step."""
+    scalar volume per step. Returns the (t, Tetrahedron) pairs and the
+    termination reason."""
     points = [(0.0, start)]
     current = np.asarray(start.lengths, dtype=float)
     t_global = 0.0
@@ -457,7 +489,7 @@ def reference_flow(start, ell_floor, dt=1e-3, max_steps=200_000):
         current[tied] = second
     else:
         reason = TERMINATED_BUDGET
-    return Trajectory(tuple(points), float(ell_floor), float(dt), reason)
+    return tuple(points), reason
 
 
 def criterion_9_starts(n):
@@ -474,10 +506,11 @@ def criterion_9_starts(n):
 
 def assert_same_flow(got, expected):
     # reasons, steps, t, lengths and angles bitwise; volumes from the batch
-    # evaluation
-    assert got.reason == expected.reason
-    assert len(got.points) == len(expected.points)
-    for (t_got, g), (t_exp, e) in zip(got.points, expected.points):
+    # evaluation. ``expected`` is a reference_flow result
+    points, reason = expected
+    assert got.reason == reason
+    assert len(got.points) == len(points)
+    for (t_got, g), (t_exp, e) in zip(got.points, points):
         assert t_got == t_exp
         assert g.lengths == e.lengths
         assert g.angles == e.angles
@@ -496,10 +529,10 @@ class TestFlowMatchesPerStepLoop:
         for index in (0, 1, 68, 130):
             expected = reference_flow(starts[index], 0.3, dt=1e-2)
             assert_same_flow(deformation_flow(starts[index], 0.3, dt=1e-2), expected)
-            reasons.append(expected.reason)
+            reasons.append(expected[1])
         assert reasons == ["regular", "regular", "boundary", "boundary"]
         # the step that finds the boundary counts towards max_steps
-        boundary_step = len(expected.points)
+        boundary_step = len(expected[0])
         for max_steps, reason in ((boundary_step, "boundary"), (boundary_step - 1, "budget")):
             got = deformation_flow(starts[130], 0.3, dt=1e-2, max_steps=max_steps)
             assert_same_flow(got, reference_flow(starts[130], 0.3, 1e-2, max_steps))
@@ -511,10 +544,11 @@ class TestFlowMatchesPerStepLoop:
         start = criterion_9_starts(4)[3]
         dt = 5e-4
         full = reference_flow(start, 0.3, dt=dt)
-        steps = len(full.points) - 1
-        assert full.reason == "regular"
+        full_points, full_reason = full
+        steps = len(full_points) - 1
+        assert full_reason == "regular"
         assert steps > 2 * _FLOW_BLOCK
-        counts = [tet.maximal_edge_count() for _, tet in full.points]
+        counts = [tet.maximal_edge_count() for _, tet in full_points]
         ends = [i for i in range(1, len(counts)) if counts[i] > counts[i - 1]]
         assert any(end % _FLOW_BLOCK for end in ends[:-1])
         block_ends = range(_FLOW_BLOCK, steps + 1, _FLOW_BLOCK)
@@ -522,16 +556,15 @@ class TestFlowMatchesPerStepLoop:
         # the per-step loop cut after max_steps steps is its first max_steps
         # steps, ended by the budget
         cut = _FLOW_BLOCK + 1
-        expected = reference_flow(start, 0.3, dt, max_steps=cut)
-        assert expected.points == full.points[: cut + 1]
-        assert expected.reason == "budget"
+        expected_points, expected_reason = reference_flow(start, 0.3, dt, max_steps=cut)
+        assert expected_points == full_points[: cut + 1]
+        assert expected_reason == "budget"
         for max_steps in sorted(cuts):
             got = deformation_flow(start, 0.3, dt=dt, max_steps=max_steps)
             if max_steps > steps:
                 assert_same_flow(got, full)
             else:
-                expected = Trajectory(full.points[: max_steps + 1], 0.3, dt, "budget")
-                assert_same_flow(got, expected)
+                assert_same_flow(got, (full_points[: max_steps + 1], "budget"))
 
     def test_volumes_are_the_rows_evaluated_alone(self):
         # a row's batch volume does not depend on its block or its offset
