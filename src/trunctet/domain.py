@@ -23,7 +23,10 @@ ALL_PERMUTATIONS = tuple(itertools.permutations((1, 2, 3, 4)))
 
 def as_vector(values, name="vector"):
     """Validate and return a 6-vector as a float ndarray."""
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"{name}: expected 6 numbers, got {values!r}") from exc
     if arr.shape != (6,):
         raise InvalidArgumentError(f"{name}: expected 6 entries, got shape {arr.shape}")
     if not all(map(math.isfinite, arr.tolist())):  # on 6 entries, faster than numpy
@@ -35,7 +38,7 @@ def as_finite(value, name, nonnegative=False):
     """Validate and return a finite number, nonnegative if asked, as a float."""
     if not math.isfinite(value) or (nonnegative and value < 0):
         bounds = "finite and nonnegative" if nonnegative else "finite"
-        raise InvalidArgumentError(f"{name} must be {bounds}, got {value!r}")
+        raise InvalidArgumentError(f"{name} must be {bounds}, got {float(value)!r}")
     return float(value)
 
 
@@ -53,20 +56,10 @@ def in_O(angles, strict=True, tol=0.0):
     """Membership in the angle polytope (its closure when strict=False).
 
     ``tol`` loosens every inequality by the given amount; it is used by
-    callers that must absorb round-trip noise near the boundary. Plain
-    floats, because this runs once per volume and per flow step, where
-    numpy's per-call overhead would dominate.
+    callers that must absorb round-trip noise near the boundary. The input
+    is validated by ``as_vector``.
     """
-    if isinstance(angles, np.ndarray):
-        if angles.shape != (6,):
-            raise InvalidArgumentError(f"angles: expected 6 entries, got shape {angles.shape}")
-        angles = angles.tolist()
-    try:
-        xs = tuple(map(float, angles))
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"angles: expected 6 numbers, got {angles!r}") from exc
-    if len(xs) != 6 or not all(map(math.isfinite, xs)):
-        raise InvalidArgumentError(f"angles: expected 6 finite entries, got {angles!r}")
+    xs = as_vector(angles, "angles").tolist()
     sums = _vertex_sums(xs)
     if strict:
         return min(xs) > -tol and max(sums) < math.pi + tol

@@ -194,15 +194,14 @@ def _record_rows(report, reference, tol, angles, lengths, vols):
 _FLOW_BLOCK = 512
 
 
-def _flow_blocks(current, dt, max_steps):
-    # the candidate length rows of the first max_steps steps of the flow
-    # from the lengths ``current``, with the t increment of each step, in
-    # blocks of at most _FLOW_BLOCK rows filled from as many segments as it
-    # takes. Each segment lowers the tied set of longest edges from lmax to
-    # the second-largest value in steps of dt and ends on it exactly, so the
+def _flow_schedule(current, dt, max_steps):
+    # the length rows (n, 6) of the first n <= max_steps steps of the flow
+    # from the lengths ``current``, with the t increment (n,) of each step.
+    # Each segment lowers the tied set of longest edges from lmax to the
+    # second-largest value in steps of dt and ends on it exactly, so the
     # whole schedule follows from the start lengths
-    current = current.copy()
-    block, increments = np.empty((_FLOW_BLOCK, 6)), []
+    current = np.array(current, dtype=float)
+    rows, increments = [np.empty((0, 6))], [np.empty(0)]
     while max_steps > 0:
         lmax = float(current.max())
         lmin = float(current.min())
@@ -213,25 +212,15 @@ def _flow_blocks(current, dt, max_steps):
         seg_len = lmax - second
         if seg_len > TIE_TOL:
             n_sub = max(1, math.ceil(seg_len / dt))
-            last = min(n_sub, max_steps)
-            max_steps -= last
-            first = 0
-            while first < last:
-                held = len(increments)
-                take = min(_FLOW_BLOCK - held, last - first)
-                sub = np.arange(first + 1, first + take + 1)
-                shift = np.minimum(sub * dt, seg_len)
-                rows = block[held:held + take]
-                rows[:] = current
-                rows[:, tied] = np.where(sub == n_sub, second, lmax - shift)[:, None]
-                increments += (shift - np.minimum((sub - 1) * dt, seg_len)).tolist()
-                first += take
-                if len(increments) == _FLOW_BLOCK:
-                    yield block, increments
-                    block, increments = np.empty((_FLOW_BLOCK, 6)), []
+            sub = np.arange(1, min(n_sub, max_steps) + 1)
+            max_steps -= len(sub)
+            shift = np.minimum(sub * dt, seg_len)
+            segment = np.tile(current, (len(sub), 1))
+            segment[:, tied] = np.where(sub == n_sub, second, lmax - shift)[:, None]
+            rows.append(segment)
+            increments.append(shift - np.minimum((sub - 1) * dt, seg_len))
         current[tied] = second
-    if increments:
-        yield block[:len(increments)], increments
+    return np.concatenate(rows), np.concatenate(increments)
 
 
 def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
@@ -247,11 +236,12 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
     that finds the boundary counts as one).
 
     Every step's length row follows from the start lengths alone, so the
-    path is built ahead of its evaluation, in blocks of up to ``_FLOW_BLOCK``
-    rows that run across segment ends. Each block is decided by one batch
-    ``chart_angles`` call and evaluated by one batch volume call up to its
-    first row outside the chart. The path is returned as arrays; records
-    are built only when ``Trajectory.points`` is read.
+    whole schedule is built first and evaluated in blocks of ``_FLOW_BLOCK``
+    rows, each by one batch ``chart_angles`` call and one batch volume call
+    up to its first row outside the chart. The rows after a boundary exit
+    are built but never evaluated: at most ``max_steps`` rows, about 9.6 MB
+    at the default. The path is returned as arrays; records are built only
+    when ``Trajectory.points`` is read.
     """
     dt, ell_floor = domain.as_finite(dt, "dt"), domain.as_finite(ell_floor, "ell_floor")
     if dt <= 0:
@@ -261,25 +251,25 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
             f"start tetrahedron has min length {start.min_length:.6g} below "
             f"the floor {ell_floor:.6g}"
         )
-    # the start and each block's rows up to its first outside the chart
-    angles, lengths = [np.array([start.angles])], [np.array([start.lengths])]
-    vols, increments = [np.array([start.volume])], [0.0]
-    for rows, block_increments in _flow_blocks(lengths[0][0], dt, max_steps):
-        block_angles, ok = convert.chart_angles(rows)
+    rows, increments = _flow_schedule(start.lengths, dt, max_steps)
+    # the start and each block's angles and volumes up to its first row
+    # outside the chart
+    angles, vols = [np.array([start.angles])], [np.array([start.volume])]
+    steps = len(rows)
+    reason = TERMINATED_BUDGET if steps >= max_steps else TERMINATED_REGULAR
+    for first in range(0, len(rows), _FLOW_BLOCK):
+        block_angles, ok = convert.chart_angles(rows[first:first + _FLOW_BLOCK])
         inside = len(ok) if ok.all() else int(ok.argmin())
         angles.append(block_angles[:inside])
-        lengths.append(rows[:inside])
         vols.append(volume.ushijima_volume(block_angles[:inside]))
-        increments += block_increments[:inside]
         if inside < len(ok):
-            reason = TERMINATED_BOUNDARY
+            steps, reason = first + inside, TERMINATED_BOUNDARY
             break
-    else:
-        # increments holds the start's 0 and one entry per step
-        reason = TERMINATED_BUDGET if len(increments) > max_steps else TERMINATED_REGULAR
     # accumulate adds left to right: t holds the bits of a running sum
-    arrays = (np.concatenate(parts) for parts in (angles, lengths, vols))
-    return Trajectory(np.cumsum(increments), *arrays, ell_floor, dt, reason)
+    t = np.cumsum(np.concatenate([[0.0], increments[:steps]]))
+    lengths = np.concatenate([[start.lengths], rows[:steps]])
+    angles, vols = np.concatenate(angles), np.concatenate(vols)
+    return Trajectory(t, angles, lengths, vols, ell_floor, dt, reason)
 
 
 # --- campaigns -----------------------------------------------------------
@@ -370,13 +360,14 @@ def degeneration_path(steps):
 def conjecture_prima_test(tet, ell):
     """Average-angle regularization test: holds when the regular tetrahedron
     with the mean dihedral angle keeps its edge length above ell."""
+    ell = domain.as_finite(ell, "ell")
     theta_mean = sum(tet.angles) / 6.0
     if theta_mean >= math.pi / 3.0:
         raise DomainError(
             f"mean angle {theta_mean:.6g} has no regular tetrahedron"
         )
     regular = regular_from_angle(theta_mean)
-    margin = regular.lengths[0] - float(ell)
+    margin = regular.lengths[0] - ell
     return margin >= -MARGIN_TOL, margin
 
 
@@ -389,7 +380,7 @@ def conjecture_prima2_test(tet, ell, probes, seed):
     """
     if tet.is_regular():
         raise DomainError("conjecture requires a non-regular tetrahedron")
-    ell = float(ell)
+    ell = domain.as_finite(ell, "ell")
     orbit = np.array(
         [domain.permute(sigma, tet.angles) for sigma in domain.ALL_PERMUTATIONS]
     )

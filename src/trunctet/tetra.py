@@ -113,8 +113,8 @@ def regular_from_length(ell):
     than ``ROUND_TRIP_TOL``: near the flat limit theta -> pi/3 the length
     diverges, and from ell ~ 17 the rounding of cos theta shows in it.
     """
-    ell = float(ell)
-    if ell <= 0.0 or not math.isfinite(ell):
+    ell = domain.as_finite(ell, "regular length")
+    if ell <= 0.0:
         raise DomainError(f"regular length must be positive, got {ell!r}")
     # the ratio has rounded to 1/2 long before cosh would overflow
     ch = math.cosh(min(ell, 700.0))

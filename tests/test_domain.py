@@ -12,6 +12,7 @@ from trunctet import (
     L0,
     Tetrahedron,
     acute_constraints_hold,
+    angles_to_lengths,
     in_O,
     permute,
     regular_from_angle,
@@ -21,7 +22,7 @@ from trunctet import (
     ushijima_volume,
     vertex_sums,
 )
-from trunctet.domain import compose, in_O_mask
+from trunctet.domain import as_vector, compose, in_O_mask
 from trunctet.indexing import VERTEX_EDGES
 from trunctet.errors import (
     DomainError,
@@ -56,6 +57,26 @@ class TestInO:
             a, b = points[k], points[k + 1]
             t = rng.uniform()
             assert in_O(t * a + (1 - t) * b)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda v: as_vector(v, "angles"), in_O, angles_to_lengths, lambda v: permute((1, 2, 3, 4), v)],
+    ids=["as_vector", "in_O", "angles_to_lengths", "permute"],
+)
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (["a"] * 6, "expected 6 numbers"),
+        ([0.1, 0.2, [0.3, 0.4], 0.5, 0.6, 0.7], "expected 6 numbers"),
+        ([0.5] * 5, r"expected 6 entries, got shape \(5,\)"),
+        ([math.nan] + [0.5] * 5, "non-finite entries"),
+    ],
+    ids=["non-numeric", "ragged", "short", "nan"],
+)
+def test_malformed_vectors_raise_one_typed_error(call, values, message):
+    with pytest.raises(InvalidArgumentError, match=f"^angles: {message}"):
+        call(values)
 
 
 def per_vertex_in_O_mask(batch, strict=True, tol=0.0):

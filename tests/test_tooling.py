@@ -91,6 +91,14 @@ FLOW = "0.9,0.8,0.7,0.9,0.8,0.7"
         (["verify", "anglesum", "--sum", "nan"], 1, "error: theta_sum must be finite, got nan\n"),
         (["sample", "--constraint", "volume_floor", "--floor", "nan"], 1,
          "error: volume floor must be finite, got nan\n"),
+        (["conjecture", "prima", "--angles", "0.5,0.5,0.5,0.5,0.5,0.5", "--ell", "nan"], 1,
+         "error: ell must be finite, got nan\n"),
+        (["conjecture", "prima", "--angles", "0.5,0.5,0.5,0.5,0.5,0.5", "--ell", "inf"], 1,
+         "error: ell must be finite, got inf\n"),
+        (["conjecture", "prima2", "--angles", "0.5,0.5,0.5,0.5,0.5,0.4", "--ell", "nan"], 1,
+         "error: ell must be finite, got nan\n"),
+        (["scan", "--ells", "0.5,nan"], 1, "error: regular length must be finite, got nan\n"),
+        (["scan", "--grid", "0.1:nan:3"], 1, "error: regular length must be finite, got nan\n"),
     ],
 )
 def test_cli_prints_no_runtime_warning(argv, code, stderr):
