@@ -24,7 +24,7 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_CAMPAIGN_FAILED = 3
 
-DEFAULTS = {"tol": 1e-9, "dt": 1e-3, "samples": 10_000, "seed": 0}
+DEFAULTS = {"tol": extremal.MARGIN_TOL, "dt": extremal.DEFAULT_DT, "samples": 10_000, "seed": 0}
 
 
 class UsageError(Exception):

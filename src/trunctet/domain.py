@@ -9,6 +9,7 @@ sums equal to pi) are handled by the same predicates with ``strict=False``.
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -40,6 +41,17 @@ def as_finite(value, name, nonnegative=False):
         bounds = "finite and nonnegative" if nonnegative else "finite"
         raise InvalidArgumentError(f"{name} must be {bounds}, got {float(value)!r}")
     return float(value)
+
+
+def as_count(value, name):
+    """Validate and return a nonnegative integer count."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise InvalidArgumentError(f"{name} must be a nonnegative integer, got {value!r}")
+    return count
 
 
 def vertex_sums(angles):

@@ -11,7 +11,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import convert, domain, volume
+from . import convert, domain, tetra, volume
 from .errors import DomainError, InvalidArgumentError
 from .tetra import (
     TIE_TOL,
@@ -19,7 +19,6 @@ from .tetra import (
     regular_from_angle,
     regular_from_length,
     rejection_sample,
-    uniform_proposals,
 )
 
 DEFAULT_DT = 1e-3
@@ -129,48 +128,16 @@ class VerificationReport:
 # --- sampling T_ell ------------------------------------------------------
 
 def sample_T_ell(rng, ell, n, budget=None, require_volume_floor=None):
-    """n tetrahedra with all edge lengths >= ell, by ``rejection_sample``.
+    """n tetrahedra with all edge lengths >= ell, by ``tetra._sample_rows``.
 
-    Proposals are drawn uniformly over the full angle polytope (the set of
-    length vectors above the floor meets every angle-sum regime, so acute
-    restriction would miss most of it). Optionally also enforces a volume
-    floor, in which case proposals come from the acute region, which is a
-    necessary condition for the floor at vol(l0) and above.
-
-    The records are built from the arrays of ``_T_ell_rows``, the private
-    row sampler that the campaigns use directly.
+    Proposals are drawn over the full angle polytope (the set of length
+    vectors above the floor meets every angle-sum regime, so acute
+    restriction would miss most of it), unless ``require_volume_floor``
+    also asks for volume above a floor.
     """
-    rows = _T_ell_rows(rng, ell, n, budget, require_volume_floor)
+    constraint = tetra.INTERIOR if require_volume_floor is None else tetra.VOLUME_FLOOR
+    rows = tetra._sample_rows(rng, n, constraint, require_volume_floor, ell, budget)
     return [Tetrahedron(tuple(a), tuple(l), v) for a, l, v in zip(*(r.tolist() for r in rows))]
-
-
-def _T_ell_rows(rng, ell, n, budget=None, require_volume_floor=None):
-    # the (n, 6) angles, (n, 6) lengths and (n,) volumes of n rows of T_ell
-    # drawn as sample_T_ell describes. Without a floor the volumes come from
-    # one batch call on the n rows; with one, each batch's rows above the
-    # length floor are evaluated in one call
-    ell = domain.as_finite(ell, "ell")
-    acute = require_volume_floor is not None
-    if acute:
-        require_volume_floor = domain.as_finite(require_volume_floor, "volume floor")
-
-    def accept(batch):
-        angles = batch[domain.acute_mask(batch) if acute else domain.in_O_mask(batch)]
-        lengths = convert.angles_to_lengths_batch(angles)
-        ok = (lengths >= ell).all(axis=1)  # NaN rows compare False
-        angles, lengths = angles[ok], lengths[ok]
-        if not acute:
-            return angles, lengths
-        vols = volume.ushijima_volume(angles)
-        keep = vols >= require_volume_floor
-        return angles[keep], lengths[keep], vols[keep]
-
-    high = math.pi / 2.0 if acute else math.pi
-    rows = rejection_sample(rng, n, uniform_proposals(high), accept, budget)
-    if acute:
-        return rows
-    angles, lengths = rows
-    return angles, lengths, volume.ushijima_volume(angles)
 
 
 def _record_rows(report, reference, tol, angles, lengths, vols):
@@ -251,6 +218,7 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
             f"start tetrahedron has min length {start.min_length:.6g} below "
             f"the floor {ell_floor:.6g}"
         )
+    max_steps = domain.as_count(max_steps, "max_steps")
     rows, increments = _flow_schedule(start.lengths, dt, max_steps)
     # the start and each block's angles and volumes up to its first row
     # outside the chart
@@ -292,7 +260,8 @@ def verify_theorem(ell, n, seed, tol=MARGIN_TOL):
         report.notes.append(
             "conjecture regime: ell exceeds l0, outcome recorded, not asserted"
         )
-    _record_rows(report, reference, tol, *_T_ell_rows(np.random.default_rng(seed), ell, n))
+    rows = tetra._sample_rows(np.random.default_rng(seed), n, ell=ell)
+    _record_rows(report, reference, tol, *rows)
     return report
 
 
@@ -344,7 +313,7 @@ def degeneration_path(steps):
     delta = 2.5 eps, from eps = 0.2 down to the flat octagon limit
     (0, 0, pi, 0, 0, pi) in ``steps`` evenly spaced steps, evaluating the
     continuously extended volume."""
-    if steps < 2:
+    if domain.as_count(steps, "steps") < 2:
         raise InvalidArgumentError("degeneration_path needs at least 2 steps")
     out = []
     for k in range(steps):
@@ -373,7 +342,8 @@ def conjecture_prima_test(tet, ell):
 
 def conjecture_prima2_test(tet, ell, probes, seed):
     """Search the convex hull of the 24 symmetric images of ``tet`` (vertices
-    excluded) for another point of T_ell.
+    excluded) for another point of T_ell: the orbit barycenter, then ``probes``
+    random convex combinations in blocks of ``tetra._BATCH``, to the first hit.
 
     Returns (nonempty, witness); a False result after the probe budget is
     inconclusive, not a refutation.
@@ -381,26 +351,22 @@ def conjecture_prima2_test(tet, ell, probes, seed):
     if tet.is_regular():
         raise DomainError("conjecture requires a non-regular tetrahedron")
     ell = domain.as_finite(ell, "ell")
-    orbit = np.array(
-        [domain.permute(sigma, tet.angles) for sigma in domain.ALL_PERMUTATIONS]
-    )
+    probes = domain.as_count(probes, "probes")
+    orbit = np.array([domain.permute(sigma, tet.angles) for sigma in domain.ALL_PERMUTATIONS])
 
-    def try_point(angles):
-        if min(np.max(np.abs(orbit - angles), axis=1)) < 1e-9:
-            return None  # coincides with an orbit vertex
-        candidate = Tetrahedron.from_angles(angles)
-        if candidate.min_length >= ell - MARGIN_TOL:
-            return candidate
-        return None
+    def blocks():
+        # the orbit barycenter has all angles equal to the mean: test it first
+        yield orbit.mean(axis=0)[np.newaxis]
+        rng = np.random.default_rng(seed)
+        for first in range(0, probes, tetra._BATCH):
+            weights = rng.dirichlet(np.ones(len(orbit)), size=min(tetra._BATCH, probes - first))
+            # row by row: a matrix product may sum in another order
+            yield np.array([w @ orbit for w in weights])
 
-    # the orbit barycenter has all angles equal to the mean: test it first
-    witness = try_point(orbit.mean(axis=0))
-    if witness is not None:
-        return True, witness
-    rng = np.random.default_rng(seed)
-    for _ in range(int(probes)):
-        weights = rng.dirichlet(np.ones(len(orbit)))
-        witness = try_point(weights @ orbit)
-        if witness is not None:
-            return True, witness
+    for points in blocks():
+        off_orbit = np.abs(orbit - points[:, np.newaxis]).max(axis=2).min(axis=1) >= 1e-9
+        long = (convert.angles_to_lengths_batch(points) >= ell - MARGIN_TOL).all(axis=1)
+        hits = off_orbit & long
+        if hits.any():
+            return True, Tetrahedron.from_angles(points[hits.argmax()])
     return False, None

@@ -1,6 +1,8 @@
 """The Tetrahedron record (coherent angle/length pair with cached volume),
-the regular one-parameter family, and rejection samplers over the angle
-polytope.
+the regular one-parameter family, and the rejection sampler over the angle
+polytope: ``_sample_rows`` makes every accept decision (region, length
+floor, volume floor) for ``sample_O_batch``, ``sample_T_ell`` and the
+theorem campaign.
 """
 
 import math
@@ -152,6 +154,7 @@ def rejection_sample(rng, n, propose, accept, budget=None):
     ``budget`` caps the number of rows drawn and defaults to
     max(10^6, 2 * 10^4 * n).
     """
+    n = domain.as_count(n, "n")
     if budget is None:
         budget = max(1_000_000, 20_000 * n)
     chunks = []
@@ -171,23 +174,16 @@ def rejection_sample(rng, n, propose, accept, budget=None):
     return tuple(np.concatenate(parts)[:n] for parts in zip(*chunks))
 
 
-def uniform_proposals(high):
-    """Proposal rule drawing every entry uniformly from [0, high).
-
-    ``rng.uniform(0.0, high)`` computes 0.0 + high * u from the same
-    doubles u, so the scaled ``rng.random`` draws are bitwise its draws,
-    without its per-entry broadcasting.
-    """
-    return lambda rng, size: rng.random((size, 6)) * high
-
-
-def sample_O_batch(rng, n, constraint=INTERIOR, floor=None, budget=None):
-    """n angle rows satisfying the constraint, by ``rejection_sample``.
-
-    Deterministic for a given Generator state. ``floor`` is the volume floor
-    for the ``volume_floor`` constraint, whose proposals are drawn from the
-    acute region (a necessary condition for volume above vol at l0).
-    """
+def _sample_rows(rng, n, constraint=INTERIOR, floor=None, ell=None, budget=None):
+    """n rows by ``rejection_sample`` from uniform proposals over [0, pi)^6,
+    or [0, pi/2)^6 under the acute constraints. A batch keeps the rows in
+    the region (``in_O_mask``, or ``acute_mask``, necessary for a volume
+    floor at vol(l0) and above), then with ``ell`` those with all lengths
+    >= ell (NaN rows fail), then under ``volume_floor`` those with volume
+    >= ``floor``. Returns ``(angles,)``, or with ``ell`` the angles, lengths
+    and volumes (without a floor, the n rows' volumes from one call)."""
+    if ell is not None:
+        ell = domain.as_finite(ell, "ell")
     if constraint not in (INTERIOR, ACUTE, VOLUME_FLOOR):
         raise InvalidArgumentError(f"unknown constraint {constraint!r}")
     if constraint == VOLUME_FLOOR:
@@ -196,16 +192,32 @@ def sample_O_batch(rng, n, constraint=INTERIOR, floor=None, budget=None):
         floor = domain.as_finite(floor, "volume floor")
 
     def accept(batch):
-        if constraint == INTERIOR:
-            return (batch[domain.in_O_mask(batch)],)
-        rows = batch[domain.acute_mask(batch)]
-        if constraint == ACUTE:
-            return (rows,)
-        return (rows[volume.ushijima_volume(rows) >= floor],)
+        region = domain.in_O_mask if constraint == INTERIOR else domain.acute_mask
+        rows = [batch[region(batch)]]
+        if ell is not None:
+            lengths = convert.angles_to_lengths_batch(rows[0])
+            ok = (lengths >= ell).all(axis=1)  # NaN rows compare False
+            rows = [rows[0][ok], lengths[ok]]
+        if constraint == VOLUME_FLOOR:
+            vols = volume.ushijima_volume(rows[0])
+            keep = vols >= floor
+            rows = [r[keep] for r in rows] + [vols[keep]]
+        return rows
 
     high = math.pi if constraint == INTERIOR else math.pi / 2.0
-    (rows,) = rejection_sample(rng, n, uniform_proposals(high), accept, budget)
-    return list(rows)
+    # rng.uniform(0.0, high) computes 0.0 + high * u from the same doubles u:
+    # the scaled rng.random draws are bitwise its draws, without broadcasting
+    rows = rejection_sample(rng, n, lambda rng, size: rng.random((size, 6)) * high, accept, budget)
+    if ell is not None and constraint != VOLUME_FLOOR:
+        rows += (volume.ushijima_volume(rows[0]),)
+    return rows if ell is not None else rows[:1]
+
+
+def sample_O_batch(rng, n, constraint=INTERIOR, floor=None, budget=None):
+    """n angle rows satisfying the constraint (``floor`` is the volume floor
+    of ``volume_floor``), by ``_sample_rows``; deterministic for a given
+    Generator state."""
+    return list(_sample_rows(rng, n, constraint, floor, budget=budget)[0])
 
 
 def sample_O(rng, constraint=INTERIOR, floor=None):

@@ -25,9 +25,9 @@ from trunctet import (
     verify_fixed_angle_sum,
     verify_theorem,
 )
-from trunctet import cli, extremal
+from trunctet import cli, extremal, tetra
 from trunctet.convert import angles_to_lengths, angles_to_lengths_batch, chart_angles
-from trunctet.domain import acute_mask, in_O_mask
+from trunctet.domain import ALL_PERMUTATIONS, acute_mask, in_O_mask, permute
 from trunctet.errors import DomainError, InvalidArgumentError, SamplingError
 from trunctet.extremal import (
     _FLOW_BLOCK,
@@ -719,3 +719,76 @@ class TestConjectures:
     def test_prima2_rejects_regular_input(self):
         with pytest.raises(DomainError):
             conjecture_prima2_test(regular_from_length(0.8), 0.8, 10, seed=81)
+
+
+def per_probe_prima2(tet, ell, probes, seed):
+    """conjecture_prima2_test as written before the probes were tested in
+    blocks: one ``from_angles`` per point tried. Also returns the index of
+    the probe that hit (-1 for the barycenter, None without a hit)."""
+    orbit = np.array([permute(sigma, tet.angles) for sigma in ALL_PERMUTATIONS])
+
+    def try_point(angles):
+        if min(np.max(np.abs(orbit - angles), axis=1)) < 1e-9:
+            return None  # coincides with an orbit vertex
+        candidate = Tetrahedron.from_angles(angles)
+        if candidate.min_length >= ell - extremal.MARGIN_TOL:
+            return candidate
+        return None
+
+    witness = try_point(orbit.mean(axis=0))
+    if witness is not None:
+        return True, witness, -1
+    rng = np.random.default_rng(seed)
+    for probe in range(probes):
+        witness = try_point(rng.dirichlet(np.ones(len(orbit))) @ orbit)
+        if witness is not None:
+            return True, witness, probe
+    return False, None, None
+
+
+class TestPrima2MatchesPerProbeLoop:
+    @staticmethod
+    def hit(tet, ell, probes, seed):
+        # the reference's hit index, once the batch search returned the same
+        nonempty, witness, probe = per_probe_prima2(tet, ell, probes, seed)
+        assert conjecture_prima2_test(tet, ell, probes, seed) == (nonempty, witness)
+        return probe
+
+    def test_acute_starts(self):
+        hits = []
+        for seed, angles in enumerate(sample_O_batch(np.random.default_rng(82), 30, "acute")):
+            tet = Tetrahedron.from_angles(angles)
+            for ell in (0.2, tet.min_length, tet.min_length + 0.02, tet.max_length, 5.0):
+                hits.append(self.hit(tet, ell, 200, seed))
+        assert None in hits and -1 in hits
+
+    def test_hits_and_misses_cross_block_ends(self, monkeypatch):
+        # the barycenter of this near-regular start lies within 1e-9 of every
+        # orbit vertex, so a hit can only come from a probe
+        base = regular_from_length(0.8).angles[0]
+        tet = Tetrahedron.from_angles(base + 9e-10 * np.array([1, 1, 1, -1, -1, -1]))
+        monkeypatch.setattr(tetra, "_BATCH", 7)
+        # probes 13 and 17 hit at seed 4, the first on a block's last row;
+        # probes 25 and 27 hit at seed 45, both in one block
+        for seed in (4, 45):
+            assert self.hit(tet, tet.min_length, 200, seed) >= 7
+        # 200 probes: 28 blocks of 7 and a last block of 4, all without a hit
+        assert self.hit(tet, tet.max_length, 200, seed=3) is None
+
+
+#: each count argument, a call passing it, and its smallest valid value
+COUNT_ARGUMENTS = {
+    "n": (lambda n: sample_O_batch(np.random.default_rng(0), n), 0),
+    "max_steps": (lambda n: deformation_flow(floor_start(83), 0.3, max_steps=n), 0),
+    "probes": (lambda n: conjecture_prima2_test(floor_start(83), 0.3, n, seed=0), 0),
+    "steps": (degeneration_path, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_ARGUMENTS))
+def test_counts_must_be_nonnegative_integers(name):
+    call, smallest = COUNT_ARGUMENTS[name]
+    for value in (2.5, -1, "3"):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be a nonnegative integer"):
+            call(value)
+    call(smallest)
