@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import extremal, schlafli
+from . import domain, extremal, schlafli
 from .errors import InvalidArgumentError, TruncTetError
 from .tetra import Tetrahedron, sample_O
 
@@ -266,7 +266,7 @@ def _cmd_scan(args, out):
 def _cmd_sample(args, out):
     if args.constraint == "volume_floor" and args.floor is None:
         raise UsageError("--constraint volume_floor requires --floor")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(domain.as_count(args.seed, "seed"))
     _write(out, args, Tetrahedron.from_angles(sample_O(rng, args.constraint, floor=args.floor)))
     return EXIT_OK
 

@@ -72,10 +72,18 @@ def in_O(angles, strict=True, tol=0.0):
     is validated by ``as_vector``.
     """
     xs = as_vector(angles, "angles").tolist()
-    sums = _vertex_sums(xs)
-    if strict:
-        return min(xs) > -tol and max(sums) < math.pi + tol
-    return min(xs) >= -tol and max(sums) <= math.pi + tol
+    return _in_polytope(xs, _vertex_sums(xs), strict, tol)
+
+
+def _in_polytope(xs, sums, strict, tol):
+    # in_O's test on the entries and vertex sums of finite Python floats, or
+    # elementwise on (6, m) columns of rows, where NaN fails it
+    low = xs.min(axis=0) if isinstance(xs, np.ndarray) else min(xs)
+    above, below = (operator.gt, operator.lt) if strict else (operator.ge, operator.le)
+    ok = above(low, -tol)
+    for s in sums:
+        ok &= below(s, math.pi + tol)
+    return ok
 
 
 def acute_constraints_hold(angles):
@@ -131,19 +139,14 @@ def in_O_mask(batch, strict=True, tol=0.0):
 
     The first vertex sum is tested on every row. The rows that pass it
     (about 1/6 of uniform proposals) are gathered once, as contiguous
-    columns, and the other three sums and the sign test run on those. Sums
-    run left to right, as in ``in_O``.
+    columns, and the test of ``in_O`` runs on those with the other sums.
     """
     A = np.asarray(batch, dtype=float)
     below = np.less if strict else np.less_equal
-    bound = math.pi + tol
     (p, q, r), *rest = VERTEX_EDGES
-    idx = np.flatnonzero(below(A[:, p] + A[:, q] + A[:, r], bound))
+    idx = np.flatnonzero(below(A[:, p] + A[:, q] + A[:, r], math.pi + tol))
     cols = A[idx].T.copy()
-    low = cols.min(axis=0)
-    keep = low > -tol if strict else low >= -tol
-    for p, q, r in rest:
-        keep &= below(cols[p] + cols[q] + cols[r], bound)
+    keep = _in_polytope(cols, [cols[p] + cols[q] + cols[r] for p, q, r in rest], strict, tol)
     ok = np.zeros(len(A), dtype=bool)
     ok[idx[keep]] = True
     return ok

@@ -49,7 +49,7 @@ class NearDegenerateError(TruncTetError):
 
 
 class EvaluationError(TruncTetError):
-    """Volume formula produced non-finite intermediates.
+    """Volume formula rejected its input or produced non-finite values.
 
     ``diagnostics`` is a dict with detG, z1, z2 when available.
     """

@@ -260,7 +260,7 @@ def verify_theorem(ell, n, seed, tol=MARGIN_TOL):
         report.notes.append(
             "conjecture regime: ell exceeds l0, outcome recorded, not asserted"
         )
-    rows = tetra._sample_rows(np.random.default_rng(seed), n, ell=ell)
+    rows = tetra._sample_rows(np.random.default_rng(domain.as_count(seed, "seed")), n, ell=ell)
     _record_rows(report, reference, tol, *rows)
     return report
 
@@ -288,7 +288,8 @@ def verify_fixed_angle_sum(theta_sum, n, seed, tol=MARGIN_TOL):
     def accept(batch):
         return (batch[domain.in_O_mask(batch)],)
 
-    (angles,) = rejection_sample(np.random.default_rng(seed), n, propose, accept)
+    rng = np.random.default_rng(domain.as_count(seed, "seed"))
+    (angles,) = rejection_sample(rng, n, propose, accept)
     lengths = convert.angles_to_lengths_batch(angles)
     # NaN rows are the rows the scalar conversion raises on: raise the first's
     if np.isnan(lengths).any():
@@ -351,7 +352,7 @@ def conjecture_prima2_test(tet, ell, probes, seed):
     if tet.is_regular():
         raise DomainError("conjecture requires a non-regular tetrahedron")
     ell = domain.as_finite(ell, "ell")
-    probes = domain.as_count(probes, "probes")
+    probes, seed = domain.as_count(probes, "probes"), domain.as_count(seed, "seed")
     orbit = np.array([domain.permute(sigma, tet.angles) for sigma in domain.ALL_PERMUTATIONS])
 
     def blocks():

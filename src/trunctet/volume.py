@@ -30,11 +30,12 @@ several times the 6-vector path that the gradient certificates take.
 ``_phases`` evaluates both shapes up to the phases by the same operations,
 so a row's phases are the same bits on both paths and an array row's volume
 is the same bits at any place in any block (the scalar ``clausen`` takes its
-logarithm from libm, so the volumes may differ in the last bit). One ordered
-guard table, ``_VOLUME_GUARDS``, checks the evaluated volume of both shapes:
-a 6-vector raises the first guard it fails, a block raises it at its first
-failing row, with the message behind a ``row r, angles ...:`` prefix and
-the diagnostics plus ``row``.
+logarithm from libm, so the volumes may differ in the last bit). Both shapes
+and ``ushijima_intermediates`` run ``_PHASE_GUARDS`` (the closure test, read
+from the vertex sums of the offsets, then the denominator) before any Clausen
+call, and a volume then runs ``_VOLUME_GUARDS``. A 6-vector raises the first
+guard it fails, a block raises it at its first failing row, with the message
+behind a ``row r, angles ...:`` prefix and the diagnostics plus ``row``.
 """
 
 import cmath
@@ -88,29 +89,36 @@ def _alpha(sin_sum, re, im, root):
 
 #: one evaluation of the formula up to the phases, in Python floats for a
 #: 6-vector or (m,) columns for a block of rows
-_Evaluation = namedtuple("_Evaluation", "det_g sin_sum re im vanishing flat alpha")
+_Evaluation = namedtuple("_Evaluation", "inside det_g sin_sum re im vanishing flat alpha")
 
 
-def _phases(t, cos, sin):
-    # the evaluation up to the phases and the eight offsets
-    # sigma_k of six angles t with their cosines and sines, by the same
-    # operations on both shapes. The denominator sums exp(i psi_k) over the
-    # opposite pairs, the faces and the total T, with numpy's cosines and
-    # sines, since libm's may differ in the last bit. The offsets are 0, T
-    # minus each opposite pair and each vertex sum minus pi. A phase of pi is
-    # taken as -pi, in two parts: a vertex sum near pi then gives an offset
-    # near 0 with no rounding of its own, where Cl2 has its steep log |t| slope
+@np.errstate(over="ignore", invalid="ignore")
+def _phases(t):
+    # the evaluation up to the phases and the eight offsets sigma_k of the
+    # angles t, one 6-vector or (6, m) columns of rows (quietly on rows that
+    # the closure test rejects), by the same operations on both shapes. The
+    # denominator sums exp(i psi_k) over the opposite pairs, the faces and the
+    # total T, with numpy's cosines and sines, since libm's may differ in the
+    # last bit. The offsets are 0, T minus each opposite pair and each vertex
+    # sum minus pi. A phase of pi is taken as -pi, in two parts: a vertex sum
+    # near pi then gives an offset near 0 with no rounding of its own, where
+    # Cl2 has its steep log |t| slope
+    cos, sin = np.cos(t), np.sin(t)
+    if t.ndim == 1:
+        # one 6-vector: Python floats add faster than numpy scalars
+        t, cos, sin = t.tolist(), cos.tolist(), sin.tolist()
     det_g = _gram_det_fast(*cos)
     sin_sum = sin[0] * sin[3] + sin[1] * sin[4] + sin[2] * sin[5]
     pairs = [t[p] + t[OPPOSITE[p]] for p in range(3)]
     total = pairs[0] + pairs[1] + pairs[2]
     faces = [t[p] + t[q] + t[r] for p, q, r in OPPOSITE_FACE_EDGES]
-    vertices = [s - math.pi - _PI_LOW for s in domain._vertex_sums(t)]
+    sums = domain._vertex_sums(t)
+    inside = domain._in_polytope(t, sums, strict=False, tol=_CLOSURE_SLACK)
+    vertices = [s - math.pi - _PI_LOW for s in sums]
     offsets = [0.0 * total] + [total - pair for pair in pairs] + vertices
     psi = np.array(pairs + faces + [total])
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
     if psi.ndim == 1:
-        # one 6-vector: Python floats add faster than numpy scalars
         re, im = _left_sum(cos_psi.tolist()), _left_sum(sin_psi.tolist())
         magnitude, root = abs(complex(re, im)), math.sqrt(max(-det_g, 0.0))
     else:
@@ -121,7 +129,7 @@ def _phases(t, cos, sin):
     vanishing = magnitude < _DENOMINATOR_GUARD
     flat = vanishing & (abs(sin_sum) < 1e-9) & (abs(det_g) < 1e-9)
     alpha = _alpha(sin_sum, re, im, root)
-    return _Evaluation(det_g, sin_sum, re, im, vanishing, flat, alpha), offsets
+    return _Evaluation(inside, det_g, sin_sum, re, im, vanishing, flat, alpha), offsets
 
 
 def gram(angles):
@@ -182,25 +190,21 @@ def _roots(e, **diagnostics):
     return {**diagnostics, "detG": e.det_g, "z1": z1, "z2": z2}
 
 
-#: the guards of an evaluation e and its volume, 0 on the flat branch, in the
-#: order they raise, as (condition, message, diagnostics); a condition holds
-#: where the input passes, and NaN fails it. A vanishing denominator only on
-#: the flat branch (<= on booleans is implication), a finite volume, none
-#: below the clamp
-_VOLUME_GUARDS = (
-    (lambda e, vol: e.vanishing <= e.flat,
+#: the guards of an evaluation e before any Clausen call, then of its volume
+#: (0 on the flat branch), as (condition, message, diagnostics) in the order
+#: they raise; a condition holds where the input passes, and NaN fails it:
+#: the closure, a vanishing denominator only on the flat branch (<= on
+#: booleans is implication), a finite volume, none below the clamp
+_PHASE_GUARDS = (
+    (lambda e: e.inside, "outside the closure of the angle polytope", lambda e: {}),
+    (lambda e: e.vanishing <= e.flat,
      "degenerate configuration: vanishing denominator in the volume formula",
-     lambda e, vol: {"detG": e.det_g, "denominator": e.re + 1j * e.im, "sin_sum": e.sin_sum}),
+     lambda e: {"detG": e.det_g, "denominator": e.re + 1j * e.im, "sin_sum": e.sin_sum}),
+)
+_VOLUME_GUARDS = (
     (lambda e, vol: abs(vol) < math.inf, "non-finite volume", lambda e, vol: _roots(e)),
     (lambda e, vol: vol >= _NEGATIVE_VOLUME_CLAMP, "volume is negative beyond round-off",
      lambda e, vol: _roots(e, volume=vol)),
-)
-
-#: the guards of the angle rows of a block, in front of its evaluation
-_ROW_GUARDS = (
-    (lambda rows: np.isfinite(rows).all(axis=1), "non-finite angles", lambda rows: {}),
-    (lambda rows: domain.in_O_mask(rows, strict=False, tol=_CLOSURE_SLACK),
-     "outside the closure of the angle polytope", lambda rows: {}),
 )
 
 
@@ -220,16 +224,20 @@ def _raise_first(guards, *args, rows=None, first=0):
 
 
 def _row_phases(angles):
-    # _phases of one 6-vector, in Python floats
-    t = np.array(angles, dtype=float)
-    return _phases(t.tolist(), np.cos(t).tolist(), np.sin(t).tolist())
+    # _phases of one 6-vector, validated, past _PHASE_GUARDS
+    try:
+        t = domain.as_vector(angles, "angles")
+    except InvalidArgumentError as exc:
+        raise EvaluationError(str(exc)) from exc
+    e, offsets = _phases(t)
+    _raise_first(_PHASE_GUARDS, e)
+    return e, offsets
 
 
 def ushijima_intermediates(angles):
-    """The quantities of Ushijima's formula for one 6-vector, with
-    z_j = exp(i alpha_j) (both 0 on a flat configuration)."""
+    """Ushijima's quantities for one 6-vector, z_j = exp(i alpha_j) (0 when
+    flat), past the guards that the volume runs before any Clausen call."""
     phases, _ = _row_phases(angles)
-    _raise_first(_VOLUME_GUARDS[:1], phases, None)  # the guard before any volume
     a, b, c, d, e, f = (cmath.exp(1j * float(x)) for x in angles)
     z = _roots(phases)
     return UshijimaIntermediates(a, b, c, d, e, f, phases.det_g, z["z1"].item(), z["z2"].item())
@@ -240,20 +248,12 @@ def ushijima_volume(angles):
     polytope, nonnegative, and continuous up to the boundary.
 
     An (m, 6) ndarray of angle rows gives an (m,) array of volumes from an
-    array evaluation in blocks of rows, with every guard of the scalar path
-    applied row by row; the first failing row raises EvaluationError naming
-    that row.
+    array evaluation in blocks of rows, with the guard tables of the scalar
+    path applied row by row; the first failing row raises EvaluationError
+    naming that row.
     """
     if isinstance(angles, np.ndarray) and angles.ndim == 2:
         return _volume_rows(angles)
-    try:
-        inside = domain.in_O(angles, strict=False, tol=_CLOSURE_SLACK)
-    except InvalidArgumentError as exc:
-        raise EvaluationError(str(exc)) from exc
-    if not inside:
-        raise EvaluationError(
-            f"angles {angles!r} outside the closure of the angle polytope"
-        )
     e, offsets = _row_phases(angles)
     vol = 0.0
     if not e.flat:
@@ -271,28 +271,23 @@ _BLOCK_ROWS = 4096
 
 
 def _volume_rows(angles):
+    # _phases and the Clausen sum on (m, 6) rows a block at a time, one row
+    # per column of (6, m) working arrays, a block's phases in one clausen call
     if angles.shape[1] != 6:
         raise EvaluationError(f"angles: expected (m, 6) rows, got shape {angles.shape}")
     rows = np.asarray(angles, dtype=float)
     vols = np.empty(len(rows))
     for first in range(0, len(rows), _BLOCK_ROWS):
-        block = slice(first, first + _BLOCK_ROWS)
-        vols[block] = _volume_block(rows[block], first)
+        block = rows[first:first + _BLOCK_ROWS]
+        e, offsets = _phases(np.ascontiguousarray(block.T))
+        _raise_first(_PHASE_GUARDS, e, rows=block, first=first)
+        cl = clausen(e.alpha[:, None, :] + np.array(offsets))
+        diff = cl[0] - cl[1]
+        vol = 0.25 * _left_sum([*diff[:4], *-diff[4:]])
+        vol[e.flat] = 0.0
+        _raise_first(_VOLUME_GUARDS, e, vol, rows=block, first=first)
+        vols[first:first + len(block)] = np.maximum(vol, 0.0)
     return vols
-
-
-def _volume_block(rows, first):
-    # _phases and the Clausen sum on (m, 6) rows, one row per column of the
-    # (6, m) working arrays, the 16 phases of all rows in one clausen call
-    _raise_first(_ROW_GUARDS, rows, rows=rows, first=first)
-    t = np.ascontiguousarray(rows.T)
-    e, offsets = _phases(t, np.cos(t), np.sin(t))
-    cl = clausen(e.alpha[:, None, :] + np.array(offsets))
-    diff = cl[0] - cl[1]
-    vol = 0.25 * _left_sum([*diff[:4], *-diff[4:]])
-    vol[e.flat] = 0.0
-    _raise_first(_VOLUME_GUARDS, e, vol, rows=rows, first=first)
-    return np.maximum(vol, 0.0)
 
 
 #: absolute error target of the quadrature in ``regular_volume_l0``

@@ -3,7 +3,8 @@ SciPy, its public names are the pinned list, the CLI commands print no
 numpy RuntimeWarning, every name the benchmark's tracer wraps still exists,
 and the campaigns and the deformation flow reach the volume through the
 attribute the tracer and the benchmark's self-test wrap, the flow makes one
-chart call and one volume call per block of at most ``_FLOW_BLOCK`` rows,
+chart call, one volume call and one ``in_O_mask`` call per block of at most
+``_FLOW_BLOCK`` rows,
 and a campaign makes records only for its reference and its witnesses."""
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 import trunctet
 import trunctet.convert
+import trunctet.domain
 import trunctet.volume
 from trunctet import (
     Tetrahedron,
@@ -104,6 +106,14 @@ FLOW = "0.9,0.8,0.7,0.9,0.8,0.7"
           "--probes", "5000"], 0, ""),
         (["conjecture", "prima2", "--angles", "0.4,0.5,0.3,0.45,0.35,0.5", "--ell", "5",
           "--probes", "0"], 0, ""),
+        # negative seeds, rejected before any draw (prima2's barycenter hits at 0.3)
+        (["verify", "theorem", "--ell", "0.3", "--samples", "3", "--seed", "-1"], 1,
+         "error: seed must be a nonnegative integer, got -1\n"),
+        (["verify", "anglesum", "--sum", "3.0", "--samples", "2", "--seed", "-1"], 1,
+         "error: seed must be a nonnegative integer, got -1\n"),
+        (["sample", "--seed", "-5"], 1, "error: seed must be a nonnegative integer, got -5\n"),
+        (["conjecture", "prima2", "--angles", "0.4,0.5,0.3,0.45,0.35,0.5", "--ell", "0.3",
+          "--seed", "-2"], 1, "error: seed must be a nonnegative integer, got -2\n"),
     ],
 )
 def test_cli_prints_no_runtime_warning(argv, code, stderr):
@@ -190,24 +200,32 @@ def counted(monkeypatch, owner, attr, sizes):
     # wrap owner.attr so that each call appends the number of rows it got
     original = getattr(owner, attr)
 
-    def wrapper(rows):
+    def wrapper(rows, **kwargs):
         sizes.append(len(rows))
-        return original(rows)
+        return original(rows, **kwargs)
 
     monkeypatch.setattr(owner, attr, wrapper)
 
 
 def test_flow_calls_per_block_and_rows_per_call(monkeypatch):
     # one chart call and one volume call per block of _FLOW_BLOCK steps,
-    # blocks spanning segment ends; no call gets more than one block
+    # blocks spanning segment ends; no call gets more than one block. The
+    # chart test is the block's one polytope test: the volume makes none
     rng = np.random.default_rng(7)
     (start,) = sample_T_ell(rng, 0.3, 1, require_volume_floor=regular_volume_l0())
     for dt in (1e-3, 1e-5):
-        charts, vols = [], []
+        charts, vols, masks = [], [], []
         counted(monkeypatch, trunctet.convert, "chart_angles", charts)
         counted(monkeypatch, trunctet.volume, "ushijima_volume", vols)
-        steps = len(deformation_flow(start, 0.3, dt=dt).points) - 1
+        counted(monkeypatch, trunctet.domain, "in_O_mask", masks)
+        traj = deformation_flow(start, 0.3, dt=dt)
         monkeypatch.undo()
+        assert masks == charts
+        counted(monkeypatch, trunctet.domain, "in_O_mask", masks)
+        trunctet.volume.ushijima_volume(traj.angles)
+        monkeypatch.undo()
+        assert masks == charts
+        steps = len(traj.points) - 1
         assert steps > 100
         bound = math.ceil(steps / _FLOW_BLOCK) + 1
         assert len(charts) <= bound and len(vols) <= bound

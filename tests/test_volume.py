@@ -95,6 +95,19 @@ class TestIntermediates:
         with pytest.raises(EvaluationError):
             ushijima_volume((2.0, 2.0, 2.0, 2.0, 2.0, 2.0))
 
+    @pytest.mark.parametrize("angles", [
+        [0.5] * 5, (math.nan,) * 6, ("a",) * 6, (2.0,) * 6, (1e308,) * 6,
+    ], ids=["five_entries", "nan", "non_numeric", "outside", "huge"])
+    def test_rejects_what_the_volume_rejects(self, angles):
+        # malformed, non-finite and out-of-closure input, quietly: the suite
+        # turns a RuntimeWarning into an error
+        with pytest.raises(EvaluationError) as volume_raised:
+            ushijima_volume(angles)
+        with pytest.raises(EvaluationError) as raised:
+            ushijima_intermediates(angles)
+        assert str(raised.value) == str(volume_raised.value)
+        assert raised.value.diagnostics == volume_raised.value.diagnostics
+
 
 class TestVolume:
     def test_golden_regular(self):
@@ -239,30 +252,42 @@ def volume_error(angles):
     return None
 
 
+CLOSURE = "outside the closure of the angle polytope"
+
+
 class TestVolumeGuards:
-    """The guards of the evaluated volume, forced through module attributes:
-    a 6-vector raises the error of its one-row batch without the row prefix
-    and without the ``row`` diagnostic, and a batch raises at its first
-    failing row, named by its global index."""
+    """The guards of the volume: the closure of the polytope on real rows
+    outside it, the others forced through module attributes. A 6-vector
+    raises the error of its one-row batch without the row prefix and
+    without the ``row`` diagnostic, and a batch raises at its first failing
+    row, named by its global index."""
 
     FORCED = {
+        CLOSURE: None,
         "degenerate configuration: vanishing denominator in the volume formula":
             ("_DENOMINATOR_GUARD", 10.0),
         "non-finite volume": ("clausen", lambda x: 0.0 * x + math.inf),
         "volume is negative beyond round-off": ("_NEGATIVE_VOLUME_CLAMP", 10.0),
     }
 
+    #: rows outside the closure, last in ``rows``: far out, an entry of
+    #: -1e-5, a vertex sum of pi + 1e-5
+    OUTSIDE = [(2.0,) * 6, (-1e-5, 0.5, 0.5, 0.5, 0.5, 0.5),
+               (1.0, 1.0, math.pi - 2.0 + 1e-5, 0.5, 0.5, 0.5)]
+
     @staticmethod
     def rows():
         rows = TestVolumeRows.rows()
-        return np.concatenate([rows[:2000:25], rows[-8:]])
+        return np.concatenate([rows[:2000:25], rows[-8:], TestVolumeGuards.OUTSIDE])
 
     @pytest.mark.parametrize("message", list(FORCED))
     def test_vector_error_is_the_row_error(self, message, monkeypatch):
         rows = self.rows()
-        # the flat rows, whose volume is 0, pass the first two guards only
-        flat = [i for i, row in enumerate(rows) if ushijima_volume(tuple(row)) == 0.0]
-        monkeypatch.setattr(volume_module, *self.FORCED[message])
+        inside = len(rows) - len(self.OUTSIDE)
+        # the flat rows, whose volume is 0, pass the first three guards only
+        flat = [i for i, row in enumerate(rows[:inside]) if ushijima_volume(tuple(row)) == 0.0]
+        if self.FORCED[message]:
+            monkeypatch.setattr(volume_module, *self.FORCED[message])
         failed = []
         for i, row in enumerate(rows):
             vector, single = volume_error(tuple(row)), volume_error(row[None, :])
@@ -270,16 +295,20 @@ class TestVolumeGuards:
             if vector is None:
                 continue
             failed.append(i)
-            assert str(vector) == message
-            assert str(single) == f"row 0, angles {row!r}: {message}"
+            assert str(vector) == (message if i < inside else CLOSURE)
+            assert str(single) == f"row 0, angles {row!r}: {vector}"
             expected = {"row": 0, **vector.diagnostics}
             if "volume" in expected:
                 # the paths' volumes may differ in the last bit (scalar clausen)
                 assert abs(single.diagnostics["volume"] - expected["volume"]) < 1e-13
                 expected["volume"] = single.diagnostics["volume"]
             assert single.diagnostics == expected
-        assert flat and len(failed) == len(rows) - (0 if "negative" in message else len(flat))
-        batch, single = volume_error(rows), volume_error(rows[failed[0]][None, :])
+        passed = {CLOSURE: inside, "volume is negative beyond round-off": 0}.get(message, len(flat))
+        assert flat and len(failed) == len(rows) - passed
+        # the closure guard runs first: the forced guards' batch ends at the
+        # rows inside
+        batch = volume_error(rows if message == CLOSURE else rows[:inside])
+        single = volume_error(rows[failed[0]][None, :])
         assert str(batch) == str(single).replace("row 0", f"row {failed[0]}", 1)
         assert batch.diagnostics == {**single.diagnostics, "row": failed[0]}
 
