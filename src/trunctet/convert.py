@@ -8,9 +8,10 @@ With {i,j,k,l} = {1,2,3,4} the conversions are
 
 where d_i, c_ij are polynomial in the cosines of the angles and z_i, w_ij
 in the hyperbolic cosines of the lengths. Both are the same map in two
-index layouts, so one kernel family on (..., 6) arrays serves both
-directions, and each direction is one set of index tables built from
-``indexing.py`` (``_ANGLES``, ``_LENGTHS``):
+index layouts, so one kernel family serves both directions, each a set of
+index tables built from ``indexing.py`` (``_ANGLES``, ``_LENGTHS``). The
+kernels are edge-major: on a 6-vector or on (6, m) columns, one row per
+column, each table row gathers one (n,) or (n, m) block by ``x[table]``:
 
 - ``_vertex_poly``: 2xyz + x^2 + y^2 + z^2 - 1 over the edges at each
   vertex (d_i), or on the opposite face (z_i);
@@ -23,14 +24,14 @@ directions, and each direction is one set of index tables built from
 
 Each direction has one guard table (``_LENGTH_GUARDS``, ``_ANGLE_GUARDS``)
 of conditions on a kernel pass and their typed errors. ``_guarded`` applies
-it: a 6-vector raises the error of the first guard it fails, a batch row
-that fails any turns NaN, so the batch functions (``angles_to_lengths_batch``,
-``lengths_to_angles_batch``) are NaN exactly where the scalar ones raise and
-bitwise equal elsewhere. The length-chart test ``chart_angles`` (and
-``in_L``) runs on (m, 6) arrays too. One pass of ``_ratio_grad`` gives the
-guards, the conversion and its Jacobian together (``jacobian_*`` in
-``schlafli``); ``angles_jacobian`` and ``lengths_jacobian`` are the batch
-Jacobians.
+it: a 6-vector raises the error of the first guard it fails, a column that
+fails any turns NaN. The batch functions (``angles_to_lengths_batch``,
+``lengths_to_angles_batch``, ``chart_angles``) transpose (m, 6) rows on
+entry and back on return, and are NaN exactly where the scalar ones raise
+and bitwise equal elsewhere. One pass of ``_ratio_grad`` gives the guards,
+the conversion and its Jacobian together (``jacobian_*`` in ``schlafli``);
+the batch Jacobians ``angles_jacobian`` and ``lengths_jacobian`` move its
+(6, 6, ...) partials behind the rows.
 """
 
 from collections import namedtuple
@@ -94,44 +95,35 @@ _ANGLES = _tables(VERTEX_EDGES, _EDGE_ROLES, EDGE_PAIRS)
 _LENGTHS = _tables(OPPOSITE_FACE_EDGES, _EDGE_ROLES[[0, 4, 2, 3, 1, 5]], _OPPOSITE_PAIRS)
 
 
-def _gather(x, table):
-    # one (..., n) array per row of an index table with n columns
-    g = x[..., table]
-    return [g[..., row, :] for row in range(len(table))]
-
-
 def _vertex_poly(x, triples):
-    x, y, z = _gather(x, triples)
+    x, y, z = x[triples]
     return 2.0 * x * y * z + x * x + y * y + z * z - 1.0
 
 
 def _edge_poly(x, roles):
-    ij, ik, il, jk, jl, kl = _gather(x, roles)
+    ij, ik, il, jk, jl, kl = x[roles]
     return ij * (il * jk + ik * jl) + il * jl + ik * jk + kl * (1.0 - ij * ij)
 
 
 def _ratio(x, tables):
-    # the vertex coefficients, (..., 4), their products under each edge's
-    # root, (..., 6), and the ratios edge / root, (..., 6). The edge
-    # polynomial goes first: in the other order the allocator gave the
-    # gathers' memory back between calls, and 4096-row batches took 2.5x as
-    # long in page faults
+    # the vertex coefficients, (4, ...), their products under each edge's
+    # root, (6, ...), and the ratios edge / root, (6, ...). Edge first: the
+    # other order costs chart_angles on 10^4 rows 1.6x its time in page faults
     edge = _edge_poly(x, tables.roles)
     vertex = _vertex_poly(x, tables.triples)
-    first, second = _gather(vertex, tables.ends)
+    first, second = vertex[tables.ends]
     products = first * second
     return vertex, products, edge / np.sqrt(products)
 
 
 def _ratio_grad(x, tables):
-    # _ratio (bitwise) and its derivative in x, (..., 6, 6):
+    # _ratio (bitwise) and its derivative in x, (6, 6, ...):
     # d(e / sqrt(a b)) = de / sqrt(a b) - (e / sqrt(a b)) (da / a + db / b) / 2
     vertex, products, ratio = _ratio(x, tables)
-    a, b, c = _gather(x, tables.triples)
-    zero = np.zeros(a.shape[:-1] + (1,))
-    vertex_partials = (a + b * c, b + a * c, c + a * b, zero)
-    vertex_grad = 2.0 * np.concatenate(vertex_partials, axis=-1)[..., tables.vertex_grad]
-    ij, ik, il, jk, jl, kl = _gather(x, tables.roles)
+    a, b, c = x[tables.triples]
+    vertex_partials = (a + b * c, b + a * c, c + a * b, np.zeros((1,) + a.shape[1:]))
+    vertex_grad = 2.0 * np.concatenate(vertex_partials)[tables.vertex_grad]
+    ij, ik, il, jk, jl, kl = x[tables.roles]
     edge_partials = (
         il * jk + ik * jl - 2.0 * ij * kl,
         ij * jl + jk,
@@ -140,16 +132,15 @@ def _ratio_grad(x, tables):
         ij * ik + il,
         1.0 - ij * ij,
     )
-    edge_grad = np.concatenate(edge_partials, axis=-1)[..., tables.edge_grad]
-    log_grad = vertex_grad / vertex[..., None]
-    log_sum = log_grad[..., tables.ends[0], :] + log_grad[..., tables.ends[1], :]
-    grad = edge_grad / np.sqrt(products)[..., None] - 0.5 * ratio[..., None] * log_sum
+    edge_grad = np.concatenate(edge_partials)[tables.edge_grad]
+    first, second = (vertex_grad / vertex[:, None])[tables.ends]
+    grad = edge_grad / np.sqrt(products)[:, None] - 0.5 * ratio[:, None] * (first + second)
     return vertex, products, ratio, grad
 
 
 def _cosh_lengths(angles):
-    # the angle -> length kernel on (..., 6) arrays: d_i, the products
-    # d_i d_j and the cosh arguments c_ij / sqrt(d_i d_j)
+    # the angle -> length kernel on a 6-vector or (6, m) columns: d_i, the
+    # products d_i d_j and the cosh arguments c_ij / sqrt(d_i d_j)
     return _ratio(np.cos(angles), _ANGLES)
 
 
@@ -157,7 +148,7 @@ def _cosh_lengths_grad(angles):
     # _cosh_lengths (bitwise) and, from the same pass, lengths_jacobian
     d, products, arg, grad = _ratio_grad(np.cos(angles), _ANGLES)
     sinh_lengths = np.sqrt((arg - 1.0) * (arg + 1.0))
-    return d, products, arg, grad * -np.sin(angles)[..., None, :] / sinh_lengths[..., None]
+    return d, products, arg, grad * -np.sin(angles) / sinh_lengths[:, None]
 
 
 def lengths_jacobian(angles):
@@ -168,12 +159,13 @@ def lengths_jacobian(angles):
     chains with d cos theta = -sin theta d theta and d l = d cosh l / sinh l.
     Inputs are not validated; rows off the polytope give NaN or inf.
     """
-    return _cosh_lengths_grad(np.asarray(angles, dtype=float))[3]
+    columns = np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
+    return np.moveaxis(_cosh_lengths_grad(columns)[3], (0, 1), (-2, -1))
 
 
 def _cos_angles(lengths):
-    # the length -> angle kernel on (..., 6) arrays: z_k, the products
-    # z_k z_l and the cosine arguments w_ij / sqrt(z_k z_l)
+    # the length -> angle kernel on a 6-vector or (6, m) columns: z_k, the
+    # products z_k z_l and the cosine arguments w_ij / sqrt(z_k z_l)
     return _ratio(np.cosh(lengths), _LENGTHS)
 
 
@@ -181,7 +173,7 @@ def _cos_angles_grad(lengths):
     # _cos_angles (bitwise) and, from the same pass, angles_jacobian
     z, products, arg, grad = _ratio_grad(np.cosh(lengths), _LENGTHS)
     sin_angles = np.sqrt((1.0 - arg) * (1.0 + arg))
-    return z, products, arg, grad * np.sinh(lengths)[..., None, :] / -sin_angles[..., None]
+    return z, products, arg, grad * np.sinh(lengths) / -sin_angles[:, None]
 
 
 def angles_jacobian(lengths):
@@ -193,11 +185,12 @@ def angles_jacobian(lengths):
     d theta = -d cos theta / sin theta. Inputs are not validated; rows off
     the length chart give NaN or inf.
     """
-    return _cos_angles_grad(np.asarray(lengths, dtype=float))[3]
+    columns = np.moveaxis(np.asarray(lengths, dtype=float), -1, 0)
+    return np.moveaxis(_cos_angles_grad(columns)[3], (0, 1), (-2, -1))
 
 
 #: one kernel pass: the input angles or lengths, the vertex coefficients
-#: (..., 4), their products under each edge's root and the ratios (..., 6)
+#: (4, ...), their products under each edge's root and the ratios (6, ...)
 _Pass = namedtuple("_Pass", "x vertex products ratio")
 
 _EDGES = [f"edge {{{i},{j}}}" for i, j in EDGE_PAIRS]
@@ -235,10 +228,10 @@ _ANGLE_GUARDS = (
 
 
 def _guarded(guards, kernel, finish, x):
-    # a validated 6-vector, or (m, 6) rows, through a kernel of the guards'
-    # direction: finish(ratios) and what else the kernel returns. A row that
-    # fails a guard turns NaN; a 6-vector raises the error of the first, at
-    # the vertex with the smallest coefficient or the first failing edge
+    # a validated 6-vector, or (6, m) columns, through a kernel of the guards'
+    # direction: finish(ratios) and what else the kernel returns. A column
+    # that fails a guard turns NaN; a 6-vector raises the error of the first,
+    # at the vertex with the smallest coefficient or the first failing edge
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vertex, products, ratio, *rest = kernel(x)
     k = _Pass(x, vertex, products, ratio)
@@ -246,17 +239,10 @@ def _guarded(guards, kernel, finish, x):
     for condition, error in guards:
         holds = condition(k)
         if x.ndim == 2:
-            out[~holds.all(axis=1)] = np.nan
+            out[:, ~holds.all(axis=0)] = np.nan
         elif not all(holds.tolist()):  # on a few entries, faster than .all()
             raise error(k, int(np.argmin(vertex) if holds.size == 4 else np.argmax(~holds)))
     return out, *rest
-
-
-def _as_rows(batch, name):
-    rows = np.asarray(batch, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 6:
-        raise InvalidArgumentError(f"{name}: expected (m, 6) rows, got shape {rows.shape}")
-    return rows
 
 
 def _arccosh(arg):
@@ -281,7 +267,8 @@ def angles_to_lengths_batch(batch):
     instead of raising; campaign samplers treat those rows as rejected.
     The other rows agree bitwise with ``angles_to_lengths``.
     """
-    return _guarded(_ANGLE_GUARDS, _cosh_lengths, _arccosh, _as_rows(batch, "angles"))[0]
+    columns = domain.as_rows(batch, "angles").T
+    return _guarded(_ANGLE_GUARDS, _cosh_lengths, _arccosh, columns)[0].T
 
 
 def _arccos(arg):
@@ -298,10 +285,8 @@ def _row_angles(kernel, lengths):
     # the closure test of the angles coming after the guards
     angles, *rest = _guarded(_LENGTH_GUARDS, kernel, _arccos, lengths)
     if not domain.in_O(angles, strict=False, tol=_CLOSURE_TOL):
-        raise InconsistencyError(
-            f"angles {angles!r} computed from lengths lie outside the closure "
-            "of the angle polytope"
-        )
+        raise InconsistencyError(f"angles {angles!r} computed from lengths lie outside the "
+                                 "closure of the angle polytope")
     return angles, *rest
 
 
@@ -326,7 +311,8 @@ def lengths_to_angles_batch(batch):
     instead of raising. The other rows agree bitwise with
     ``lengths_to_angles``.
     """
-    return _guarded(_LENGTH_GUARDS, _cos_angles, _arccos, _as_rows(batch, "lengths"))[0]
+    columns = domain.as_rows(batch, "lengths").T
+    return _guarded(_LENGTH_GUARDS, _cos_angles, _arccos, columns)[0].T
 
 
 #: round-trip tolerance of the length-chart test
@@ -352,7 +338,7 @@ def chart_angles(lengths):
     NaN on the rows outside the chart, and the (m,) accept mask.
     """
     if np.ndim(lengths) == 2:
-        return _chart_rows(_as_rows(lengths, "lengths"))
+        return _chart_rows(domain.as_rows(lengths, "lengths"))
     try:
         l = domain.as_vector(lengths, "lengths")
     except InvalidArgumentError:
@@ -364,8 +350,7 @@ def chart_angles(lengths):
 def in_L(lengths):
     """Membership in the length chart, decided by ``chart_angles``; an
     (m, 6) array of length rows gives an (m,) boolean mask."""
-    if np.ndim(lengths) == 2:
-        rows = _as_rows(lengths, "lengths")
-        return (rows > 0.0).all(axis=1) & chart_angles(rows)[1]
-    l = domain.as_vector(lengths, "lengths")
-    return bool(np.all(l > 0.0)) and chart_angles(l) is not None
+    if np.ndim(lengths) != 2:
+        return bool(in_L(domain.as_vector(lengths, "lengths")[np.newaxis])[0])
+    rows = domain.as_rows(lengths, "lengths")
+    return (rows > 0.0).all(axis=1) & chart_angles(rows)[1]

@@ -22,17 +22,34 @@ ACUTE_PAIR_BOUND = 7.0 * math.pi / 12.0
 ALL_PERMUTATIONS = tuple(itertools.permutations((1, 2, 3, 4)))
 
 
-def as_vector(values, name="vector"):
-    """Validate and return a 6-vector as a float ndarray."""
+def _as_floats(values, name, expected):
+    # values as a float ndarray; a failed conversion raises, and so do complex
+    # entries, whose imaginary parts a cast to float would drop
     try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"{name}: expected 6 numbers, got {values!r}") from exc
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":
+            raise TypeError("complex entries")
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"{name}: expected {expected}, got {values!r}") from exc
+
+
+def as_vector(values, name="vector"):
+    """Validate and return a 6-vector of real, finite numbers as a float ndarray."""
+    arr = _as_floats(values, name, "6 numbers")
     if arr.shape != (6,):
         raise InvalidArgumentError(f"{name}: expected 6 entries, got shape {arr.shape}")
     if not all(map(math.isfinite, arr.tolist())):  # on 6 entries, faster than numpy
         raise InvalidArgumentError(f"{name}: non-finite entries in {arr!r}")
     return arr
+
+
+def as_rows(values, name="rows"):
+    """Validate and return (m, 6) rows of real numbers (NaN, inf pass) as a float ndarray."""
+    rows = _as_floats(values, name, "(m, 6) rows of numbers")
+    if rows.ndim != 2 or rows.shape[1] != 6:
+        raise InvalidArgumentError(f"{name}: expected (m, 6) rows, got shape {rows.shape}")
+    return rows
 
 
 def as_finite(value, name, nonnegative=False):
@@ -103,10 +120,8 @@ def _validate_permutation(sigma):
 
 #: for each permutation sigma, the position of edge {sigma(i), sigma(j)}
 #: for each edge position of {i, j}
-_EDGE_IMAGES = {
-    sigma: np.array([edge_position(sigma[i - 1], sigma[j - 1]) for i, j in EDGE_PAIRS])
-    for sigma in ALL_PERMUTATIONS
-}
+_EDGE_IMAGES = {sigma: [edge_position(sigma[i - 1], sigma[j - 1]) for i, j in EDGE_PAIRS]
+                for sigma in ALL_PERMUTATIONS}
 
 
 def permute(sigma, angles):

@@ -7,6 +7,7 @@ theorem campaign.
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +73,8 @@ class Tetrahedron:
     def permuted(self, sigma):
         """The same tetrahedron with its vertices relabelled by ``sigma``:
         angles and lengths are permuted alike and the volume is kept."""
-        return Tetrahedron(
-            tuple(domain.permute(sigma, self.angles).tolist()),
-            tuple(domain.permute(sigma, self.lengths).tolist()),
-            self.volume,
-        )
+        take = operator.itemgetter(*domain._EDGE_IMAGES[domain._validate_permutation(sigma)])
+        return Tetrahedron(take(self.angles), take(self.lengths), self.volume)
 
     def to_json_dict(self):
         return {"angles": list(self.angles), "lengths": list(self.lengths), "volume": self.volume}

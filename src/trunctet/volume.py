@@ -223,13 +223,17 @@ def _raise_first(guards, *args, rows=None, first=0):
             raise EvaluationError(message, diagnostics=values)
 
 
-def _row_phases(angles):
-    # _phases of one 6-vector, validated, past _PHASE_GUARDS
+def _checked(validate, angles):
+    # angles through a domain validator; its InvalidArgumentError becomes EvaluationError
     try:
-        t = domain.as_vector(angles, "angles")
+        return validate(angles, "angles")
     except InvalidArgumentError as exc:
         raise EvaluationError(str(exc)) from exc
-    e, offsets = _phases(t)
+
+
+def _row_phases(angles):
+    # _phases of one 6-vector, validated, past _PHASE_GUARDS
+    e, offsets = _phases(_checked(domain.as_vector, angles))
     _raise_first(_PHASE_GUARDS, e)
     return e, offsets
 
@@ -273,9 +277,7 @@ _BLOCK_ROWS = 4096
 def _volume_rows(angles):
     # _phases and the Clausen sum on (m, 6) rows a block at a time, one row
     # per column of (6, m) working arrays, a block's phases in one clausen call
-    if angles.shape[1] != 6:
-        raise EvaluationError(f"angles: expected (m, 6) rows, got shape {angles.shape}")
-    rows = np.asarray(angles, dtype=float)
+    rows = _checked(domain.as_rows, angles)
     vols = np.empty(len(rows))
     for first in range(0, len(rows), _BLOCK_ROWS):
         block = rows[first:first + _BLOCK_ROWS]

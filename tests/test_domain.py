@@ -13,19 +13,25 @@ from trunctet import (
     Tetrahedron,
     acute_constraints_hold,
     angles_to_lengths,
+    angles_to_lengths_batch,
+    in_L,
     in_O,
+    lengths_to_angles_batch,
     permute,
     regular_from_angle,
     regular_from_length,
+    regular_volume_l0,
     sample_O,
     sample_O_batch,
     ushijima_volume,
     vertex_sums,
 )
-from trunctet.domain import as_vector, compose, in_O_mask
+from trunctet.convert import chart_angles
+from trunctet.domain import as_rows, as_vector, compose, in_O_mask
 from trunctet.indexing import VERTEX_EDGES
 from trunctet.errors import (
     DomainError,
+    EvaluationError,
     InconsistencyError,
     InvalidArgumentError,
     SamplingError,
@@ -71,12 +77,69 @@ class TestInO:
         ([0.1, 0.2, [0.3, 0.4], 0.5, 0.6, 0.7], "expected 6 numbers"),
         ([0.5] * 5, r"expected 6 entries, got shape \(5,\)"),
         ([math.nan] + [0.5] * 5, "non-finite entries"),
+        (np.array([0.5 + 1j] * 6), "expected 6 numbers"),
+        ([0.5 + 0j] * 6, "expected 6 numbers"),
     ],
-    ids=["non-numeric", "ragged", "short", "nan"],
+    ids=["non-numeric", "ragged", "short", "nan", "complex", "complex_real_valued"],
 )
 def test_malformed_vectors_raise_one_typed_error(call, values, message):
+    # complex entries are rejected, not cut to their real parts (numpy's
+    # ComplexWarning is a RuntimeWarning, which the suite turns into an error)
     with pytest.raises(InvalidArgumentError, match=f"^angles: {message}"):
         call(values)
+
+
+#: the entry points that take (m, 6) rows, validated by ``as_rows``
+ROW_CALLS = {
+    "as_rows": lambda rows: as_rows(rows, "angles"),
+    "angles_to_lengths_batch": angles_to_lengths_batch,
+    "lengths_to_angles_batch": lengths_to_angles_batch,
+    "chart_angles": chart_angles,
+    "in_L": in_L,
+    "ushijima_volume": ushijima_volume,
+}
+
+
+@pytest.mark.parametrize("call", ROW_CALLS.values(), ids=ROW_CALLS.keys())
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (np.array([["a"] * 6]), "rows of numbers"),
+        (np.array([[0.5 + 1j] * 6]), "rows of numbers"),
+        (np.array([[0.5 + 0j] * 6]), "rows of numbers"),
+        (np.array([[0.5] * 5]), r"rows, got shape \(1, 5\)"),
+    ],
+    ids=["non-numeric", "complex", "complex_real_valued", "five_columns"],
+)
+def test_malformed_rows_raise_one_typed_error(call, rows, message):
+    # a volume raises EvaluationError, with the message of the validator
+    error = EvaluationError if call is ushijima_volume else InvalidArgumentError
+    with pytest.raises(error, match=rf": expected \(m, 6\) {message}"):
+        call(rows)
+
+
+def test_complex_6_vectors_are_outside_the_length_chart():
+    row = np.array([0.7 + 1j] * 6)
+    assert chart_angles(row) is None
+    with pytest.raises(InvalidArgumentError, match="^lengths: expected 6 numbers"):
+        in_L(row)
+
+
+def same_outputs(a, b):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_outputs, a, b))
+    return np.array_equal(a, b, equal_nan=True) and np.asarray(a).dtype == np.asarray(b).dtype
+
+
+@pytest.mark.parametrize("call", ROW_CALLS.values(), ids=ROW_CALLS.keys())
+def test_real_rows_of_any_numeric_dtype_are_accepted(call):
+    # integer, float32 and boolean rows (in the closure of the angle
+    # polytope, for the volume) give what their float64 rows give
+    rows = np.array([[1, 1, 1, 1, 1, 1], [0, 1, 1, 1, 1, 1], [1, 0, 1, 0, 1, 1]])
+    expected = call(rows.astype(float))
+    for cast in (rows, rows.astype(np.float32), rows > 0):
+        assert same_outputs(call(cast), call(np.asarray(cast, dtype=float)))
+    assert same_outputs(call(rows), expected)
 
 
 def per_vertex_in_O_mask(batch, strict=True, tol=0.0):
@@ -188,6 +251,26 @@ class TestPermute:
             left = permute(compose(tau, sigma), a)
             right = permute(sigma, permute(tau, a))
             assert np.allclose(left, right, atol=0.0)
+
+    @pytest.mark.parametrize("constraint", ["acute", "volume_floor"])
+    def test_permuted_record_is_the_permuted_tuples(self, constraint):
+        # Tetrahedron.permuted gathers its tuples itself: the bits of
+        # permute, and the same volume, under all 24 markings
+        floor = regular_volume_l0() if constraint == "volume_floor" else None
+        rng = np.random.default_rng(15)
+        for a in sample_O_batch(rng, 20, constraint=constraint, floor=floor):
+            tet = Tetrahedron.from_angles(a)
+            for sigma in ALL_PERMUTATIONS:
+                moved = tet.permuted(sigma)
+                assert np.array(moved.angles).tobytes() == permute(sigma, tet.angles).tobytes()
+                assert np.array(moved.lengths).tobytes() == permute(sigma, tet.lengths).tobytes()
+                assert moved.volume == tet.volume
+
+    @pytest.mark.parametrize("sigma", [(1, 1, 2, 3), (1, 2, 3), (0, 1, 2, 3)])
+    def test_permuted_rejects_what_is_not_a_permutation(self, sigma):
+        tet = regular_from_length(0.8)
+        with pytest.raises(InvalidArgumentError, match="not a permutation of 1..4"):
+            tet.permuted(sigma)
 
     def test_regular_iff_fixed_by_all_markings(self):
         tet = regular_from_length(0.8)

@@ -311,6 +311,12 @@ def two_pass_jacobian(lengths):
     return jac
 
 
+def edge_major(reference, x):
+    """A reference computed on (m, 6) rows x, in the kernels' layout: its
+    leading row axis moved last; a reference on a 6-vector x as it is."""
+    return np.moveaxis(reference, 0, -1) if x.ndim == 2 else reference
+
+
 def criterion_8_records(n):
     """The first n certificates' tetrahedra of acceptance criterion 8,
     longest edge first."""
@@ -392,46 +398,64 @@ class TestOnePassJacobian:
     def test_kernel_on_the_length_tables_is_the_written_out_polynomial(self):
         # the shared kernel, fed the length tables, is bitwise w_ij, z_k and
         # the cosine arguments as written out above, and its gathered
-        # partials are the scattered ones, on (m, 6) arrays and on 6-vectors
+        # partials are the scattered ones, on (6, m) columns and on 6-vectors
         rng = np.random.default_rng(8)
         ch = np.cosh(rng.uniform(0.0, 3.0, size=(200, 6)))
         for x in (ch, ch[0]):
-            assert np.array_equal(convert._edge_poly(x, convert._LENGTHS.roles), reference_w(x))
-            z, products, cos_angles, grad = convert._ratio_grad(x, convert._LENGTHS)
+            expected_w = edge_major(reference_w(x), x)
+            assert np.array_equal(convert._edge_poly(x.T, convert._LENGTHS.roles), expected_w)
+            z, products, cos_angles, grad = convert._ratio_grad(x.T, convert._LENGTHS)
             for got, expected in zip((z, products, cos_angles), reference_cos_args(x)):
-                assert np.array_equal(got, expected)
-            assert np.array_equal(grad, reference_cos_args_grad(x)[1])
+                assert np.array_equal(got, edge_major(expected, x))
+            assert np.array_equal(grad, edge_major(reference_cos_args_grad(x)[1], x))
 
     def test_kernel_on_the_angle_tables_is_the_written_out_polynomial(self):
         # c_ij and its partials on the angle tables, for cosines anywhere in
-        # [-1, 1]: w_ij is c_ij with the roles ik and jl exchanged
+        # [-1, 1]: w_ij is c_ij with the roles ik and jl exchanged; on (6, m)
+        # columns and on 6-vectors
         rng = np.random.default_rng(9)
-        x = rng.uniform(-1.0, 1.0, size=(200, 6))
-        cij, cik, cil, cjk, cjl, ckl = (x[..., roles] for roles in ROLES)
-        c = cij * (cil * cjk + cik * cjl) + cil * cjl + cik * cjk + ckl * (1.0 - cij * cij)
-        partials = (
-            cil * cjk + cik * cjl - 2.0 * cij * ckl,
-            cij * cjl + cjk,
-            cij * cjk + cjl,
-            cij * cil + cik,
-            cij * cik + cil,
-            1.0 - cij * cij,
-        )
+        cosines = rng.uniform(-1.0, 1.0, size=(200, 6))
         triples = np.array(VERTEX_EDGES).T
         ends = np.array(EDGE_PAIRS).T - 1
-        a, b, e = (x[..., members] for members in triples)
-        d = 2.0 * a * b * e + a * a + b * b + e * e - 1.0
-        assert np.array_equal(convert._edge_poly(x, convert._ANGLES.roles), c)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            root = np.sqrt(d[..., ends[0]] * d[..., ends[1]])
-            ratio = c / root
-            log_grad = reference_vertex_poly_grad(x, triples) / d[..., None]
-            log_sum = log_grad[..., ends[0], :] + log_grad[..., ends[1], :]
-            expected = reference_edge_poly_grad(partials) / root[..., None] - 0.5 * ratio[..., None] * log_sum
-            got = convert._ratio_grad(x, convert._ANGLES)
-        assert np.array_equal(got[0], d)
-        assert np.array_equal(got[2], ratio, equal_nan=True)
-        assert np.array_equal(got[3], expected, equal_nan=True)
+        for x in (cosines, cosines[0]):
+            cij, cik, cil, cjk, cjl, ckl = (x[..., roles] for roles in ROLES)
+            c = cij * (cil * cjk + cik * cjl) + cil * cjl + cik * cjk + ckl * (1.0 - cij * cij)
+            partials = (
+                cil * cjk + cik * cjl - 2.0 * cij * ckl,
+                cij * cjl + cjk,
+                cij * cjk + cjl,
+                cij * cil + cik,
+                cij * cik + cil,
+                1.0 - cij * cij,
+            )
+            a, b, e = (x[..., members] for members in triples)
+            d = 2.0 * a * b * e + a * a + b * b + e * e - 1.0
+            with np.errstate(invalid="ignore", divide="ignore"):
+                root = np.sqrt(d[..., ends[0]] * d[..., ends[1]])
+                ratio = c / root
+                log_grad = reference_vertex_poly_grad(x, triples) / d[..., None]
+                log_sum = log_grad[..., ends[0], :] + log_grad[..., ends[1], :]
+                expected = reference_edge_poly_grad(partials) / root[..., None] - 0.5 * ratio[..., None] * log_sum
+                got = convert._ratio_grad(x.T, convert._ANGLES)
+            assert np.array_equal(convert._edge_poly(x.T, convert._ANGLES.roles), edge_major(c, x))
+            assert np.array_equal(got[0], edge_major(d, x))
+            assert np.array_equal(got[2], edge_major(ratio, x), equal_nan=True)
+            assert np.array_equal(got[3], edge_major(expected, x), equal_nan=True)
+
+    @pytest.mark.parametrize("jacobian, high", [(convert.angles_jacobian, 3.0),
+                                                (convert.lengths_jacobian, math.pi)])
+    def test_batch_jacobians_are_the_same_bits_in_every_shape(self, jacobian, high):
+        # (m, 6) rows, the same rows as (2, m/2, 6) and row by row as
+        # 6-vectors: one (..., 6, 6) result, NaN and inf in the same places
+        rows = np.random.default_rng(10).uniform(0.0, high, size=(400, 6))
+        with np.errstate(all="ignore"):
+            flat = jacobian(rows)
+            stacked = jacobian(rows.reshape(2, 200, 6))
+            single = np.array([jacobian(row) for row in rows])
+        assert flat.shape == (400, 6, 6) and stacked.shape == (2, 200, 6, 6)
+        assert np.isfinite(flat).any() and not np.isfinite(flat).all()
+        assert np.array_equal(stacked, flat.reshape(2, 200, 6, 6), equal_nan=True)
+        assert np.array_equal(single, flat, equal_nan=True)
 
     def test_flat_limit_two_pass_agrees(self):
         # the two-pass reference also finds the flat limit near-degenerate

@@ -96,8 +96,8 @@ class TestIntermediates:
             ushijima_volume((2.0, 2.0, 2.0, 2.0, 2.0, 2.0))
 
     @pytest.mark.parametrize("angles", [
-        [0.5] * 5, (math.nan,) * 6, ("a",) * 6, (2.0,) * 6, (1e308,) * 6,
-    ], ids=["five_entries", "nan", "non_numeric", "outside", "huge"])
+        [0.5] * 5, (math.nan,) * 6, ("a",) * 6, (2.0,) * 6, (1e308,) * 6, np.array([0.5 + 1j] * 6),
+    ], ids=["five_entries", "nan", "non_numeric", "outside", "huge", "complex"])
     def test_rejects_what_the_volume_rejects(self, angles):
         # malformed, non-finite and out-of-closure input, quietly: the suite
         # turns a RuntimeWarning into an error
