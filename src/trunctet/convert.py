@@ -157,10 +157,9 @@ def lengths_jacobian(angles):
 
     Differentiates cosh l_ij = c_ij / sqrt(d_i d_j) in the cosines and
     chains with d cos theta = -sin theta d theta and d l = d cosh l / sinh l.
-    Inputs are not validated; rows off the polytope give NaN or inf.
+    Inputs must be real; rows off the polytope give NaN or inf.
     """
-    columns = np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
-    return np.moveaxis(_cosh_lengths_grad(columns)[3], (0, 1), (-2, -1))
+    return _stacked_jacobian(_cosh_lengths_grad, angles, "angles")
 
 
 def _cos_angles(lengths):
@@ -182,11 +181,19 @@ def angles_jacobian(lengths):
 
     Differentiates cos theta_ij = w_ij / sqrt(z_k z_l) in the hyperbolic
     cosines and chains with d cosh l = sinh l d l and
-    d theta = -d cos theta / sin theta. Inputs are not validated; rows off
-    the length chart give NaN or inf.
+    d theta = -d cos theta / sin theta. Inputs must be real; rows off the
+    length chart give NaN or inf.
     """
-    columns = np.moveaxis(np.asarray(lengths, dtype=float), -1, 0)
-    return np.moveaxis(_cos_angles_grad(columns)[3], (0, 1), (-2, -1))
+    return _stacked_jacobian(_cos_angles_grad, lengths, "lengths")
+
+
+def _stacked_jacobian(kernel, values, name):
+    # the Jacobian of a kernel pass on (..., 6) arrays of real numbers (NaN,
+    # inf pass), validated, with its (6, 6) axes moved behind the rows
+    arr = domain._as_floats(values, name, "(..., 6) arrays of numbers")
+    if arr.shape[-1:] != (6,):
+        raise InvalidArgumentError(f"{name}: expected (..., 6) arrays, got shape {arr.shape}")
+    return np.moveaxis(kernel(np.moveaxis(arr, -1, 0))[3], (0, 1), (-2, -1))
 
 
 #: one kernel pass: the input angles or lengths, the vertex coefficients

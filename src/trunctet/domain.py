@@ -146,31 +146,31 @@ def permutation_moving_edge_to_front(pos):
 
 
 # --- vectorized helpers for the samplers -------------------------------
-# Their sums may overflow on huge finite rows; an infinite sum fails the test.
+# Their sums may overflow on huge finite rows, or be NaN (inf - inf): both fail.
 
-@np.errstate(over="ignore")
 def in_O_mask(batch, strict=True, tol=0.0):
-    """Polytope membership, as ``in_O``, for an (m, 6) batch of angle rows.
-
-    The first vertex sum is tested on every row. The rows that pass it
-    (about 1/6 of uniform proposals) are gathered once, as contiguous
-    columns, and the test of ``in_O`` runs on those with the other sums.
-    """
-    A = np.asarray(batch, dtype=float)
-    below = np.less if strict else np.less_equal
-    (p, q, r), *rest = VERTEX_EDGES
-    idx = np.flatnonzero(below(A[:, p] + A[:, q] + A[:, r], math.pi + tol))
-    cols = A[idx].T.copy()
-    keep = _in_polytope(cols, [cols[p] + cols[q] + cols[r] for p, q, r in rest], strict, tol)
+    """Polytope membership, as ``in_O``, for (m, 6) rows validated by ``as_rows``."""
+    A = as_rows(batch, "angles")
     ok = np.zeros(len(A), dtype=bool)
-    ok[idx[keep]] = True
+    ok[_in_O_index(A, strict, tol)] = True
     return ok
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
+def _in_O_index(A, strict=True, tol=0.0):
+    # in_O_mask's row indices of unvalidated float rows; those passing the first
+    # vertex sum (~1/6 of proposals) are gathered once, by np.take (3x A[idx])
+    below = np.less if strict else np.less_equal
+    (p, q, r), *rest = VERTEX_EDGES
+    idx = np.flatnonzero(below(A[:, p] + A[:, q] + A[:, r], math.pi + tol))
+    cols = np.take(A, idx, axis=0).T.copy()
+    return idx[_in_polytope(cols, [cols[p] + cols[q] + cols[r] for p, q, r in rest], strict, tol)]
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def acute_mask(batch):
-    """Acute-region membership for an (m, 6) batch of angle rows."""
-    A = np.asarray(batch, dtype=float)
+    """Acute-region membership for (m, 6) angle rows validated by ``as_rows``."""
+    A = as_rows(batch, "angles")
     ok = A.sum(axis=1) <= math.pi
     ok &= np.all(A < math.pi / 2, axis=1)
     for edges in VERTEX_EDGES:

@@ -133,7 +133,7 @@ def sample_T_ell(rng, ell, n, budget=None, require_volume_floor=None):
     Proposals are drawn over the full angle polytope (the set of length
     vectors above the floor meets every angle-sum regime, so acute
     restriction would miss most of it), unless ``require_volume_floor``
-    also asks for volume above a floor.
+    also asks for volume above a floor. An int ``rng`` is taken as a seed.
     """
     constraint = tetra.INTERIOR if require_volume_floor is None else tetra.VOLUME_FLOOR
     rows = tetra._sample_rows(rng, n, constraint, require_volume_floor, ell, budget)
@@ -260,7 +260,7 @@ def verify_theorem(ell, n, seed, tol=MARGIN_TOL):
         report.notes.append(
             "conjecture regime: ell exceeds l0, outcome recorded, not asserted"
         )
-    rows = tetra._sample_rows(np.random.default_rng(domain.as_count(seed, "seed")), n, ell=ell)
+    rows = tetra._sample_rows(domain.as_count(seed, "seed"), n, ell=ell)
     _record_rows(report, reference, tol, *rows)
     return report
 
@@ -282,14 +282,11 @@ def verify_fixed_angle_sum(theta_sum, n, seed, tol=MARGIN_TOL):
         params={"theta_sum": theta_sum, "n": n, "tol": tol, "reference_volume": reference},
     )
 
-    def propose(rng, size):
-        return rng.dirichlet(np.ones(6), size=size) * theta_sum
-
-    def accept(batch):
-        return (batch[domain.in_O_mask(batch)],)
-
-    rng = np.random.default_rng(domain.as_count(seed, "seed"))
-    (angles,) = rejection_sample(rng, n, propose, accept)
+    (angles,) = rejection_sample(
+        domain.as_count(seed, "seed"), n,
+        lambda rng, size: rng.dirichlet(np.ones(6), size=size) * theta_sum,
+        lambda batch: (np.take(batch, domain._in_O_index(batch), axis=0),),
+    )
     lengths = convert.angles_to_lengths_batch(angles)
     # NaN rows are the rows the scalar conversion raises on: raise the first's
     if np.isnan(lengths).any():

@@ -223,7 +223,6 @@ def integrate(f, a, b, tol=1e-10):
     while total_err > tol:
         neg_err, lo, hi, est, depth = heapq.heappop(heap)
         if depth >= _MAX_DEPTH or len(heap) + 2 > _MAX_PANELS:
-            heapq.heappush(heap, (neg_err, lo, hi, est, depth))
             raise AccuracyError(
                 f"integrate: tolerance {tol} not reached "
                 f"(residual error estimate {total_err:.3g})",

@@ -2,7 +2,8 @@
 the regular one-parameter family, and the rejection sampler over the angle
 polytope: ``_sample_rows`` makes every accept decision (region, length
 floor, volume floor) for ``sample_O_batch``, ``sample_T_ell`` and the
-theorem campaign.
+theorem campaign. A Generator is drawn in ``_BATCH``-row blocks, an int
+seed in blocks growing to ``_GROW_CAP`` rows; budgets round up to ``_BATCH``.
 """
 
 import math
@@ -138,34 +139,41 @@ ACUTE = "acute"
 VOLUME_FLOOR = "volume_floor"
 
 _BATCH = 4096
+#: the largest block of a seed's generator: 768 KiB of proposals
+_GROW_CAP = 4 * _BATCH
 
 
 def rejection_sample(rng, n, propose, accept, budget=None):
-    """The first n accepted rows of batches of proposals, as arrays.
+    """The first n accepted rows of blocks of proposals, as arrays.
 
     ``propose(rng, size)`` draws a (size, 6) array of candidate rows;
     ``accept(rows)`` returns a tuple of arrays whose first axis runs over
-    the accepted rows of the batch, in proposal order (the angle rows, and
-    whatever else the caller computed for them). Batches are drawn until n
-    rows are in; the chunks are then joined and cut at n, so every row of
-    the last batch is accepted or rejected, not only those up to the n-th.
-    ``budget`` caps the number of rows drawn and defaults to
-    max(10^6, 2 * 10^4 * n).
+    the accepted rows of the block, in proposal order (the angle rows, and
+    whatever else the caller computed for them), until n rows are in; they
+    are joined and cut at n. A Generator ``rng`` is drawn in blocks of
+    ``_BATCH`` rows, keeping the caller's stream; an int seeds a generator
+    no one else sees, drawn in blocks of 4096, 8192, then 16384 rows
+    (``_GROW_CAP``): the same rows. ``budget`` caps the rows drawn, rounded
+    up to a multiple of ``_BATCH``; it defaults to max(10^6, 2 * 10^4 * n).
     """
     n = domain.as_count(n, "n")
     if budget is None:
         budget = max(1_000_000, 20_000 * n)
-    chunks = []
-    accepted = 0
-    draws = 0
+    grow = 1  # a caller's Generator keeps _BATCH blocks; a seed's double
+    if not isinstance(rng, np.random.Generator):
+        rng, grow = np.random.default_rng(domain.as_count(rng, "seed")), 2
+    cap = -(-budget // _BATCH) * _BATCH
+    chunks, accepted, draws, size = [], 0, 0, _BATCH
     while accepted < n:
-        if draws >= budget:
+        if draws >= cap:
             raise SamplingError(
                 f"rejection budget {budget} exhausted after {accepted}/{n} accepted"
             )
-        chunks.append(accept(propose(rng, _BATCH)))
-        draws += _BATCH
+        size = int(min(size, cap - draws))  # an int for a float budget
+        chunks.append(accept(propose(rng, size)))
+        draws += size
         accepted += len(chunks[-1][0])
+        size = min(grow * size, _GROW_CAP)
     if not chunks:
         # n = 0: the (empty) arrays of an empty batch, with their shapes
         chunks.append(accept(np.empty((0, 6))))
@@ -174,12 +182,13 @@ def rejection_sample(rng, n, propose, accept, budget=None):
 
 def _sample_rows(rng, n, constraint=INTERIOR, floor=None, ell=None, budget=None):
     """n rows by ``rejection_sample`` from uniform proposals over [0, pi)^6,
-    or [0, pi/2)^6 under the acute constraints. A batch keeps the rows in
-    the region (``in_O_mask``, or ``acute_mask``, necessary for a volume
-    floor at vol(l0) and above), then with ``ell`` those with all lengths
-    >= ell (NaN rows fail), then under ``volume_floor`` those with volume
-    >= ``floor``. Returns ``(angles,)``, or with ``ell`` the angles, lengths
-    and volumes (without a floor, the n rows' volumes from one call)."""
+    or [0, pi/2)^6 under the acute constraints, from a Generator or a seed
+    (growing blocks) with the budget rounded up to a multiple of ``_BATCH``.
+    A block keeps the rows in the region (``_in_O_index``, or ``acute_mask``,
+    necessary for a volume floor at vol(l0) and above), then with ``ell``
+    those with all lengths >= ell (NaN rows fail), then under ``volume_floor``
+    those with volume >= ``floor``. Returns ``(angles,)``, or with ``ell``
+    the angles, lengths and volumes (the n rows' volumes from one call)."""
     if ell is not None:
         ell = domain.as_finite(ell, "ell")
     if constraint not in (INTERIOR, ACUTE, VOLUME_FLOOR):
@@ -190,8 +199,8 @@ def _sample_rows(rng, n, constraint=INTERIOR, floor=None, ell=None, budget=None)
         floor = domain.as_finite(floor, "volume floor")
 
     def accept(batch):
-        region = domain.in_O_mask if constraint == INTERIOR else domain.acute_mask
-        rows = [batch[region(batch)]]
+        rows = [np.take(batch, domain._in_O_index(batch), axis=0) if constraint == INTERIOR
+                else np.compress(domain.acute_mask(batch), batch, axis=0)]
         if ell is not None:
             lengths = convert.angles_to_lengths_batch(rows[0])
             ok = (lengths >= ell).all(axis=1)  # NaN rows compare False
@@ -202,10 +211,14 @@ def _sample_rows(rng, n, constraint=INTERIOR, floor=None, ell=None, budget=None)
             rows = [r[keep] for r in rows] + [vols[keep]]
         return rows
 
+    def propose(rng, size):
+        # bitwise rng.uniform(0.0, high), which computes 0.0 + high * u
+        rows = rng.random((size, 6))
+        rows *= high
+        return rows
+
     high = math.pi if constraint == INTERIOR else math.pi / 2.0
-    # rng.uniform(0.0, high) computes 0.0 + high * u from the same doubles u:
-    # the scaled rng.random draws are bitwise its draws, without broadcasting
-    rows = rejection_sample(rng, n, lambda rng, size: rng.random((size, 6)) * high, accept, budget)
+    rows = rejection_sample(rng, n, propose, accept, budget)
     if ell is not None and constraint != VOLUME_FLOOR:
         rows += (volume.ushijima_volume(rows[0]),)
     return rows if ell is not None else rows[:1]
@@ -214,7 +227,7 @@ def _sample_rows(rng, n, constraint=INTERIOR, floor=None, ell=None, budget=None)
 def sample_O_batch(rng, n, constraint=INTERIOR, floor=None, budget=None):
     """n angle rows satisfying the constraint (``floor`` is the volume floor
     of ``volume_floor``), by ``_sample_rows``; deterministic for a given
-    Generator state."""
+    Generator state, or a seed (an int ``rng``, drawn in larger blocks)."""
     return list(_sample_rows(rng, n, constraint, floor, budget=budget)[0])
 
 

@@ -27,7 +27,7 @@ from trunctet import (
     vertex_sums,
 )
 from trunctet.convert import chart_angles
-from trunctet.domain import as_rows, as_vector, compose, in_O_mask
+from trunctet.domain import _in_O_index, acute_mask, as_rows, as_vector, compose, in_O_mask
 from trunctet.indexing import VERTEX_EDGES
 from trunctet.errors import (
     DomainError,
@@ -97,6 +97,8 @@ ROW_CALLS = {
     "chart_angles": chart_angles,
     "in_L": in_L,
     "ushijima_volume": ushijima_volume,
+    "in_O_mask": in_O_mask,
+    "acute_mask": acute_mask,
 }
 
 
@@ -196,6 +198,21 @@ class TestInOMaskMatchesPerVertexGather:
             assert np.array_equal(got, expected)
             decided |= set(got.tolist())
         assert decided == {False, True}
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_rows_gathered_by_index_are_the_masked_rows(self, strict, tol):
+        # the samplers gather np.take(batch, _in_O_index(batch)); the rows and
+        # their bits are those of the boolean gather, NaN and inf rows included
+        rng = np.random.default_rng(22)
+        special = rng.uniform(0.0, 1.0, size=(60, 6))
+        special[rng.integers(0, 60, 20), rng.integers(0, 6, 20)] = np.nan
+        special[rng.integers(0, 60, 20), rng.integers(0, 6, 20)] = np.inf
+        special[rng.integers(0, 60, 10), rng.integers(0, 6, 10)] = -np.inf
+        for batch in mask_test_batches() + [special]:
+            got = np.take(batch, _in_O_index(batch, strict, tol), axis=0)
+            expected = batch[in_O_mask(batch, strict, tol)]
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     def test_rows_on_the_bound(self):
         rows = mask_test_batches()[2]

@@ -38,7 +38,7 @@ from trunctet.extremal import (
     TIE_TOL,
     VerificationReport,
 )
-from trunctet.tetra import _BATCH
+from trunctet.tetra import _BATCH, _GROW_CAP, rejection_sample
 
 
 def floor_start(seed, ell=0.3):
@@ -290,6 +290,77 @@ class TestArrayCampaignsMatchPerRow:
         with pytest.raises(SamplingError) as got:
             sample_T_ell(np.random.default_rng(89), 0.8, 50, budget=3 * _BATCH)
         assert str(got.value) == str(expected.value)
+
+
+def t_ell_accept(ell):
+    # the rows of a batch in the polytope with all lengths >= ell, as arrays
+    def accept(batch):
+        angles = batch[in_O_mask(batch)]
+        return (angles[np.all(angles_to_lengths_batch(angles) >= ell, axis=1)],)
+    return accept
+
+
+class TestBlockSchedule:
+    """A sampler that owns its generator (an int seed) draws growing blocks;
+    a caller's Generator is drawn in blocks of ``_BATCH`` rows."""
+
+    @staticmethod
+    def sizes(rng, budget):
+        # the block sizes drawn until a budget runs out with nothing accepted
+        sizes = []
+
+        def propose(rng, size):
+            sizes.append(size)
+            return rng.random((size, 6))
+
+        with pytest.raises(SamplingError, match=f"^rejection budget {budget} exhausted after 0/1"):
+            rejection_sample(rng, 1, propose, lambda batch: (batch[:0],), budget)
+        return sizes
+
+    def test_a_seed_draws_blocks_doubling_to_the_cap(self):
+        # 13 * _BATCH - 5 rounds up to 13 * _BATCH: 1 + 2 + 4 + 4 blocks of
+        # _BATCH, and the last block clipped from 4 to the 2 that are left
+        assert _GROW_CAP == 4 * _BATCH
+        sizes = self.sizes(5, 13 * _BATCH - 5)
+        assert sizes == [_BATCH, 2 * _BATCH, _GROW_CAP, _GROW_CAP, 2 * _BATCH]
+        assert self.sizes(5, 30 * _BATCH)[:7] == [_BATCH, 2 * _BATCH] + [_GROW_CAP] * 5
+
+    def test_a_generator_draws_blocks_of_the_batch(self):
+        assert self.sizes(np.random.default_rng(5), 13 * _BATCH - 5) == [_BATCH] * 13
+
+    def test_largest_block_stays_small(self):
+        # (16384, 6) proposals take 768 KiB. Campaign peak RSS rose 0.45 MB
+        # at a cap of 16384 rows, 2.0 MB at 32768 and 4.4 MB at 65536, and the
+        # two larger caps were also slower
+        assert _GROW_CAP * 6 * 8 <= 1 << 20
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 300])
+    def test_a_seed_gives_the_rows_of_its_generator(self, n):
+        for seed in (0, 90):
+            got = sample_T_ell(seed, L0, n)
+            assert got == sample_T_ell(np.random.default_rng(seed), L0, n)
+            rows = sample_O_batch(seed, n, "acute")
+            assert np.array_equal(rows, sample_O_batch(np.random.default_rng(seed), n, "acute"))
+
+    @pytest.mark.parametrize("budget", [3 * _BATCH, 3 * _BATCH + 1])
+    def test_budget_message_of_a_seed(self, budget):
+        # the seed's blocks (4096 + 8192, or + 4096 more clipped from 16384)
+        # draw the rows of the per-block loop, so the same rows are in
+        def per_row_accept(batch):
+            return iter(t_ell_accept(0.8)(batch)[0])
+
+        with pytest.raises(SamplingError) as expected:
+            per_row_rejection_sample(
+                np.random.default_rng(89), 50, uniform(math.pi), per_row_accept, budget)
+        assert "exhausted after 0/" not in str(expected.value)
+        with pytest.raises(SamplingError) as got:
+            rejection_sample(89, 50, uniform(math.pi), t_ell_accept(0.8), budget)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
+    def test_seeds_must_be_nonnegative_integers(self, seed):
+        with pytest.raises(InvalidArgumentError, match="^seed must be a nonnegative integer"):
+            rejection_sample(seed, 1, uniform(math.pi), t_ell_accept(0.3))
 
 
 class TestRecordBatch:

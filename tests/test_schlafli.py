@@ -28,7 +28,7 @@ from trunctet import (
     ushijima_volume,
 )
 from trunctet import convert, domain
-from trunctet.errors import InconsistencyError, TruncTetError
+from trunctet.errors import InconsistencyError, InvalidArgumentError, TruncTetError
 from trunctet.indexing import EDGE_PAIRS, VERTEX_EDGES, edge_position
 from trunctet.schlafli import volume_of_lengths
 
@@ -456,6 +456,23 @@ class TestOnePassJacobian:
         assert np.isfinite(flat).any() and not np.isfinite(flat).all()
         assert np.array_equal(stacked, flat.reshape(2, 200, 6, 6), equal_nan=True)
         assert np.array_equal(single, flat, equal_nan=True)
+
+    @pytest.mark.parametrize("jacobian", [convert.angles_jacobian, convert.lengths_jacobian])
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.array([[0.5 + 1j] * 6]), "arrays of numbers"),
+            (np.array([[[0.5 + 0j] * 6]] * 2), "arrays of numbers"),
+            (np.array([["a"] * 6]), "arrays of numbers"),
+            (np.array([[0.5] * 5]), r"arrays, got shape \(1, 5\)"),
+            (np.float64(0.5), r"arrays, got shape \(\)"),
+        ],
+        ids=["complex", "complex_real_valued_stacked", "non-numeric", "five_columns", "scalar"],
+    )
+    def test_batch_jacobians_reject_what_is_not_real_rows(self, jacobian, values, message):
+        # complex entries raise instead of losing their imaginary parts
+        with pytest.raises(InvalidArgumentError, match=rf": expected \(\.\.\., 6\) {message}"):
+            jacobian(values)
 
     def test_flat_limit_two_pass_agrees(self):
         # the two-pass reference also finds the flat limit near-degenerate
