@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import domain, extremal, schlafli
+from . import extremal, schlafli
 from .errors import InvalidArgumentError, TruncTetError
 from .tetra import Tetrahedron, sample_O
 
@@ -139,8 +139,6 @@ def build_parser():
     p.add_argument("name", choices=["prima", "prima2"])
     _add_vector_flags(p)
     p.add_argument("--ell", type=float, required=True)
-    p.add_argument("--probes", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     _add_output_flags(p, "json")
 
     p = sub.add_parser("degenerate", help="flat degeneration path")
@@ -212,8 +210,6 @@ def _cmd_flow(args, out):
 
 
 def _cmd_conjecture(args, out):
-    if args.probes < 0:
-        raise UsageError(f"--probes must be nonnegative, got {args.probes}")
     tet = _tetrahedron_from_args(args)
     if args.name == "prima":
         holds, margin = extremal.conjecture_prima_test(tet, args.ell)
@@ -224,9 +220,7 @@ def _cmd_conjecture(args, out):
             "indeterminate": bool(abs(margin) < extremal.INDETERMINATE_BAND),
         }
     else:
-        nonempty, witness = extremal.conjecture_prima2_test(
-            tet, args.ell, args.probes, args.seed
-        )
+        nonempty, witness = extremal.conjecture_prima2_test(tet, args.ell)
         payload = {
             "conjecture": "prima2",
             "nonempty": bool(nonempty),
@@ -266,8 +260,7 @@ def _cmd_scan(args, out):
 def _cmd_sample(args, out):
     if args.constraint == "volume_floor" and args.floor is None:
         raise UsageError("--constraint volume_floor requires --floor")
-    rng = np.random.default_rng(domain.as_count(args.seed, "seed"))
-    _write(out, args, Tetrahedron.from_angles(sample_O(rng, args.constraint, floor=args.floor)))
+    _write(out, args, Tetrahedron.from_angles(sample_O(args.seed, args.constraint, args.floor)))
     return EXIT_OK
 
 

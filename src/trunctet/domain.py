@@ -7,6 +7,7 @@ the three angles at each of the four vertices sum below pi; the set of such
 sums equal to pi) are handled by the same predicates with ``strict=False``.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -135,6 +136,24 @@ def compose(sigma, tau):
     sigma = _validate_permutation(sigma)
     tau = _validate_permutation(tau)
     return tuple(sigma[tau[i] - 1] for i in range(4))
+
+
+@functools.cache
+def _coset_rows():
+    """The left cosets gH of the 29 nontrivial subgroups H of S4, the closures of every
+    pair under ``compose`` (as sets, also the right cosets Hg = g(g^-1 H g)), as index
+    rows into ``ALL_PERMUTATIONS``: an array per coset size, largest (S4) first, rows sorted."""
+    subgroups = set()
+    for pair in itertools.combinations_with_replacement(ALL_PERMUTATIONS, 2):
+        group, new = set(), {ALL_PERMUTATIONS[0]}  # from the identity
+        while new:
+            group |= new
+            new = {compose(s, g) for s in new for g in pair} - group
+        subgroups.add(frozenset(group))
+    cosets = {tuple(sorted(ALL_PERMUTATIONS.index(compose(g, h)) for h in group))
+              for group in subgroups if len(group) > 1 for g in ALL_PERMUTATIONS}
+    sizes = sorted({len(c) for c in cosets}, reverse=True)
+    return tuple(np.array(sorted(c for c in cosets if len(c) == size)) for size in sizes)
 
 
 def permutation_moving_edge_to_front(pos):

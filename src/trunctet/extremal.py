@@ -1,7 +1,7 @@
 """Extremal machinery: the edge-shrinking deformation flow, sampling
 campaigns for the volume-maximization theorem and its relatives, the regular
-family scan, flat degenerations, and exploratory tests for the open
-conjectures.
+family scan, flat degenerations, and deterministic exploratory tests of two
+averaging conjectures, of which prima fails above angle sum 3 pi / 2.
 """
 
 import functools
@@ -338,33 +338,20 @@ def conjecture_prima_test(tet, ell):
     return margin >= -MARGIN_TOL, margin
 
 
-def conjecture_prima2_test(tet, ell, probes, seed):
+def conjecture_prima2_test(tet, ell):
     """Search the convex hull of the 24 symmetric images of ``tet`` (vertices
-    excluded) for another point of T_ell: the orbit barycenter, then ``probes``
-    random convex combinations in blocks of ``tetra._BATCH``, to the first hit.
-
-    Returns (nonempty, witness); a False result after the probe budget is
-    inconclusive, not a refutation.
-    """
+    excluded) for another point of T_ell among the barycenters of its 210 sub-orbits
+    (``domain._coset_rows``), by one batch conversion. The whole orbit's comes first:
+    it is the regular tetrahedron of the mean angle, as in ``conjecture_prima_test``.
+    Returns (nonempty, witness), the first hit; a False result is inconclusive,
+    not a refutation: the candidates are finitely many points of the hull."""
     if tet.is_regular():
         raise DomainError("conjecture requires a non-regular tetrahedron")
     ell = domain.as_finite(ell, "ell")
-    probes, seed = domain.as_count(probes, "probes"), domain.as_count(seed, "seed")
     orbit = np.array([domain.permute(sigma, tet.angles) for sigma in domain.ALL_PERMUTATIONS])
-
-    def blocks():
-        # the orbit barycenter has all angles equal to the mean: test it first
-        yield orbit.mean(axis=0)[np.newaxis]
-        rng = np.random.default_rng(seed)
-        for first in range(0, probes, tetra._BATCH):
-            weights = rng.dirichlet(np.ones(len(orbit)), size=min(tetra._BATCH, probes - first))
-            # row by row: a matrix product may sum in another order
-            yield np.array([w @ orbit for w in weights])
-
-    for points in blocks():
-        off_orbit = np.abs(orbit - points[:, np.newaxis]).max(axis=2).min(axis=1) >= 1e-9
-        long = (convert.angles_to_lengths_batch(points) >= ell - MARGIN_TOL).all(axis=1)
-        hits = off_orbit & long
-        if hits.any():
-            return True, Tetrahedron.from_angles(points[hits.argmax()])
-    return False, None
+    # one coset size at a time: a row's points are summed in index order
+    points = np.concatenate([orbit[rows].mean(axis=1) for rows in domain._coset_rows()])
+    off_orbit = np.abs(orbit - points[:, np.newaxis]).max(axis=2).min(axis=1) >= 1e-9
+    long = (convert.angles_to_lengths_batch(points) >= ell - MARGIN_TOL).all(axis=1)
+    hits = np.flatnonzero(off_orbit & long)
+    return (True, Tetrahedron.from_angles(points[hits[0]])) if len(hits) else (False, None)

@@ -233,9 +233,7 @@ class TestErrorsAndDeterminism:
 
     def test_negative_counts_are_usage_errors(self):
         for argv in (["verify", "theorem", "--ell", "0.3", "--samples", "-5"],
-                     ["verify", "anglesum", "--sum", "3.0", "--samples", "-1"],
-                     ["conjecture", "prima2", "--angles", "0.4,0.5,0.3,0.45,0.35,0.5",
-                      "--ell", "0.3", "--probes", "-3"]):
+                     ["verify", "anglesum", "--sum", "3.0", "--samples", "-1"]):
             code, out, err = run(argv)
             assert (code, out) == (1, "")
             assert err.startswith("error: --") and "must be nonnegative" in err
@@ -243,6 +241,14 @@ class TestErrorsAndDeterminism:
         code, out, _ = run(["verify", "theorem", "--ell", "0.3", "--samples", "0"])
         assert code == 0
         assert json.loads(out)["report"]["samples"] == 0
+
+    def test_conjecture_takes_no_probes_or_seed(self, capsys):
+        # prima2 tests a fixed set of points: it has no probe budget and no seed
+        for flag in ("--probes", "--seed"):
+            code, out, _ = run(["conjecture", "prima2", "--angles", "0.4,0.5,0.3,0.45,0.35,0.5",
+                                "--ell", "0.3", flag, "5"])
+            assert (code, out) == (1, "")
+            assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
     def test_unknown_flag(self):
         code, _, _ = run(["volume", "--bogus", "1"])

@@ -4,6 +4,7 @@ exploratory conjecture probes."""
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from trunctet import (
     verify_fixed_angle_sum,
     verify_theorem,
 )
-from trunctet import cli, extremal, tetra
+from trunctet import cli, domain, extremal
 from trunctet.convert import angles_to_lengths, angles_to_lengths_batch, chart_angles
-from trunctet.domain import ALL_PERMUTATIONS, acute_mask, in_O_mask, permute
+from trunctet.domain import ALL_PERMUTATIONS, acute_mask, compose, in_O_mask, permute
 from trunctet.errors import DomainError, InvalidArgumentError, SamplingError
 from trunctet.extremal import (
     _FLOW_BLOCK,
@@ -39,6 +40,8 @@ from trunctet.extremal import (
     VerificationReport,
 )
 from trunctet.tetra import _BATCH, _GROW_CAP, rejection_sample
+
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 
 def floor_start(seed, ell=0.3):
@@ -783,75 +786,97 @@ class TestConjectures:
         base = regular_from_length(0.8).angles[0]
         angles = np.asarray([base] * 6) + 1e-3 * np.arange(6)
         tet = Tetrahedron.from_angles(angles)
-        nonempty, witness = conjecture_prima2_test(tet, tet.min_length, 200, seed=80)
+        nonempty, witness = conjecture_prima2_test(tet, tet.min_length)
         assert nonempty
         assert witness.min_length >= tet.min_length - 1e-9
 
     def test_prima2_rejects_regular_input(self):
         with pytest.raises(DomainError):
-            conjecture_prima2_test(regular_from_length(0.8), 0.8, 10, seed=81)
+            conjecture_prima2_test(regular_from_length(0.8), 0.8)
 
 
-def per_probe_prima2(tet, ell, probes, seed):
-    """conjecture_prima2_test as written before the probes were tested in
-    blocks: one ``from_angles`` per point tried. Also returns the index of
-    the probe that hit (-1 for the barycenter, None without a hit)."""
-    orbit = np.array([permute(sigma, tet.angles) for sigma in ALL_PERMUTATIONS])
-
-    def try_point(angles):
-        if min(np.max(np.abs(orbit - angles), axis=1)) < 1e-9:
-            return None  # coincides with an orbit vertex
-        candidate = Tetrahedron.from_angles(angles)
-        if candidate.min_length >= ell - extremal.MARGIN_TOL:
-            return candidate
-        return None
-
-    witness = try_point(orbit.mean(axis=0))
-    if witness is not None:
-        return True, witness, -1
-    rng = np.random.default_rng(seed)
-    for probe in range(probes):
-        witness = try_point(rng.dirichlet(np.ones(len(orbit))) @ orbit)
-        if witness is not None:
-            return True, witness, probe
-    return False, None, None
+def s6_start():
+    """The family (x, x, y, y, y, x) at angle sum s = 6 with 2x + y = pi - 1e-5,
+    so that vertices 1-3 are near-ideal, moved off its symmetry by
+    3e-4 (1, -1, 0, 0, 0, -1). Every edge meets a near-ideal vertex."""
+    x = math.pi - 1e-5 - 2.0
+    y = 2.0 - x
+    return Tetrahedron.from_angles(
+        np.array([x, x, y, y, y, x]) + 3e-4 * np.array([1, -1, 0, 0, 0, -1]))
 
 
-class TestPrima2MatchesPerProbeLoop:
-    @staticmethod
-    def hit(tet, ell, probes, seed):
-        # the reference's hit index, once the batch search returned the same
-        nonempty, witness, probe = per_probe_prima2(tet, ell, probes, seed)
-        assert conjecture_prima2_test(tet, ell, probes, seed) == (nonempty, witness)
-        return probe
+class TestPrima2SubOrbits:
+    def test_coset_table(self):
+        rows = domain._coset_rows()
+        assert [r.shape for r in rows] == [
+            (1, 24), (2, 12), (9, 8), (16, 6), (42, 4), (32, 3), (108, 2)]
+        assert rows[0][0].tolist() == list(range(24))
+        assert all(r.tolist() == sorted(r.tolist()) for r in rows)
+        table = {tuple(row) for r in rows for row in r.tolist()}
+        assert len(table) == 210
+        # the coset holding the identity (index 0) is the subgroup itself
+        subgroups = [row for row in table if 0 in row]
+        assert len(subgroups) + 1 == 30  # with the trivial subgroup
+        index = ALL_PERMUTATIONS.index
+        for group in subgroups:
+            elements = [ALL_PERMUTATIONS[i] for i in group]
+            assert {index(compose(a, b)) for a in elements for b in elements} == set(group)
+            for side in (lambda g, h: compose(g, h), lambda g, h: compose(h, g)):
+                cosets = {tuple(sorted(index(side(g, h)) for h in elements))
+                          for g in ALL_PERMUTATIONS}
+                assert cosets <= table
+                assert sorted(i for c in cosets for i in c) == list(range(24))
+        assert sum(24 // len(group) for group in subgroups) == 210
 
-    def test_acute_starts(self):
-        hits = []
-        for seed, angles in enumerate(sample_O_batch(np.random.default_rng(82), 30, "acute")):
+    def test_s6_start_hits_above_its_min_length(self, monkeypatch):
+        pytest.importorskip("mpmath")
+        monkeypatch.syspath_prepend(os.path.abspath(BENCH))
+        import oracle
+
+        tet = s6_start()
+        assert tet.min_length == pytest.approx(4.498, abs=1e-3)
+        nonempty, witness = conjecture_prima2_test(tet, 5.0)
+        assert nonempty
+        # the average over the six permutations fixing vertex 4
+        x, y = witness.angles[0], witness.angles[2]
+        assert witness.angles == (x, x, y, y, y, x)
+        assert witness.min_length == pytest.approx(5.0316, abs=1e-4)
+        exact = oracle.lengths_to_angles(witness.lengths)
+        assert max(abs(float(e) - a) for e, a in zip(exact, witness.angles)) <= 1e-9
+
+    def test_prima_fails_above_three_half_pi(self):
+        # the regular tetrahedron with the mean angle 1.0 has edge 2.59,
+        # against the start's min length 4.498
+        tet = s6_start()
+        holds, margin = conjecture_prima_test(tet, tet.min_length)
+        assert sum(tet.angles) > 1.5 * math.pi
+        assert not holds and margin <= -1.5
+
+    def test_decisions_match_prima(self):
+        # the first candidate, the orbit barycenter, is prima's regular
+        # tetrahedron; on these starts no other sub-orbit point beats it
+        decisions = []
+        for angles in sample_O_batch(np.random.default_rng(82), 30, "acute"):
             tet = Tetrahedron.from_angles(angles)
+            orbit = np.array([permute(sigma, tet.angles) for sigma in ALL_PERMUTATIONS])
             for ell in (0.2, tet.min_length, tet.min_length + 0.02, tet.max_length, 5.0):
-                hits.append(self.hit(tet, ell, 200, seed))
-        assert None in hits and -1 in hits
-
-    def test_hits_and_misses_cross_block_ends(self, monkeypatch):
-        # the barycenter of this near-regular start lies within 1e-9 of every
-        # orbit vertex, so a hit can only come from a probe
-        base = regular_from_length(0.8).angles[0]
-        tet = Tetrahedron.from_angles(base + 9e-10 * np.array([1, 1, 1, -1, -1, -1]))
-        monkeypatch.setattr(tetra, "_BATCH", 7)
-        # probes 13 and 17 hit at seed 4, the first on a block's last row;
-        # probes 25 and 27 hit at seed 45, both in one block
-        for seed in (4, 45):
-            assert self.hit(tet, tet.min_length, 200, seed) >= 7
-        # 200 probes: 28 blocks of 7 and a last block of 4, all without a hit
-        assert self.hit(tet, tet.max_length, 200, seed=3) is None
+                nonempty, witness = conjecture_prima2_test(tet, ell)
+                assert nonempty == conjecture_prima_test(tet, ell)[0]
+                # a hit is the barycenter, bit for bit
+                barycenter = Tetrahedron.from_angles(orbit.mean(axis=0))
+                assert witness == (barycenter if nonempty else None)
+                decisions.append(nonempty)
+        for tet in sample_T_ell(84, 0.2, 200):
+            nonempty, _ = conjecture_prima2_test(tet, tet.min_length)
+            assert nonempty == conjecture_prima_test(tet, tet.min_length)[0]
+            decisions.append(nonempty)
+        assert True in decisions and False in decisions
 
 
 #: each count argument, a call passing it, and its smallest valid value
 COUNT_ARGUMENTS = {
     "n": (lambda n: sample_O_batch(np.random.default_rng(0), n), 0),
     "max_steps": (lambda n: deformation_flow(floor_start(83), 0.3, max_steps=n), 0),
-    "probes": (lambda n: conjecture_prima2_test(floor_start(83), 0.3, n, seed=0), 0),
     "steps": (degeneration_path, 2),
 }
 
@@ -865,12 +890,10 @@ def test_counts_must_be_nonnegative_integers(name):
     call(smallest)
 
 
-#: each seeded campaign, as a call passing the seed; prima2's orbit
-#: barycenter hits at ell 0.3, so its seed is checked before any probe
+#: each seeded campaign, as a call passing the seed
 SEEDED = {
     "verify_theorem": lambda seed: verify_theorem(0.3, 2, seed),
     "verify_fixed_angle_sum": lambda seed: verify_fixed_angle_sum(3.0, 2, seed),
-    "conjecture_prima2_test": lambda seed: conjecture_prima2_test(floor_start(83), 0.3, 5, seed),
 }
 
 

@@ -46,6 +46,9 @@ def test_import_loads_no_scipy():
 
 START = "0.7,0.7,0.8,0.7,0.7,0.8"
 FLOW = "0.9,0.8,0.7,0.9,0.8,0.7"
+#: the s = 6 start of ``tests/test_extremal.py::s6_start``, whose prima2 hits at ell 5
+S6 = ("1.141882653589793,1.141282653589793,0.858417346410207,"
+      "0.858417346410207,0.858417346410207,1.141282653589793")
 
 
 @pytest.mark.parametrize(
@@ -101,19 +104,15 @@ FLOW = "0.9,0.8,0.7,0.9,0.8,0.7"
          "error: ell must be finite, got nan\n"),
         (["scan", "--ells", "0.5,nan"], 1, "error: regular length must be finite, got nan\n"),
         (["scan", "--grid", "0.1:nan:3"], 1, "error: regular length must be finite, got nan\n"),
-        # inconclusive: the probes run past the first block of tetra._BATCH
-        (["conjecture", "prima2", "--angles", "0.4,0.5,0.3,0.45,0.35,0.5", "--ell", "5",
-          "--probes", "5000"], 0, ""),
-        (["conjecture", "prima2", "--angles", "0.4,0.5,0.3,0.45,0.35,0.5", "--ell", "5",
-          "--probes", "0"], 0, ""),
-        # negative seeds, rejected before any draw (prima2's barycenter hits at 0.3)
+        # prima2 at ell 5: inconclusive on the README start, a hit on the s = 6 start
+        (["conjecture", "prima2", "--angles", "0.4,0.5,0.3,0.45,0.35,0.5", "--ell", "5"], 0, ""),
+        (["conjecture", "prima2", "--angles", S6, "--ell", "5"], 0, ""),
+        # negative seeds, rejected before any draw
         (["verify", "theorem", "--ell", "0.3", "--samples", "3", "--seed", "-1"], 1,
          "error: seed must be a nonnegative integer, got -1\n"),
         (["verify", "anglesum", "--sum", "3.0", "--samples", "2", "--seed", "-1"], 1,
          "error: seed must be a nonnegative integer, got -1\n"),
         (["sample", "--seed", "-5"], 1, "error: seed must be a nonnegative integer, got -5\n"),
-        (["conjecture", "prima2", "--angles", "0.4,0.5,0.3,0.45,0.35,0.5", "--ell", "0.3",
-          "--seed", "-2"], 1, "error: seed must be a nonnegative integer, got -2\n"),
     ],
 )
 def test_cli_prints_no_runtime_warning(argv, code, stderr):
