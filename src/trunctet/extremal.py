@@ -162,32 +162,38 @@ _FLOW_BLOCK = 512
 
 
 def _flow_schedule(current, dt, max_steps):
-    # the length rows (n, 6) of the first n <= max_steps steps of the flow
-    # from the lengths ``current``, with the t increment (n,) of each step.
+    # the level (n,) of the longest edges after each of the first n <= max_steps
+    # steps of the flow from the lengths ``current``, with the t increment (n,)
+    # of each step; step i's length row is np.minimum(current, levels[i]).
     # Each segment lowers the tied set of longest edges from lmax to the
     # second-largest value in steps of dt and ends on it exactly, so the
-    # whole schedule follows from the start lengths
-    current = np.array(current, dtype=float)
-    rows, increments = [np.empty((0, 6))], [np.empty(0)]
-    while max_steps > 0:
-        lmax = float(current.max())
-        lmin = float(current.min())
+    # segments follow from the (at most six) distinct start lengths
+    current = [float(x) for x in current]
+    segments = []
+    budget = max_steps
+    while budget > 0:
+        lmax, lmin = max(current), min(current)
         if lmax - lmin < TIE_TOL:
             break
-        tied = current >= lmax - TIE_TOL
-        second = float(current[~tied].max())
+        second = max(x for x in current if x < lmax - TIE_TOL)
         seg_len = lmax - second
         if seg_len > TIE_TOL:
-            n_sub = max(1, math.ceil(seg_len / dt))
-            sub = np.arange(1, min(n_sub, max_steps) + 1)
-            max_steps -= len(sub)
-            shift = np.minimum(sub * dt, seg_len)
-            segment = np.tile(current, (len(sub), 1))
-            segment[:, tied] = np.where(sub == n_sub, second, lmax - shift)[:, None]
-            rows.append(segment)
-            increments.append(shift - np.minimum((sub - 1) * dt, seg_len))
-        current[tied] = second
-    return np.concatenate(rows), np.concatenate(increments)
+            # clipped before the ceil, which overflows on seg_len / dt = inf
+            n_sub = max(1, math.ceil(min(seg_len / dt, budget + 1)))
+            count = min(n_sub, budget)
+            budget -= count
+            segments.append((lmax, second, seg_len, n_sub, count))
+        current = [second if x >= lmax - TIE_TOL else x for x in current]
+    if not segments:
+        return np.empty(0), np.empty(0)
+    lmax, second, seg_len, n_sub, count = (np.array(v) for v in zip(*segments))
+    # sub = 1..count within each segment
+    sub = np.arange(1, count.sum() + 1) - np.repeat(np.cumsum(count) - count, count)
+    seg_len = np.repeat(seg_len, count)
+    shift = np.minimum(sub * dt, seg_len)
+    levels = np.where(sub == np.repeat(n_sub, count), np.repeat(second, count),
+                      np.repeat(lmax, count) - shift)
+    return levels, shift - np.minimum((sub - 1) * dt, seg_len)
 
 
 def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
@@ -202,13 +208,14 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
     of the floor length), or ``budget`` (``max_steps`` steps taken; the step
     that finds the boundary counts as one).
 
-    Every step's length row follows from the start lengths alone, so the
-    whole schedule is built first and evaluated in blocks of ``_FLOW_BLOCK``
-    rows, each by one batch ``chart_angles`` call and one batch volume call
-    up to its first row outside the chart. The rows after a boundary exit
-    are built but never evaluated: at most ``max_steps`` rows, about 9.6 MB
-    at the default. The path is returned as arrays; records are built only
-    when ``Trajectory.points`` is read.
+    Every step lowers the longest edges to a level that follows from the
+    start lengths alone, so the levels of the whole path are computed
+    first, one float per step. The length rows are formed from them in
+    blocks of ``_FLOW_BLOCK`` steps, as the start lengths capped at each
+    level, and each block is evaluated by one batch ``chart_angles`` call
+    and one batch volume call up to its first row outside the chart; no row
+    past a boundary exit is formed. The path is returned as arrays; records
+    are built only when ``Trajectory.points`` is read.
     """
     dt, ell_floor = domain.as_finite(dt, "dt"), domain.as_finite(ell_floor, "ell_floor")
     if dt <= 0:
@@ -219,15 +226,19 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
             f"the floor {ell_floor:.6g}"
         )
     max_steps = domain.as_count(max_steps, "max_steps")
-    rows, increments = _flow_schedule(start.lengths, dt, max_steps)
-    # the start and each block's angles and volumes up to its first row
-    # outside the chart
-    angles, vols = [np.array([start.angles])], [np.array([start.volume])]
-    steps = len(rows)
+    levels, increments = _flow_schedule(start.lengths, dt, max_steps)
+    # the start and each block's rows, angles and volumes up to its first
+    # row outside the chart
+    start_lengths = np.array(start.lengths)
+    lengths, angles = [start_lengths[None, :]], [np.array([start.angles])]
+    vols = [np.array([start.volume])]
+    steps = len(levels)
     reason = TERMINATED_BUDGET if steps >= max_steps else TERMINATED_REGULAR
-    for first in range(0, len(rows), _FLOW_BLOCK):
-        block_angles, ok = convert.chart_angles(rows[first:first + _FLOW_BLOCK])
+    for first in range(0, steps, _FLOW_BLOCK):
+        rows = np.minimum(start_lengths, levels[first:first + _FLOW_BLOCK, None])
+        block_angles, ok = convert.chart_angles(rows)
         inside = len(ok) if ok.all() else int(ok.argmin())
+        lengths.append(rows[:inside])
         angles.append(block_angles[:inside])
         vols.append(volume.ushijima_volume(block_angles[:inside]))
         if inside < len(ok):
@@ -235,8 +246,7 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
             break
     # accumulate adds left to right: t holds the bits of a running sum
     t = np.cumsum(np.concatenate([[0.0], increments[:steps]]))
-    lengths = np.concatenate([[start.lengths], rows[:steps]])
-    angles, vols = np.concatenate(angles), np.concatenate(vols)
+    lengths, angles, vols = (np.concatenate(x) for x in (lengths, angles, vols))
     return Trajectory(t, angles, lengths, vols, ell_floor, dt, reason)
 
 

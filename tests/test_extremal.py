@@ -38,6 +38,7 @@ from trunctet.extremal import (
     TERMINATED_REGULAR,
     TIE_TOL,
     VerificationReport,
+    _flow_schedule,
 )
 from trunctet.tetra import _BATCH, _GROW_CAP, rejection_sample
 
@@ -650,6 +651,82 @@ class TestFlowMatchesPerStepLoop:
             angles = np.array([tet.angles for _, tet in flow.points[1:]])
             alone = [ushijima_volume(row[None, :])[0] for row in angles]
             assert [tet.volume for _, tet in flow.points[1:]] == alone
+
+
+def tiled_schedule(current, dt, max_steps):
+    """The schedule the levels replaced: the (n, 6) length rows of the first
+    n <= max_steps steps, each segment tiled from the current lengths with
+    its tied set masked to the level, and the t increment of each step."""
+    current = np.array(current, dtype=float)
+    rows, increments = [np.empty((0, 6))], [np.empty(0)]
+    while max_steps > 0:
+        lmax = float(current.max())
+        lmin = float(current.min())
+        if lmax - lmin < TIE_TOL:
+            break
+        tied = current >= lmax - TIE_TOL
+        second = float(current[~tied].max())
+        seg_len = lmax - second
+        if seg_len > TIE_TOL:
+            n_sub = max(1, math.ceil(seg_len / dt))
+            sub = np.arange(1, min(n_sub, max_steps) + 1)
+            max_steps -= len(sub)
+            shift = np.minimum(sub * dt, seg_len)
+            segment = np.tile(current, (len(sub), 1))
+            segment[:, tied] = np.where(sub == n_sub, second, lmax - shift)[:, None]
+            rows.append(segment)
+            increments.append(shift - np.minimum((sub - 1) * dt, seg_len))
+        current[tied] = second
+    return np.concatenate(rows), np.concatenate(increments)
+
+
+class TestFlowSchedule:
+    @staticmethod
+    def starts():
+        # criterion-9 and random starts, and random starts with one length
+        # moved to 0, 1e-10, 5e-10, 2e-9 or 1e-3 from the longest or the
+        # shortest, above and below it: ties inside and outside TIE_TOL
+        starts = [tet.lengths for tet in criterion_9_starts(4)]
+        random = [tet.lengths for tet in sample_T_ell(np.random.default_rng(21), 0.3, 24)]
+        starts += random
+        for k, lengths in enumerate(random):
+            lengths = np.array(lengths)
+            for to in (lengths.argmax(), lengths.argmin()):
+                moved = (to + 1 + k % 5) % 6
+                for offset in (0.0, 1e-10, 5e-10, 2e-9, 1e-3):
+                    for sign in (-1.0, 1.0):
+                        near = lengths.copy()
+                        near[moved] = lengths[to] + sign * offset
+                        starts.append(tuple(near.tolist()))
+        return starts
+
+    @pytest.mark.parametrize("dt", [1e-3, 5e-2, 0.3])
+    def test_levels_give_the_tiled_rows(self, dt):
+        for lengths in self.starts():
+            for max_steps in (0, 1, 37, 200_000):
+                rows, increments = tiled_schedule(lengths, dt, max_steps)
+                levels, got = _flow_schedule(lengths, dt, max_steps)
+                assert np.array_equal(np.minimum(lengths, levels[:, None]), rows)
+                assert np.array_equal(got, increments)
+                assert got.dtype == levels.dtype == float
+
+    def test_no_step_raises_an_edge(self):
+        # below TIE_TOL a step is shorter than the gap inside the tied set;
+        # capping at the level leaves the lower tied edge where it starts
+        start = Tetrahedron.from_lengths((1.0, 1.0 - 5e-10, 0.8, 0.9, 0.7, 0.85))
+        traj = deformation_flow(start, 0.3, dt=1e-12, max_steps=2)
+        assert traj.lengths[:, 1].tolist() == [1.0 - 5e-10] * 3
+        assert traj.lengths[1:, 0].tolist() == [1.0 - 1e-12, 1.0 - 2e-12]
+
+    def test_a_tiny_dt_runs_to_the_budget(self):
+        # seg_len / dt overflows to inf at dt = 1e-320; the step count is
+        # clipped to the budget before it is rounded up
+        start = Tetrahedron.from_lengths((0.9, 0.8, 0.7, 0.9, 0.8, 0.7))
+        for dt in (1e-320, 1e-300):
+            traj = deformation_flow(start, 0.3, dt=dt, max_steps=3)
+            assert traj.reason == "budget"
+            assert len(traj.t) == 4
+            assert traj.t.tolist() == [0.0, dt, 2 * dt, 3 * dt]
 
 
 class TestVerifyTheorem:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from trunctet import specfun
 from trunctet.errors import AccuracyError, DomainError, InvalidArgumentError
 from trunctet.specfun import acosh_checked, clausen, dilog, integrate, lobachevsky
 
@@ -125,6 +126,52 @@ class TestClausen:
         assert np.abs(got - exact).max() <= 1e-15
         scalar = np.array([clausen(float(x)) for x in theta])
         assert np.abs(scalar - exact).max() <= 1e-15
+
+    def test_coefficients_are_the_chebyshev_interpolant(self):
+        # Q(s) = (Cl2(t) / t - 1 + log|t|) / s, s = t^2, interpolated by a
+        # degree-12 polynomial at the 13 Chebyshev nodes of [0, pi^2]; the
+        # system solved at 50 digits, each coefficient rounded once
+        mpmath = pytest.importorskip("mpmath")
+        n = 13
+        with mpmath.workdps(50):
+            half = mpmath.pi**2 / 2
+            nodes = [half * (1 + mpmath.cos(mpmath.pi * (k + mpmath.mpf(1) / 2) / n))
+                     for k in range(n)]
+            values = []
+            for s in nodes:
+                t = mpmath.sqrt(s)
+                values.append((mpmath.clsin(2, t) / t - 1 + mpmath.log(t)) / s)
+            system = mpmath.matrix([[s**j for j in range(n)] for s in nodes])
+            q = mpmath.lu_solve(system, mpmath.matrix(values))
+            expected = tuple(float(q[j]) for j in range(n - 1, -1, -1))
+        assert specfun._CLAUSEN_COEFFS == expected
+
+    def test_dense_accuracy_on_the_principal_interval(self):
+        # 6001 points of [-pi, pi] against the series t - t log|t| +
+        # sum_k |B_2k| t^(2k+1) / (2k (2k+1)!) at 30 digits, 45 terms (the
+        # next below 1e-30 there), itself checked against clsin
+        mpmath = pytest.importorskip("mpmath")
+        theta = np.linspace(-math.pi, math.pi, 6001)
+        with mpmath.workdps(30):
+            coeffs = [abs(mpmath.bernoulli(2 * k)) / (2 * k * mpmath.factorial(2 * k + 1))
+                      for k in range(45, 0, -1)]
+
+            def series(x):
+                if x == 0:
+                    return mpmath.mpf(0)
+                t = mpmath.mpf(x)
+                s = t * t
+                acc = mpmath.mpf(0)
+                for coeff in coeffs:
+                    acc = (acc + coeff) * s
+                return t * (1 - mpmath.log(abs(t)) + acc)
+
+            for x in theta[::1000]:
+                assert abs(series(x) - mpmath.clsin(2, mpmath.mpf(x))) < 1e-25
+            exact = np.array([float(series(x)) for x in theta])
+        assert np.abs(clausen(theta) - exact).max() <= 6e-16
+        scalar = np.array([clausen(x) for x in theta.tolist()])
+        assert np.abs(scalar - exact).max() <= 6e-16
 
     def test_is_the_imaginary_part_of_dilog_on_the_circle(self):
         theta = np.random.default_rng(7).uniform(-20.0, 20.0, 300)
