@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: convert, volume, grad, verify, flow, conjecture, degenerate,
-scan. All numeric output is reproducible: identical argv (including --seed)
-yields byte-identical output. Exit codes: 0 success, 1 validation failure,
-2 numerical failure, 3 campaign finished with failing samples.
+scan, sample. All numeric output is reproducible: identical argv (including
+--seed) yields byte-identical output. A flag's value may start with a minus
+sign (``--tol -1e-3``, ``--lengths -0.7,...``). Exit codes: 0 success, 1 usage
+or validation failure (argparse's, or ``InvalidArgumentError``), 2 numerical
+failure, 3 campaign finished with failing samples.
 """
 
 import argparse
@@ -27,46 +29,31 @@ EXIT_CAMPAIGN_FAILED = 3
 DEFAULTS = {"tol": extremal.MARGIN_TOL, "dt": extremal.DEFAULT_DT, "samples": 10_000, "seed": 0}
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_vector(text, degrees=False):
     parts = text.split(",")
     if len(parts) != 6:
-        raise UsageError(f"expected 6 comma-separated values, got {len(parts)}")
+        raise InvalidArgumentError(f"expected 6 comma-separated values, got {len(parts)}")
     try:
         values = [float(p) for p in parts]
     except ValueError as exc:
-        raise UsageError(f"malformed vector {text!r}: {exc}") from exc
+        raise InvalidArgumentError(f"malformed vector {text!r}: {exc}") from exc
     if degrees:
         values = [math.radians(v) for v in values]
     return values
 
 
 def _tetrahedron_from_args(args):
-    if getattr(args, "angles", None):
+    if args.angles:
         return Tetrahedron.from_angles(_parse_vector(args.angles, args.degrees))
-    if getattr(args, "lengths", None):
+    if args.lengths:
         return Tetrahedron.from_lengths(_parse_vector(args.lengths))
-    raise UsageError("provide either --angles or --lengths")
-
-
-def _json_value(obj):
-    # records in a payload become JSON only when it is printed, so a table
-    # printed in its place never builds them
-    if isinstance(obj, extremal.Trajectory):
-        return {
-            "ell_floor": obj.ell_floor,
-            "dt": obj.dt,
-            "reason": obj.reason,
-            "points": [{"t": t, "tetrahedron": tet} for t, tet in obj.points],
-        }
-    return obj.to_json_dict()
+    raise InvalidArgumentError("provide either --angles or --lengths")
 
 
 def _dump(obj):
-    return json.dumps(obj, indent=2, sort_keys=True, default=_json_value)
+    # records in a payload become JSON only when it is printed, so a table
+    # printed in its place never builds them
+    return json.dumps(obj, indent=2, sort_keys=True, default=lambda record: record.to_json_dict())
 
 
 def _row(cells):
@@ -97,11 +84,24 @@ def _add_output_flags(parser, default):
     parser.set_defaults(format=default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a word starting with a minus sign and a
+    digit or a point (``-1e-3``, ``-0.7,0.7,...``) as a value, not a flag;
+    ``add_subparsers`` builds its subparsers with the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse has no public setting for the rule, whose stock form takes
+        # only plain numbers (-1, -.5); the private attribute is checked by
+        # the CLI's negative-value tests
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: parsing leaves it
     unchanged, so every ``main`` call can share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trunctet",
         description="Compact truncated hyperbolic tetrahedra: charts, volumes, "
         "gradients and extremal verification campaigns.",
@@ -186,14 +186,14 @@ def _cmd_grad(args, out):
 
 def _cmd_verify(args, out):
     if args.samples < 0:
-        raise UsageError(f"--samples must be nonnegative, got {args.samples}")
+        raise InvalidArgumentError(f"--samples must be nonnegative, got {args.samples}")
     if args.campaign == "theorem":
         if args.ell is None:
-            raise UsageError("verify theorem requires --ell")
+            raise InvalidArgumentError("verify theorem requires --ell")
         report = extremal.verify_theorem(args.ell, args.samples, args.seed, tol=args.tol)
     else:
         if args.theta_sum is None:
-            raise UsageError("verify anglesum requires --sum")
+            raise InvalidArgumentError("verify anglesum requires --sum")
         report = extremal.verify_fixed_angle_sum(
             args.theta_sum, args.samples, args.seed, tol=args.tol
         )
@@ -240,17 +240,17 @@ def _cmd_degenerate(args, out):
 
 
 def _cmd_scan(args, out):
+    if not (args.ells or args.grid):
+        raise InvalidArgumentError("scan requires --ells or --grid")
     try:
         if args.ells:
             grid = [float(x) for x in args.ells.split(",")]
-        elif args.grid:
+        else:
             start, stop, count = args.grid.split(":")
             grid = list(np.linspace(float(start), float(stop), int(count)))
-        else:
-            raise UsageError("scan requires --ells or --grid")
     except ValueError as exc:
         flag = f"--ells {args.ells!r}" if args.ells else f"--grid {args.grid!r}"
-        raise UsageError(f"bad {flag}: {exc}") from exc
+        raise InvalidArgumentError(f"bad {flag}: {exc}") from exc
     rows = extremal.regular_volume_scan(grid)
     payload = [{"ell": e, "volume": v} for e, v in rows]
     _write(out, args, payload, "ell,volume\n" + "".join(_row(row) for row in rows))
@@ -259,7 +259,7 @@ def _cmd_scan(args, out):
 
 def _cmd_sample(args, out):
     if args.constraint == "volume_floor" and args.floor is None:
-        raise UsageError("--constraint volume_floor requires --floor")
+        raise InvalidArgumentError("--constraint volume_floor requires --floor")
     _write(out, args, Tetrahedron.from_angles(sample_O(args.seed, args.constraint, args.floor)))
     return EXIT_OK
 
@@ -277,44 +277,17 @@ _HANDLERS = {
 }
 
 
-#: the flags that take no value
-_SWITCHES = ("--degrees", "--json", "--csv", "--help")
-
-#: a value that starts with a minus sign, which argparse would take for an
-#: option unless it is a single number in plain notation
-_NEGATIVE_VALUE = re.compile(r"-[\d.]")
-
-
-def _takes_value(token):
-    # a long flag, or an abbreviation argparse accepts, other than a switch
-    return token.startswith("--") and "=" not in token and not any(
-        switch.startswith(token) for switch in _SWITCHES
-    )
-
-
-def _join_negative_values(argv):
-    # "--tol -1e-3" as "--tol=-1e-3", the one form argparse reads when a
-    # flag's value starts with a minus sign and is not a plain number
-    joined = []
-    for token in argv:
-        if joined and _takes_value(joined[-1]) and _NEGATIVE_VALUE.match(token):
-            joined[-1] += "=" + token
-        else:
-            joined.append(token)
-    return joined
-
-
 def main(argv=None, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args, out)
-    except (UsageError, InvalidArgumentError) as exc:
+    except InvalidArgumentError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
     except TruncTetError as exc:

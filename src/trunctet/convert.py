@@ -344,7 +344,7 @@ def chart_angles(lengths):
     An (m, 6) array of length rows gives ``(angles, ok)``: the (m, 6) angles,
     NaN on the rows outside the chart, and the (m,) accept mask.
     """
-    if np.ndim(lengths) == 2:
+    if domain._ndim(lengths) == 2:
         return _chart_rows(domain.as_rows(lengths, "lengths"))
     try:
         l = domain.as_vector(lengths, "lengths")
@@ -357,7 +357,7 @@ def chart_angles(lengths):
 def in_L(lengths):
     """Membership in the length chart, decided by ``chart_angles``; an
     (m, 6) array of length rows gives an (m,) boolean mask."""
-    if np.ndim(lengths) != 2:
+    if domain._ndim(lengths) != 2:
         return bool(in_L(domain.as_vector(lengths, "lengths")[np.newaxis])[0])
     rows = domain.as_rows(lengths, "lengths")
     return (rows > 0.0).all(axis=1) & chart_angles(rows)[1]

@@ -53,6 +53,15 @@ def as_rows(values, name="rows"):
     return rows
 
 
+def _ndim(values):
+    # np.ndim, for callers of 6-vectors or (m, 6) rows to dispatch on; a
+    # ragged nesting, where numpy raises ValueError, goes to as_rows to fail
+    try:
+        return np.ndim(values)
+    except ValueError:
+        return 2
+
+
 def as_finite(value, name, nonnegative=False):
     """Validate and return a finite number, nonnegative if asked, as a float."""
     if not math.isfinite(value) or (nonnegative and value < 0):

@@ -52,6 +52,14 @@ class Trajectory:
         fields = (f.tolist() for f in (self.t, self.angles, self.lengths, self.volumes))
         return tuple((t, Tetrahedron(tuple(a), tuple(l), v)) for t, a, l, v in zip(*fields))
 
+    def to_json_dict(self):
+        return {
+            "ell_floor": self.ell_floor,
+            "dt": self.dt,
+            "reason": self.reason,
+            "points": [{"t": t, "tetrahedron": tet} for t, tet in self.points],
+        }
+
     def to_csv(self):
         lines = [CSV_HEADER]
         for row in np.column_stack([self.t, self.lengths, self.volumes]).tolist():

@@ -50,10 +50,15 @@ class Tetrahedron:
 
     @classmethod
     def from_lengths(cls, lengths):
+        """The record of a length row that ``in_L`` accepts. Another row raises
+        the typed error of a failing ``lengths_to_angles`` guard, else DomainError."""
         l = domain.as_vector(lengths, "lengths")
-        angles = convert.lengths_to_angles(l)
-        if not domain.in_O(angles, strict=True):
-            raise DomainError(f"lengths {l!r} lie on the boundary of the length chart")
+        angles = convert.chart_angles(l)
+        if angles is None or min(l.tolist()) <= 0.0:
+            convert.lengths_to_angles(l)
+            raise DomainError(f"lengths {l!r} lie outside the length chart: a length is not "
+                              "positive, or their angles are not strictly inside the angle "
+                              "polytope or do not convert back to them within 1e-9")
         return cls(tuple(angles.tolist()), tuple(l.tolist()), volume.ushijima_volume(angles))
 
     @property

@@ -24,7 +24,7 @@ is a signed sum of sixteen real Clausen values:
     V = (u_1 - u_2) / 2,   u_j = sum_k eps_k Cl2(alpha_j + sigma_k) / 2.
 
 ``ushijima_volume`` takes one 6-vector, evaluated in Python floats with
-sixteen scalar ``clausen`` calls, or an (m, 6) ndarray of rows, evaluated as
+sixteen scalar ``clausen`` calls, or (m, 6) rows, evaluated as
 arrays with one ``clausen`` call per block; a one-row array call costs
 several times the 6-vector path that the gradient certificates take.
 ``_phases`` evaluates both shapes up to the phases by the same operations,
@@ -251,12 +251,12 @@ def ushijima_volume(angles):
     """Volume from dihedral angles; valid on the closure of the angle
     polytope, nonnegative, and continuous up to the boundary.
 
-    An (m, 6) ndarray of angle rows gives an (m,) array of volumes from an
-    array evaluation in blocks of rows, with the guard tables of the scalar
-    path applied row by row; the first failing row raises EvaluationError
-    naming that row.
+    (m, 6) angle rows, an ndarray or nested sequences, give an (m,) array
+    of volumes from an array evaluation in blocks of rows, with the guard
+    tables of the scalar path applied row by row; the first failing row
+    raises EvaluationError naming that row.
     """
-    if isinstance(angles, np.ndarray) and angles.ndim == 2:
+    if domain._ndim(angles) == 2:
         return _volume_rows(angles)
     e, offsets = _row_phases(angles)
     vol = 0.0

@@ -202,6 +202,14 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert "error" in err
 
+    def test_lengths_outside_the_chart(self):
+        # angles strictly inside the polytope that convert back 3.3e-9 away
+        row = ("2.651957293466562,2.614016170158948,2.8056799092691507,"
+               "0.006183145337208207,0.1598965149906323,2.461917259130263")
+        code, out, err = run(["convert", "--lengths", row])
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical error: lengths") and "outside the length chart" in err
+
     def test_vector_starting_with_a_minus_sign(self):
         # a separate "-0.1,..." value reaches the chart as the "=" form does
         for flag, vector in (("--angles", "-0.1,0.5,0.5,0.5,0.5,0.5"),
@@ -213,19 +221,29 @@ class TestErrorsAndDeterminism:
         assert run(["volume", "--angles", "--degrees"])[0] == 1
 
     def test_negative_values_in_scientific_notation(self, capsys):
-        # "-1e-3" is no plain number to argparse; after any flag that takes
-        # a value it reads as the "=" form does
-        lengths = "0.9,0.8,0.7,0.9,0.8,0.7"
-        for argv in (["verify", "theorem", "--ell", "0.3", "--samples", "3", "--tol"],
-                     ["verify", "anglesum", "--samples", "3", "--sum"],
-                     ["verify", "theorem", "--samples", "3", "--ell"],
-                     ["flow", "--lengths", lengths, "--ell", "0.3", "--dt"],
-                     ["sample", "--constraint", "volume_floor", "--floor"]):
-            separate = run(argv + ["-1e-3"]), capsys.readouterr()
-            joined = run(argv[:-1] + [argv[-1] + "=-1e-3"]), capsys.readouterr()
-            assert separate == joined
-            assert "expected one argument" not in separate[1].err
-        # a switch takes no value, so a number after it is not joined to it
+        # "-1e-3" is no plain number to stock argparse; after every flag of
+        # every subcommand that takes a value it reads as the "=" form does
+        bases = {
+            "verify": ["theorem", "--ell", "0.3", "--samples", "3"],
+            "flow": ["--lengths", "0.9,0.8,0.7,0.9,0.8,0.7", "--ell", "0.3"],
+            "conjecture": ["prima", "--angles", "0.4,0.5,0.3,0.45,0.35,0.5", "--ell", "0.3"],
+            "sample": ["--constraint", "volume_floor", "--floor", "3.3"],
+        }
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        tried = set()
+        for command, parser in subparsers.choices.items():
+            for action in parser._actions:
+                for flag in action.option_strings if action.nargs != 0 else ():
+                    argv = [command, *bases.get(command, []), flag]
+                    separate = run(argv + ["-1e-3"]), capsys.readouterr()
+                    joined = run(argv[:-1] + [flag + "=-1e-3"]), capsys.readouterr()
+                    assert separate == joined, argv
+                    assert "expected one argument" not in separate[1].err, argv
+                    tried.add(flag)
+        assert tried == {"--angles", "--lengths", "--ell", "--sum", "--samples", "--seed",
+                         "--tol", "--dt", "--steps", "--ells", "--grid", "--constraint",
+                         "--floor"}
+        # a switch takes no value, so a number after it is a stray argument
         for switch in ("--json", "--csv", "--degrees"):
             code, _, _ = run(["volume", "--angles", PI6, switch, "-1e-3"])
             assert code == 1

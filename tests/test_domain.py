@@ -35,6 +35,7 @@ from trunctet.errors import (
     InconsistencyError,
     InvalidArgumentError,
     SamplingError,
+    TruncTetError,
 )
 
 REGULAR = (math.pi / 6,) * 6
@@ -110,8 +111,9 @@ ROW_CALLS = {
         (np.array([[0.5 + 1j] * 6]), "rows of numbers"),
         (np.array([[0.5 + 0j] * 6]), "rows of numbers"),
         (np.array([[0.5] * 5]), r"rows, got shape \(1, 5\)"),
+        ([[0.5] * 6, [0.5]], "rows of numbers"),
     ],
-    ids=["non-numeric", "complex", "complex_real_valued", "five_columns"],
+    ids=["non-numeric", "complex", "complex_real_valued", "five_columns", "ragged"],
 )
 def test_malformed_rows_raise_one_typed_error(call, rows, message):
     # a volume raises EvaluationError, with the message of the validator
@@ -410,6 +412,37 @@ class TestTetrahedronRecord:
         tet = Tetrahedron.from_angles(REGULAR)
         again = Tetrahedron.from_lengths(tet.lengths)
         assert np.allclose(again.angles, tet.angles, atol=1e-9)
+
+    def test_from_lengths_rejects_a_row_outside_the_length_chart(self):
+        # its angles lie strictly inside the angle polytope, but they convert
+        # back 3.3e-9 away from it, so the record would fail its own round trip
+        row = (2.651957293466562, 2.614016170158948, 2.8056799092691507,
+               0.006183145337208207, 0.1598965149906323, 2.461917259130263)
+        assert not in_L(row)
+        with pytest.raises(DomainError, match="outside the length chart"):
+            Tetrahedron.from_lengths(row)
+
+    def test_from_lengths_accepts_what_in_L_accepts(self):
+        # uniform on [0, 3]^6, Exp(0.3), uniform on [0, 0.05]^6, and the
+        # first family with one length set to 0, whose angles can round to
+        # strictly inside the polytope; every accepted record round-trips
+        rng = np.random.default_rng(23)
+        families = [rng.uniform(0.0, 3.0, (2500, 6)), rng.exponential(0.3, (2500, 6)),
+                    rng.uniform(0.0, 0.05, (2500, 6)), rng.uniform(0.0, 3.0, (2500, 6))]
+        families[3][np.arange(2500), rng.integers(0, 6, 2500)] = 0.0
+        rows = np.concatenate(families)
+        accepted = 0
+        for row, inside in zip(rows, in_L(rows)):
+            try:
+                tet = Tetrahedron.from_lengths(row)
+            except TruncTetError:
+                assert not inside, row
+                continue
+            assert inside, row
+            accepted += 1
+            back = Tetrahedron.from_json_dict(tet.to_json_dict())
+            assert (back.angles, back.volume) == (tet.angles, tet.volume)
+        assert 0 < accepted < len(rows)
 
     def test_json_round_trip(self):
         tet = Tetrahedron.from_angles((0.3, 0.4, 0.5, 0.35, 0.45, 0.55))

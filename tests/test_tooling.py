@@ -1,6 +1,7 @@
 """Packaging and benchmark-tooling guards: the package imports without
 SciPy, its public names are the pinned list, the CLI commands print no
-numpy RuntimeWarning, every name the benchmark's tracer wraps still exists,
+numpy RuntimeWarning, the README's command examples parse, every name the
+benchmark's tracer wraps still exists,
 and the campaigns and the deformation flow reach the volume through the
 attribute the tracer and the benchmark's self-test wrap, the flow makes one
 chart call, one volume call and one ``in_O_mask`` call per block of at most
@@ -9,6 +10,7 @@ and a campaign makes records only for its reference and its witnesses."""
 
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -26,6 +28,7 @@ from trunctet import (
     verify_fixed_angle_sum,
     verify_theorem,
 )
+from trunctet.cli import build_parser
 from trunctet.extremal import _FLOW_BLOCK
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
@@ -124,6 +127,21 @@ def test_cli_prints_no_runtime_warning(argv, code, stderr):
     )
     assert done.returncode == code, done.stderr
     assert done.stderr == stderr
+
+
+def test_readme_commands_parse():
+    # every example of the README's command block parses with the CLI's own
+    # parser (nothing runs), so the examples cannot drift from the flags
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        lines = [line for line in f if line.startswith("trunctet ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_public_names_are_the_contract():

@@ -214,6 +214,10 @@ class TestVolumeRows:
                     if 0 <= i < len(subjects):
                         assert got[offset] == alone[i], (size, offset, i)
 
+    def test_nested_sequences_are_rows(self):
+        rows = self.rows()[::40]
+        assert np.array_equal(ushijima_volume(rows.tolist()), ushijima_volume(rows))
+
     def test_empty_batch(self):
         got = ushijima_volume(np.zeros((0, 6)))
         assert isinstance(got, np.ndarray) and got.shape == (0,)
