@@ -332,6 +332,9 @@ def _chart_rows(lengths):
     ok = domain.in_O_mask(angles, strict=True)
     back = angles_to_lengths_batch(angles)
     ok &= (np.abs(back - lengths) < _CHART_TOL).all(axis=1)
+    # a zero length can convert to angles strictly inside the polytope
+    # that convert back to it
+    ok &= (lengths > 0.0).all(axis=1)
     angles[~ok] = np.nan
     return angles, ok
 
@@ -339,8 +342,9 @@ def _chart_rows(lengths):
 def chart_angles(lengths):
     """The angles of ``lengths`` if they lie in the length chart, else None.
 
-    Operational membership: the angle conversion must succeed, land strictly
-    inside the angle polytope, and convert back to the input within 1e-9.
+    Operational membership: every length must be positive, and the angle
+    conversion must succeed, land strictly inside the angle polytope, and
+    convert back to the input within 1e-9.
     An (m, 6) array of length rows gives ``(angles, ok)``: the (m, 6) angles,
     NaN on the rows outside the chart, and the (m,) accept mask.
     """
@@ -359,5 +363,4 @@ def in_L(lengths):
     (m, 6) array of length rows gives an (m,) boolean mask."""
     if domain._ndim(lengths) != 2:
         return bool(in_L(domain.as_vector(lengths, "lengths")[np.newaxis])[0])
-    rows = domain.as_rows(lengths, "lengths")
-    return (rows > 0.0).all(axis=1) & chart_angles(rows)[1]
+    return chart_angles(domain.as_rows(lengths, "lengths"))[1]

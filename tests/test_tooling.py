@@ -5,7 +5,7 @@ benchmark's tracer wraps still exists,
 and the campaigns and the deformation flow reach the volume through the
 attribute the tracer and the benchmark's self-test wrap, the flow makes one
 chart call, one volume call and one ``in_O_mask`` call per block of at most
-``_FLOW_BLOCK`` rows,
+``_FLOW_BLOCK`` rows, one of each for a path that fits one block,
 and a campaign makes records only for its reference and its witnesses."""
 
 import math
@@ -248,6 +248,22 @@ def test_flow_calls_per_block_and_rows_per_call(monkeypatch):
         assert len(charts) <= bound and len(vols) <= bound
         assert max(charts) <= _FLOW_BLOCK and max(vols) <= _FLOW_BLOCK
         assert sum(vols) == steps
+
+
+def test_a_flow_within_one_block_makes_one_chart_and_one_volume_call(monkeypatch):
+    # a path of at most _FLOW_BLOCK steps, a regular or a budget end, is
+    # one block: its rows are chart-tested and evaluated by one call each
+    rng = np.random.default_rng(7)
+    (start,) = sample_T_ell(rng, 0.3, 1, require_volume_floor=regular_volume_l0())
+    for dt, max_steps in ((1e-3, 200_000), (1e-4, _FLOW_BLOCK)):
+        charts, vols = [], []
+        counted(monkeypatch, trunctet.convert, "chart_angles", charts)
+        counted(monkeypatch, trunctet.volume, "ushijima_volume", vols)
+        traj = deformation_flow(start, 0.3, dt=dt, max_steps=max_steps)
+        monkeypatch.undo()
+        steps = len(traj.points) - 1
+        assert 100 < steps <= _FLOW_BLOCK
+        assert charts == vols == [steps]
 
 
 def test_campaign_builds_records_only_for_witnesses(monkeypatch):
