@@ -122,10 +122,14 @@ def acute_constraints_hold(angles):
 
 
 def _validate_permutation(sigma):
-    sigma = tuple(int(s) for s in sigma)
-    if sorted(sigma) != [1, 2, 3, 4]:
+    # integer entries only, as in as_count: int() would truncate 2.9 to 2
+    try:
+        valid = tuple(map(operator.index, sigma))
+    except TypeError:
+        valid = None
+    if valid not in _EDGE_IMAGES:
         raise InvalidArgumentError(f"not a permutation of 1..4: {sigma!r}")
-    return sigma
+    return valid
 
 
 #: for each permutation sigma, the position of edge {sigma(i), sigma(j)}

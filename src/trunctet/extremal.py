@@ -174,13 +174,13 @@ _FLOW_BLOCK = 1024
 
 def _flow_schedule(current, dt, max_steps):
     # the level (n,) of the longest edges after each of the first n <= max_steps
-    # steps of the flow from the lengths ``current``, with the t increment (n,)
-    # of each step; step i's length row is np.minimum(current, levels[i]).
+    # steps of the flow from the lengths ``current`` and the times (n + 1,) of
+    # the start and each step; step i's row is np.minimum(current, levels[i]).
     # Each segment lowers the tied set of longest edges from lmax to the
     # second-largest value in steps of dt and ends on it exactly, so the
     # segments follow from the (at most six) distinct start lengths
     current = [float(x) for x in current]
-    segments = []
+    levels, increments = [np.empty(0)], [np.zeros(1)]
     budget = max_steps
     while budget > 0:
         lmax, lmin = max(current), min(current)
@@ -193,18 +193,15 @@ def _flow_schedule(current, dt, max_steps):
             n_sub = max(1, math.ceil(min(seg_len / dt, budget + 1)))
             count = min(n_sub, budget)
             budget -= count
-            segments.append((lmax, second, seg_len, n_sub, count))
+            shift = np.minimum(np.arange(count + 1) * dt, seg_len)
+            level = lmax - shift[1:]
+            if count == n_sub:
+                level[-1] = second
+            levels.append(level)
+            increments.append(shift[1:] - shift[:-1])
         current = [second if x >= lmax - TIE_TOL else x for x in current]
-    if not segments:
-        return np.empty(0), np.empty(0)
-    lmax, second, seg_len, n_sub, count = (np.array(v) for v in zip(*segments))
-    # sub = 1..count within each segment
-    sub = np.arange(1, count.sum() + 1) - np.repeat(np.cumsum(count) - count, count)
-    seg_len = np.repeat(seg_len, count)
-    shift = np.minimum(sub * dt, seg_len)
-    levels = np.where(sub == np.repeat(n_sub, count), np.repeat(second, count),
-                      np.repeat(lmax, count) - shift)
-    return levels, shift - np.minimum((sub - 1) * dt, seg_len)
+    # accumulate adds left to right: each time holds the bits of a running sum
+    return np.concatenate(levels), np.cumsum(np.concatenate(increments))
 
 
 def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
@@ -239,7 +236,7 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
             f"the floor {ell_floor:.6g}"
         )
     max_steps = domain.as_count(max_steps, "max_steps")
-    levels, increments = _flow_schedule(start.lengths, dt, max_steps)
+    levels, t = _flow_schedule(start.lengths, dt, max_steps)
     # the start and each block's rows, angles and volumes up to its first
     # row outside the chart
     start_lengths = np.array(start.lengths)
@@ -257,10 +254,8 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
         if inside < len(ok):
             steps, reason = first + inside, TERMINATED_BOUNDARY
             break
-    # accumulate adds left to right: t holds the bits of a running sum
-    t = np.cumsum(np.concatenate([[0.0], increments[:steps]]))
     lengths, angles, vols = (np.concatenate(x) for x in (lengths, angles, vols))
-    return Trajectory(t, angles, lengths, vols, ell_floor, dt, reason)
+    return Trajectory(t[:steps + 1], angles, lengths, vols, ell_floor, dt, reason)
 
 
 # --- campaigns -----------------------------------------------------------
@@ -371,7 +366,7 @@ def conjecture_prima2_test(tet, ell):
     if tet.is_regular():
         raise DomainError("conjecture requires a non-regular tetrahedron")
     ell = domain.as_finite(ell, "ell")
-    orbit = np.array([domain.permute(sigma, tet.angles) for sigma in domain.ALL_PERMUTATIONS])
+    orbit = np.asarray(tet.angles)[[domain._EDGE_IMAGES[s] for s in domain.ALL_PERMUTATIONS]]
     # one coset size at a time: a row's points are summed in index order
     points = np.concatenate([orbit[rows].mean(axis=1) for rows in domain._coset_rows()])
     off_orbit = np.abs(orbit - points[:, np.newaxis]).max(axis=2).min(axis=1) >= 1e-9

@@ -250,7 +250,7 @@ def integrate(f, a, b, tol=1e-10):
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or a > b:
         raise InvalidArgumentError(f"integrate: bad interval [{a!r}, {b!r}]")
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidArgumentError("integrate: tol must be positive")
     if a == b:
         return 0.0

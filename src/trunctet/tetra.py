@@ -118,7 +118,8 @@ def regular_from_length(ell):
 
     Raises AccuracyError when the returned edge length misses ell by more
     than ``ROUND_TRIP_TOL``: near the flat limit theta -> pi/3 the length
-    diverges, and from ell ~ 17 the rounding of cos theta shows in it.
+    diverges, and from ell ~ 17 the rounding of cos theta shows in it;
+    below ell ~ 1.5e-8 cosh ell rounds to 1, and theta to 0.
     """
     ell = domain.as_finite(ell, "regular length")
     if ell <= 0.0:
@@ -128,6 +129,8 @@ def regular_from_length(ell):
     theta = math.acos(ch / (2.0 * ch - 1.0))
     if theta >= THETA_MAX:
         raise AccuracyError(f"length {ell!r} too close to the divergent flat limit")
+    if theta == 0.0:
+        raise AccuracyError(f"length {ell!r} too short: cosh rounds to 1 and the angle to 0")
     tet = regular_from_angle(theta)
     defect = abs(tet.lengths[0] - ell)
     if defect > ROUND_TRIP_TOL:
@@ -164,12 +167,13 @@ def rejection_sample(rng, n, propose, accept, budget=None):
     with a rows accepted out of d drawn, a block has ceil(1.25 (n - a) d / a)
     rows, at most ``_GROW_CAP``. A generator's stream does not depend on
     where its blocks are cut, so a seed gives its generator's rows.
-    ``budget`` caps the rows drawn, rounded up to a multiple of ``_BATCH``;
-    it defaults to max(10^6, 2 * 10^4 * n).
+    ``budget``, a nonnegative integer, caps the rows drawn, rounded up to a
+    multiple of ``_BATCH``; it defaults to max(10^6, 2 * 10^4 * n).
     """
     n = domain.as_count(n, "n")
     if budget is None:
         budget = max(1_000_000, 20_000 * n)
+    budget = domain.as_count(budget, "budget")
     # a caller's Generator keeps _BATCH blocks; a seed's are sized to the sample
     sized = not isinstance(rng, np.random.Generator)
     if sized:
@@ -182,7 +186,7 @@ def rejection_sample(rng, n, propose, accept, budget=None):
             raise SamplingError(
                 f"rejection budget {budget} exhausted after {accepted}/{n} accepted"
             )
-        size = int(min(size, cap - draws))  # an int for a float budget
+        size = min(size, cap - draws)
         chunks.append(accept(propose(rng, size)))
         draws += size
         accepted += len(chunks[-1][0])

@@ -23,6 +23,7 @@ from trunctet import (
     regular_volume_l0,
     sample_O,
     sample_O_batch,
+    sample_T_ell,
     ushijima_volume,
     vertex_sums,
 )
@@ -285,11 +286,20 @@ class TestPermute:
                 assert np.array(moved.lengths).tobytes() == permute(sigma, tet.lengths).tobytes()
                 assert moved.volume == tet.volume
 
-    @pytest.mark.parametrize("sigma", [(1, 1, 2, 3), (1, 2, 3), (0, 1, 2, 3)])
+    @pytest.mark.parametrize("sigma", [(1, 1, 2, 3), (1, 2, 3), (0, 1, 2, 3),
+                                       (1, 2, 3, 4.7), (2.9, 1, 3, 4), ("2", "1", "3", "4")])
     def test_permuted_rejects_what_is_not_a_permutation(self, sigma):
+        # entries are not truncated: (1, 2, 3, 4.7) is not the identity
         tet = regular_from_length(0.8)
-        with pytest.raises(InvalidArgumentError, match="not a permutation of 1..4"):
-            tet.permuted(sigma)
+        for call in (tet.permuted, lambda s: permute(s, tet.angles), lambda s: compose(s, s)):
+            with pytest.raises(InvalidArgumentError, match="not a permutation of 1..4"):
+                call(sigma)
+
+    def test_numpy_integers_are_entries(self):
+        a = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+        sigma = np.array([2, 1, 3, 4])
+        assert permute(sigma, a).tobytes() == permute((2, 1, 3, 4), a).tobytes()
+        assert compose(sigma, sigma) == (1, 2, 3, 4)
 
     def test_regular_iff_fixed_by_all_markings(self):
         tet = regular_from_length(0.8)
@@ -335,9 +345,10 @@ class TestRegularFamily:
         with pytest.raises(AccuracyError):
             regular_from_length(40.0)
 
-    @pytest.mark.parametrize("ell", [25.0, 30.0, 35.0])
+    @pytest.mark.parametrize("ell", [25.0, 30.0, 35.0, 1e-9, 1e-8])
     def test_inaccurate_length_is_an_accuracy_error(self, ell):
-        # the closed form returns an edge length off by 1e-5 to 0.09 here
+        # the closed form returns an edge length off by 1e-5 to 0.09 at
+        # 25 to 35; below 1.5e-8 it gives the angle 0, no tetrahedron
         with pytest.raises(AccuracyError):
             regular_from_length(ell)
 
@@ -399,6 +410,19 @@ class TestSamplers:
         with pytest.raises(InvalidArgumentError, match="volume floor must be finite"):
             sample_O_batch(rng, 1, constraint="volume_floor", floor=floor)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -1, 1.5])
+    def test_budget_that_is_not_a_count_is_rejected_before_any_draw(self, budget):
+        # a NaN or infinite budget once sampled forever
+        rng = np.random.default_rng(22)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidArgumentError, match="budget must be a nonnegative integer"):
+            sample_O_batch(rng, 1, constraint="volume_floor", floor=100.0, budget=budget)
+        with pytest.raises(InvalidArgumentError, match="budget must be a nonnegative integer"):
+            sample_T_ell(rng, 50.0, 1, budget=budget)
+        assert rng.bit_generator.state == state
+        with pytest.raises(InvalidArgumentError, match="budget must be a nonnegative integer"):
+            sample_T_ell(0, 50.0, 1, budget=budget)
 
 
 class TestTetrahedronRecord:

@@ -765,10 +765,10 @@ class TestFlowSchedule:
         for lengths in self.starts():
             for max_steps in (0, 1, 37, 200_000):
                 rows, increments = tiled_schedule(lengths, dt, max_steps)
-                levels, got = _flow_schedule(lengths, dt, max_steps)
+                levels, times = _flow_schedule(lengths, dt, max_steps)
                 assert np.array_equal(np.minimum(lengths, levels[:, None]), rows)
-                assert np.array_equal(got, increments)
-                assert got.dtype == levels.dtype == float
+                assert np.array_equal(times, np.cumsum(np.concatenate([[0.0], increments])))
+                assert times.dtype == levels.dtype == float
 
     def test_no_step_raises_an_edge(self):
         # below TIE_TOL a step is shorter than the gap inside the tied set;

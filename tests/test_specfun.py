@@ -304,6 +304,12 @@ class TestIntegrate:
         with pytest.raises(InvalidArgumentError):
             integrate(math.sin, 1.0, 0.0, 1e-10)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_rejects_a_tolerance_that_is_not_positive(self, tol):
+        # a NaN tol fails every comparison: it once returned the one-panel estimate
+        with pytest.raises(InvalidArgumentError, match="tol must be positive"):
+            integrate(math.sin, 0.0, 100.0, tol)
+
     def test_non_convergence_carries_estimate(self):
         # an integrable singularity with an absurd tolerance must fail
         # but still report its best estimate

@@ -6,7 +6,8 @@ and the campaigns and the deformation flow reach the volume through the
 attribute the tracer and the benchmark's self-test wrap, the flow makes one
 chart call, one volume call and one ``in_O_mask`` call per block of at most
 ``_FLOW_BLOCK`` rows, one of each for a path that fits one block,
-and a campaign makes records only for its reference and its witnesses."""
+a campaign makes records only for its reference and its witnesses, and a
+NaN in any public numeric parameter raises a typed error, without hanging."""
 
 import math
 import os
@@ -127,6 +128,58 @@ def test_cli_prints_no_runtime_warning(argv, code, stderr):
     )
     assert done.returncode == code, done.stderr
     assert done.stderr == stderr
+
+
+NAN_SWEEP = """
+import math
+import trunctet as t
+nan = float("nan")
+tet = t.Tetrahedron.from_angles([0.4, 0.5, 0.3, 0.45, 0.35, 0.5])
+start = t.Tetrahedron.from_lengths([0.9, 0.8, 0.7, 0.9, 0.8, 0.7])
+calls = {
+    "integrate tol": lambda: t.integrate(math.sin, 0.0, 100.0, tol=nan),
+    "integrate a": lambda: t.integrate(math.sin, nan, 1.0),
+    "integrate b": lambda: t.integrate(math.sin, 0.0, nan),
+    "sample_O_batch budget":
+        lambda: t.sample_O_batch(1, 1, "volume_floor", floor=100.0, budget=nan),
+    "sample_O_batch floor": lambda: t.sample_O_batch(1, 1, "volume_floor", floor=nan),
+    "sample_T_ell ell": lambda: t.sample_T_ell(0, nan, 1),
+    "sample_T_ell budget": lambda: t.sample_T_ell(0, 50.0, 1, budget=nan),
+    "deformation_flow dt": lambda: t.deformation_flow(start, 0.3, dt=nan),
+    "deformation_flow ell_floor": lambda: t.deformation_flow(start, nan),
+    "verify_theorem ell": lambda: t.verify_theorem(nan, 3, seed=0),
+    "verify_theorem tol": lambda: t.verify_theorem(0.3, 3, seed=0, tol=nan),
+    "verify_fixed_angle_sum theta_sum": lambda: t.verify_fixed_angle_sum(nan, 3, seed=0),
+    "verify_fixed_angle_sum tol": lambda: t.verify_fixed_angle_sum(3.0, 3, seed=0, tol=nan),
+    "regular_from_length": lambda: t.regular_from_length(nan),
+    "regular_from_angle": lambda: t.regular_from_angle(nan),
+    "conjecture_prima_test ell": lambda: t.conjecture_prima_test(tet, nan),
+    "conjecture_prima2_test ell": lambda: t.conjecture_prima2_test(tet, nan),
+    "lobachevsky": lambda: t.lobachevsky(nan),
+    "dilog": lambda: t.dilog(nan),
+}
+for name, call in calls.items():
+    try:
+        outcome = f"returned {call()!r}"
+    except t.TruncTetError:
+        outcome = "raised"
+    except Exception as exc:
+        outcome = f"raised {exc!r}"
+    print(f"{name}: {outcome}", flush=True)
+"""
+
+
+def test_nan_arguments_raise_typed_errors():
+    # NaN in each public numeric parameter in turn, in a subprocess, so that
+    # a call that loops forever on it fails at the timeout
+    src = os.path.dirname(os.path.dirname(trunctet.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", NAN_SWEEP], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=30, check=True,
+    )
+    outcomes = done.stdout.splitlines()
+    assert len(outcomes) == 19
+    assert [line for line in outcomes if not line.endswith(": raised")] == []
 
 
 def test_readme_commands_parse():
