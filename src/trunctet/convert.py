@@ -9,31 +9,46 @@ With {i,j,k,l} = {1,2,3,4} the conversions are
 where d_i, c_ij are polynomial in the cosines of the angles and z_i, w_ij
 in the hyperbolic cosines of the lengths. Both are the same map in two
 index layouts, so one kernel family serves both directions, each a set of
-index tables built from ``indexing.py`` (``_ANGLES``, ``_LENGTHS``). The
-kernels are edge-major: on a 6-vector or on (6, m) columns, one row per
-column, each table row gathers one (n,) or (n, m) block by ``x[table]``:
+index tables built from ``indexing.py`` (``_ANGLES``, ``_LENGTHS``). Each
+formula is written once, as a function of its operands: ``_vertex_term``
+2xyz + x^2 + y^2 + z^2 - 1 over the edges at a vertex (d_i) or on the
+opposite face (z_i), ``_edge_term`` c_ij in the roles ij, ik, il, jk, jl,
+kl of an edge (w_ij is bitwise c_ij with the roles ik and jl exchanged,
+which is all that the length tables change), their partials, and the ratio
+edge / sqrt(product) with its gradient. There are two ways to evaluate
+them, with the same operations in the same order, so a 6-vector gives the
+bits of its batch row:
 
-- ``_vertex_poly``: 2xyz + x^2 + y^2 + z^2 - 1 over the edges at each
-  vertex (d_i), or on the opposite face (z_i);
-- ``_edge_poly``: c_ij in the roles ij, ik, il, jk, jl, kl of each edge.
-  w_ij is bitwise c_ij with the roles ik and jl exchanged, which is all
-  that the length tables change;
-- ``_ratio``: the vertex coefficients, the products under each edge's root
-  and the ratio edge / root; ``_ratio_grad`` adds its exact partials, entry
-  (ij, q) = d ratio_ij / d x_q, gathered in one step through the tables.
+- (6, m) columns, one row per column: each table row gathers one (n, m)
+  block by ``x[table]`` and a formula runs once on the blocks;
+- a 6-vector, after one ``np.cos`` or ``np.cosh``: a formula runs with
+  ``map`` over Python floats, once per vertex, edge or Jacobian entry,
+  since a one-row array pays numpy's dispatch on each of 30 to 80
+  operations. A root of a negative reads NaN there (``_sqrt``), and where a
+  float division by zero raises, ``_in_floats`` evaluates the vector again
+  as one column, which gives numpy's inf or NaN.
+
+``_ratio`` gives the vertex coefficients, the products under each edge's
+root and the ratio edge / root; ``_ratio_grad`` adds its exact partials,
+entry (ij, q) = d ratio_ij / d x_q, the stacked partials gathered through
+the tables.
 
 Each direction has one guard table (``_LENGTH_GUARDS``, ``_ANGLE_GUARDS``)
-of conditions on a kernel pass and their typed errors. ``_guarded`` applies
-it: a 6-vector raises the error of the first guard it fails, a column that
+of conditions on a kernel pass, entry by entry on the floats of a 6-vector
+or elementwise on columns, and their typed errors. ``_guarded`` applies it:
+a 6-vector raises the error of the first guard it fails, a column that
 fails any turns NaN. The batch functions (``angles_to_lengths_batch``,
 ``lengths_to_angles_batch``, ``chart_angles``) transpose (m, 6) rows on
 entry and back on return, and are NaN exactly where the scalar ones raise
 and bitwise equal elsewhere. One pass of ``_ratio_grad`` gives the guards,
-the conversion and its Jacobian together (``jacobian_*`` in ``schlafli``);
-the batch Jacobians ``angles_jacobian`` and ``lengths_jacobian`` move its
-(6, 6, ...) partials behind the rows.
+the conversion and its Jacobian together (``jacobian_*`` in ``schlafli``),
+whose chain rule through the sines or hyperbolic sines runs on the (6, 6,
+...) array of partials; the batch Jacobians ``angles_jacobian`` and
+``lengths_jacobian`` move its (6, 6) axes behind the rows.
 """
 
+import functools
+import math
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -66,6 +81,13 @@ class _Tables(NamedTuple):
     edge_grad: np.ndarray
     #: the two vertices under each edge's root, 0-based (2 x 6)
     ends: np.ndarray
+    #: for the Python floats of a 6-vector, as lists: the member of each
+    #: place q in vertex_grad (3 for the zero), vertex by vertex; the role
+    #: of each place q in edge_grad, edge by edge; the two vertices under
+    #: each edge's root
+    vertex_members: list
+    edge_roles: list
+    end_pairs: list
 
 
 def _tables(vertex_edges, roles, ends):
@@ -75,7 +97,9 @@ def _tables(vertex_edges, roles, ends):
     vertex_grad[vertices, triples] = members * 4 + vertices
     # argsort inverts each edge's column of roles
     edge_grad = np.argsort(roles, axis=0).T * 6 + np.arange(6)[:, None]
-    return _Tables(triples, vertex_grad, roles, edge_grad, np.array(ends).T - 1)
+    ends = np.array(ends).T - 1
+    lists = (vertex_grad // 4).tolist(), (edge_grad // 6).tolist(), ends.T.tolist()
+    return _Tables(triples, vertex_grad, roles, edge_grad, ends, *lists)
 
 
 #: the opposite edge kl of each edge ij, as a vertex pair
@@ -95,36 +119,66 @@ _ANGLES = _tables(VERTEX_EDGES, _EDGE_ROLES, EDGE_PAIRS)
 _LENGTHS = _tables(OPPOSITE_FACE_EDGES, _EDGE_ROLES[[0, 4, 2, 3, 1, 5]], _OPPOSITE_PAIRS)
 
 
-def _vertex_poly(x, triples):
-    x, y, z = x[triples]
+def _each(term, x, table):
+    # a term on the operands that the rows of an index table gather from x:
+    # once on (n, m) blocks of (6, m) columns, or n times on the Python
+    # floats of a 6-vector
+    if x.ndim == 1:
+        return list(map(term, *x[table].tolist()))
+    return term(*x[table])
+
+
+def _each_entry(term, *operands):
+    # a term entry by entry on lists of Python floats, or once on arrays
+    if isinstance(operands[0], list):
+        return list(map(term, *operands))
+    return term(*operands)
+
+
+def _sqrt(v):
+    # math.sqrt on a Python float, NaN below zero as np.sqrt gives; else np.sqrt
+    if isinstance(v, float):
+        return math.sqrt(v) if v >= 0.0 else math.nan
+    return np.sqrt(v)
+
+
+def _in_floats(kernel):
+    # a kernel on (6, m) columns or on a 6-vector, which it evaluates in
+    # Python floats. A float division by zero raises where numpy returns inf
+    # or NaN; there the vector is evaluated as one column, its batch row
+    @functools.wraps(kernel)
+    def evaluate(x, tables):
+        try:
+            return kernel(x, tables)
+        except ZeroDivisionError:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return [np.asarray(part)[..., 0] for part in kernel(x[:, None], tables)]
+
+    return evaluate
+
+
+# The kernel formulas, on Python floats or elementwise on blocks. In the
+# angle direction the x are cosines, in the length direction hyperbolic
+# cosines.
+
+def _vertex_term(x, y, z):
+    # d_i over the edges at a vertex, or z_k over the opposite face
     return 2.0 * x * y * z + x * x + y * y + z * z - 1.0
 
 
-def _edge_poly(x, roles):
-    ij, ik, il, jk, jl, kl = x[roles]
+def _vertex_partials(x, y, z):
+    # half the partials of _vertex_term in x, y and z
+    return x + y * z, y + x * z, z + x * y
+
+
+def _edge_term(ij, ik, il, jk, jl, kl):
+    # c_ij, or w_ij with the roles ik and jl exchanged
     return ij * (il * jk + ik * jl) + il * jl + ik * jk + kl * (1.0 - ij * ij)
 
 
-def _ratio(x, tables):
-    # the vertex coefficients, (4, ...), their products under each edge's
-    # root, (6, ...), and the ratios edge / root, (6, ...). Edge first: the
-    # other order costs chart_angles on 10^4 rows 1.6x its time in page faults
-    edge = _edge_poly(x, tables.roles)
-    vertex = _vertex_poly(x, tables.triples)
-    first, second = vertex[tables.ends]
-    products = first * second
-    return vertex, products, edge / np.sqrt(products)
-
-
-def _ratio_grad(x, tables):
-    # _ratio (bitwise) and its derivative in x, (6, 6, ...):
-    # d(e / sqrt(a b)) = de / sqrt(a b) - (e / sqrt(a b)) (da / a + db / b) / 2
-    vertex, products, ratio = _ratio(x, tables)
-    a, b, c = x[tables.triples]
-    vertex_partials = (a + b * c, b + a * c, c + a * b, np.zeros((1,) + a.shape[1:]))
-    vertex_grad = 2.0 * np.concatenate(vertex_partials)[tables.vertex_grad]
-    ij, ik, il, jk, jl, kl = x[tables.roles]
-    edge_partials = (
+def _edge_partials(ij, ik, il, jk, jl, kl):
+    # the partials of _edge_term in its six roles
+    return (
         il * jk + ik * jl - 2.0 * ij * kl,
         ij * jl + jk,
         ij * jk + jl,
@@ -132,9 +186,78 @@ def _ratio_grad(x, tables):
         ij * ik + il,
         1.0 - ij * ij,
     )
+
+
+def _ratio_term(edge, product):
+    return edge / _sqrt(product)
+
+
+def _log_partial(half_partial, vertex):
+    # a partial of log(vertex), from half the partial of the vertex term
+    return 2.0 * half_partial / vertex
+
+
+def _ratio_partial(edge_partial, root, ratio, first, second):
+    # d(e / sqrt(a b)) = de / sqrt(a b) - (e / sqrt(a b)) (da / a + db / b) / 2
+    return edge_partial / root - 0.5 * ratio * (first + second)
+
+
+def _sinh_of_cosh(c):
+    return _sqrt((c - 1.0) * (c + 1.0))
+
+
+def _sin_of_cos(c):
+    return _sqrt((1.0 - c) * (1.0 + c))
+
+
+def _vertex_poly(x, triples):
+    return _each(_vertex_term, x, triples)
+
+
+def _edge_poly(x, roles):
+    return _each(_edge_term, x, roles)
+
+
+@_in_floats
+def _ratio(x, tables):
+    # the vertex coefficients, (4, ...), their products under each edge's
+    # root, (6, ...), and the ratios edge / root, (6, ...). Edge first: the
+    # other order costs chart_angles on 10^4 rows 1.6x its time in page faults
+    edge = _edge_poly(x, tables.roles)
+    vertex = _vertex_poly(x, tables.triples)
+    if x.ndim == 1:
+        products = [vertex[a] * vertex[b] for a, b in tables.end_pairs]
+    else:
+        first, second = vertex[tables.ends]
+        products = first * second
+    return vertex, products, _each_entry(_ratio_term, edge, products)
+
+
+@_in_floats
+def _ratio_grad(x, tables):
+    # _ratio (bitwise) and its derivative in x, (6, 6, ...): the partials
+    # stacked member-major (vertex) and role-major (edge), a zero for the
+    # edges off a vertex, gathered through the tables
+    vertex, products, ratio = _ratio(x, tables)
+    vertex_partials = _each(_vertex_partials, x, tables.triples)
+    edge_partials = _each(_edge_partials, x, tables.roles)
+    if x.ndim == 1:
+        # rows of six Python floats, place q taking the member (3: the zero)
+        # or the role that the tables name for it
+        logs = []
+        for d, partials, members in zip(vertex, vertex_partials, tables.vertex_members):
+            values = [_log_partial(half, d) for half in (*partials, 0.0)]
+            logs.append([values[k] for k in members])
+        grad = [_ratio_partial(partials[k], root, r, f, s)
+                for partials, roles, root, r, (a, b) in zip(
+                    edge_partials, tables.edge_roles, map(_sqrt, products), ratio, tables.end_pairs)
+                for k, f, s in zip(roles, logs[a], logs[b])]
+        return vertex, products, ratio, np.array(grad).reshape(6, 6)
+    stacked = np.concatenate(vertex_partials + (np.zeros((1,) + x.shape[1:]),))
+    logs = _log_partial(stacked[tables.vertex_grad], vertex[:, None])
+    first, second = logs[tables.ends]
     edge_grad = np.concatenate(edge_partials)[tables.edge_grad]
-    first, second = (vertex_grad / vertex[:, None])[tables.ends]
-    grad = edge_grad / np.sqrt(products)[:, None] - 0.5 * ratio[:, None] * (first + second)
+    grad = _ratio_partial(edge_grad, np.sqrt(products)[:, None], ratio[:, None], first, second)
     return vertex, products, ratio, grad
 
 
@@ -147,7 +270,7 @@ def _cosh_lengths(angles):
 def _cosh_lengths_grad(angles):
     # _cosh_lengths (bitwise) and, from the same pass, lengths_jacobian
     d, products, arg, grad = _ratio_grad(np.cos(angles), _ANGLES)
-    sinh_lengths = np.sqrt((arg - 1.0) * (arg + 1.0))
+    sinh_lengths = np.asarray(_each_entry(_sinh_of_cosh, arg))
     return d, products, arg, grad * -np.sin(angles) / sinh_lengths[:, None]
 
 
@@ -171,7 +294,7 @@ def _cos_angles(lengths):
 def _cos_angles_grad(lengths):
     # _cos_angles (bitwise) and, from the same pass, angles_jacobian
     z, products, arg, grad = _ratio_grad(np.cosh(lengths), _LENGTHS)
-    sin_angles = np.sqrt((1.0 - arg) * (1.0 + arg))
+    sin_angles = np.asarray(_each_entry(_sin_of_cos, arg))
     return z, products, arg, grad * np.sinh(lengths) / -sin_angles[:, None]
 
 
@@ -202,21 +325,24 @@ _Pass = namedtuple("_Pass", "x vertex products ratio")
 
 _EDGES = [f"edge {{{i},{j}}}" for i, j in EDGE_PAIRS]
 
-# A guard table lists (condition, error) in the order a 6-vector raises them:
-# the condition holds elementwise on a _Pass, over its vertices or edges, and
-# NaN fails it; error(pass, pos) is the typed error of a 6-vector failing at pos.
+# A guard table lists (fields, condition, error) in the order a 6-vector
+# raises them: the condition holds entry by entry on the named fields of a
+# _Pass, over its vertices or edges, on Python floats or elementwise on
+# blocks, and NaN fails it; error(pass, pos) is the typed error of a 6-vector
+# failing at pos, on the pass as arrays.
 
 #: lengths -> angles: a kernel overflow (long edges overflow z_k z_l to inf,
 #: and the cosine arguments then read 0 or NaN), a negative length,
 #: |cos theta_ij| > 1 + EPS_CLAMP. z_k >= 4 on cosh values >= 1, so z_k
 #: needs no guard of its own
 _LENGTH_GUARDS = (
-    (lambda k: np.isfinite(k.products) & np.isfinite(k.ratio), lambda k, pos: AccuracyError(
+    (("products", "ratio"), lambda p, r: (abs(p) < math.inf) & (abs(r) < math.inf),
+     lambda k, pos: AccuracyError(
         f"length kernel overflows at {_EDGES[pos]}: z_k z_l = {k.products[pos]:.6g}, "
         f"cosine argument {k.ratio[pos]:.6g}")),
-    (lambda k: k.x >= 0.0, lambda k, pos: NotInClosureError(
+    (("x",), lambda x: x >= 0.0, lambda k, pos: NotInClosureError(
         f"length {k.x[pos]:.6g} is negative at {_EDGES[pos]}", value=k.x[pos])),
-    (lambda k: np.abs(k.ratio) <= 1.0 + EPS_CLAMP, lambda k, pos: NotInClosureError(
+    (("ratio",), lambda r: abs(r) <= 1.0 + EPS_CLAMP, lambda k, pos: NotInClosureError(
         f"cosine argument {k.ratio[pos]:.6g} exceeds 1 at {_EDGES[pos]}", value=k.ratio[pos])),
 )
 
@@ -225,10 +351,10 @@ _LENGTH_GUARDS = (
 #: is the float s - 1.0, exact for s in [1/2, 2], so d_i > 0 means
 #: d_i >= 2^-52, and |c_ij| <= 5 over sqrt(d_i d_j) >= 2^-52 is finite
 _ANGLE_GUARDS = (
-    (lambda k: k.vertex > 0.0, lambda k, pos: NotATetrahedronError(
+    (("vertex",), lambda d: d > 0.0, lambda k, pos: NotATetrahedronError(
         f"vertex coefficient d_{pos + 1} = {k.vertex[pos]:.6g} is not positive",
         index=pos + 1, value=k.vertex[pos])),
-    (lambda k: k.ratio >= 1.0 - EPS_CLAMP, lambda k, pos: NotATetrahedronError(
+    (("ratio",), lambda r: r >= 1.0 - EPS_CLAMP, lambda k, pos: NotATetrahedronError(
         f"cosh argument {k.ratio[pos]:.6g} < 1 at {_EDGES[pos]}",
         index=EDGE_PAIRS[pos], value=k.ratio[pos])),
 )
@@ -241,14 +367,16 @@ def _guarded(guards, kernel, finish, x):
     # at the vertex with the smallest coefficient or the first failing edge
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vertex, products, ratio, *rest = kernel(x)
-    k = _Pass(x, vertex, products, ratio)
+    k = _Pass(x.tolist() if x.ndim == 1 else x, vertex, products, ratio)
     out = finish(ratio)
-    for condition, error in guards:
-        holds = condition(k)
+    for fields, condition, error in guards:
+        operands = [getattr(k, field) for field in fields]
         if x.ndim == 2:
-            out[:, ~holds.all(axis=0)] = np.nan
-        elif not all(holds.tolist()):  # on a few entries, faster than .all()
-            raise error(k, int(np.argmin(vertex) if holds.size == 4 else np.argmax(~holds)))
+            out[:, ~condition(*operands).all(axis=0)] = np.nan
+        elif not all(map(condition, *operands)):
+            k = _Pass(*map(np.array, k))
+            holds = condition(*[getattr(k, field) for field in fields])
+            raise error(k, int(np.argmin(k.vertex) if holds.size == 4 else np.argmax(~holds)))
     return out, *rest
 
 

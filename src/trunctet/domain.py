@@ -95,9 +95,10 @@ def in_O(angles, strict=True, tol=0.0):
     """Membership in the angle polytope (its closure when strict=False).
 
     ``tol`` loosens every inequality by the given amount; it is used by
-    callers that must absorb round-trip noise near the boundary. The input
-    is validated by ``as_vector``.
+    callers that must absorb round-trip noise near the boundary; it must be
+    finite. The input is validated by ``as_vector``.
     """
+    tol = as_finite(tol, "tol")
     xs = as_vector(angles, "angles").tolist()
     return _in_polytope(xs, _vertex_sums(xs), strict, tol)
 
@@ -182,6 +183,7 @@ def permutation_moving_edge_to_front(pos):
 
 def in_O_mask(batch, strict=True, tol=0.0):
     """Polytope membership, as ``in_O``, for (m, 6) rows validated by ``as_rows``."""
+    tol = as_finite(tol, "tol")
     A = as_rows(batch, "angles")
     ok = np.zeros(len(A), dtype=bool)
     ok[_in_O_index(A, strict, tol)] = True

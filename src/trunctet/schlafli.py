@@ -3,12 +3,15 @@ control the sign of the length-derivative along a maximal edge.
 
 The angle-chart gradient is closed form (d vol = -1/2 * sum l_ij d theta_ij,
 Schlafli's formula). The length-chart gradient chains it with the exact
-Jacobian d theta / d l, from the same kernel pass as the angles (batch form:
-``convert.angles_jacobian``). With ``check`` set, that Jacobian is validated
-against the inverse of ``jacobian_lengths_of_angles``, from the same kernel
-on the angle tables, at the angles instead of the lengths. The sign
-conditions at a maximal edge (``key_bracket``, ``tecnicofinale_gap``,
-``lemma_gaps``) read one set of trigonometric terms, formed once by ``_terms``.
+Jacobian d theta / d l, from the same kernel pass as the angles. The
+kernel's formulas are written once in ``convert`` and evaluated two ways:
+on one tetrahedron in Python floats, and on (..., 6) arrays in bulk
+(``convert.angles_jacobian``), with the same bits on every row. With
+``check`` set, that Jacobian is validated against the inverse of
+``jacobian_lengths_of_angles``, from the same kernel on the angle tables, at
+the angles instead of the lengths. The sign conditions at a maximal edge
+(``key_bracket``, ``tecnicofinale_gap``, ``lemma_gaps``) read one set of
+trigonometric terms, formed once by ``_terms``.
 """
 
 import math

@@ -338,6 +338,8 @@ def chart_test_rows():
     for big in (30.0, 300.0, 709.0, 711.0, 800.0):
         rows.append(np.full(6, big))
         rows.append((big, 0.5, 0.5, 0.5, 0.5, 0.5))
+    # negative zeros: cosh is 1 and sinh -0.0 there
+    rows += [np.full(6, -0.0), (-0.0, 0.7, 0.8, 0.7, 0.7, 0.8)]
     return np.array(rows, dtype=float)
 
 
@@ -511,11 +513,17 @@ def reference_angles_to_lengths_batch(d, arg):
     return lengths
 
 
+#: angle rows with a vertex coefficient exactly 0 (all four on the first
+#: row), whose cosines are +-1: a 6-vector's roots there divide by zero
+ZERO_VERTEX_ROWS = np.array([(0.0, 0.0, math.pi, 0.0, 0.0, math.pi), (0.0, math.pi, 0.0, 0.5, 0.5, 0.5)])
+
+
 def angle_test_rows():
-    """Uniform angle rows (about 98% fail a guard), rows on the face
-    theta_12 = 0 of the polytope, and rows closing in on its boundary."""
+    """Uniform angle rows (about 98% fail a guard), rows with a zero vertex
+    coefficient, rows on the face theta_12 = 0 of the polytope, and rows
+    closing in on its boundary."""
     rng = np.random.default_rng(60)
-    rows = [rng.uniform(0.0, math.pi, size=(20_000, 6))]
+    rows = [rng.uniform(0.0, math.pi, size=(20_000, 6)), ZERO_VERTEX_ROWS]
     face = np.array(sample_O_batch(np.random.default_rng(61), 200, constraint="acute"))
     face[:, 0] = 0.0
     rows.append(face)
@@ -565,7 +573,7 @@ class TestAngleGuards:
     def test_jacobian_raises_as_the_conversion_does(self, rows):
         # same error as angles_to_lengths, from the Jacobian's own kernel pass;
         # on the rows it converts, a Jacobian or NearDegenerateError
-        for row in rows[::7]:
+        for row in np.concatenate([ZERO_VERTEX_ROWS, rows[::7]]):
             try:
                 angles_to_lengths(row)
             except NotATetrahedronError as exc:

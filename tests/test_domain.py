@@ -58,6 +58,14 @@ class TestInO:
         sums = vertex_sums((1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         assert np.allclose(sums, [1 + 2 + 3, 1 + 5 + 6, 2 + 4 + 6, 3 + 4 + 5])
 
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf])
+    def test_tolerance_must_be_finite(self, tol):
+        # an infinite slack made every row pass or fail (NaN: see test_tooling)
+        with pytest.raises(InvalidArgumentError, match="tol must be finite"):
+            in_O(REGULAR, tol=tol)
+        with pytest.raises(InvalidArgumentError, match="tol must be finite"):
+            in_O_mask([REGULAR], tol=tol)
+
     def test_convexity(self):
         rng = np.random.default_rng(10)
         points = sample_O_batch(rng, 100)

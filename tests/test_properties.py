@@ -1,8 +1,10 @@
 """Property tests: the permutation table, invariance of the volume and
-equivariance of both gradients under the 24 relabellings, and the Python
-floats every Tetrahedron construction path stores."""
+equivariance of both gradients under the 24 relabellings, the Python
+floats every Tetrahedron construction path stores, and the 6-vector
+conversions and Jacobians as the batch rows."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +14,19 @@ from hypothesis import strategies as st
 from trunctet import (
     ALL_PERMUTATIONS,
     InvalidArgumentError,
+    NearDegenerateError,
     Tetrahedron,
+    TruncTetError,
     acute_constraints_hold,
+    angles_to_lengths,
+    angles_to_lengths_batch,
     deformation_flow,
     dvol_dangles,
     dvol_dlengths,
+    jacobian_angles_of_lengths,
+    jacobian_lengths_of_angles,
+    lengths_to_angles,
+    lengths_to_angles_batch,
     permute,
     regular_from_angle,
     regular_from_length,
@@ -26,6 +36,8 @@ from trunctet import (
     verify_theorem,
     vertex_sums,
 )
+from trunctet import convert
+from trunctet.domain import in_O_mask
 from trunctet.indexing import EDGE_PAIRS, edge_position
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -126,3 +138,48 @@ class TestRecordsHoldFloats:
         traj = deformation_flow(start, 0.3, dt=1e-2)
         assert len(traj.points) > 2
         assert all(all_floats(tet) and type(t) is float for t, tet in traj.points)
+
+
+def assert_the_batch_row(convert_vector, jacobian_vector, values, fails, converted, jacobian_row):
+    """A 6-vector's conversion and Jacobian raise the same error where the
+    batch row fails and are its bits elsewhere; the Jacobian raises
+    NearDegenerateError where the batch one is not finite."""
+    if fails:
+        with pytest.raises(TruncTetError) as expected:
+            convert_vector(values)
+        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+            jacobian_vector(values)
+        return
+    assert convert_vector(values).tobytes() == converted.tobytes()
+    if np.isfinite(jacobian_row).all():
+        assert jacobian_vector(values).tobytes() == jacobian_row.tobytes()
+    else:
+        with pytest.raises(NearDegenerateError):
+            jacobian_vector(values)
+
+
+#: angles in [0, pi], often exactly 0 or pi, where cosines are +-1 and
+#: vertex coefficients and sines can vanish
+ends_or_angles = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi))
+
+
+class TestVectorsAreTheBatchRows:
+    @SETTINGS
+    @given(st.lists(ends_or_angles, min_size=6, max_size=6))
+    def test_angles(self, angles):
+        lengths = angles_to_lengths_batch([angles])[0]
+        with np.errstate(all="ignore"):
+            jacobian_row = convert.lengths_jacobian([angles])[0]
+        assert_the_batch_row(angles_to_lengths, jacobian_lengths_of_angles, angles,
+                             np.isnan(lengths).any(), lengths, jacobian_row)
+
+    @SETTINGS
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 150.0)), min_size=6, max_size=6))
+    def test_lengths(self, lengths):
+        # the batch leaves the closure test of the angles to in_O_mask
+        angles = lengths_to_angles_batch([lengths])[0]
+        with np.errstate(all="ignore"):
+            jacobian_row = convert.angles_jacobian([lengths])[0]
+        fails = not in_O_mask([angles], strict=False, tol=1e-9)[0]
+        assert_the_batch_row(lengths_to_angles, lambda l: jacobian_angles_of_lengths(l, check=False),
+                             lengths, fails, angles, jacobian_row)

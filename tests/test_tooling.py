@@ -157,6 +157,8 @@ calls = {
     "conjecture_prima2_test ell": lambda: t.conjecture_prima2_test(tet, nan),
     "lobachevsky": lambda: t.lobachevsky(nan),
     "dilog": lambda: t.dilog(nan),
+    "in_O tol": lambda: t.in_O([0.5] * 6, tol=nan),
+    "in_O_mask tol": lambda: t.domain.in_O_mask([[0.5] * 6] * 2, tol=nan),
 }
 for name, call in calls.items():
     try:
@@ -178,7 +180,7 @@ def test_nan_arguments_raise_typed_errors():
         capture_output=True, text=True, timeout=30, check=True,
     )
     outcomes = done.stdout.splitlines()
-    assert len(outcomes) == 19
+    assert len(outcomes) == 21
     assert [line for line in outcomes if not line.endswith(": raised")] == []
 
 
