@@ -310,6 +310,7 @@ def angles_jacobian(lengths):
     return _stacked_jacobian(_cos_angles_grad, lengths, "lengths")
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _stacked_jacobian(kernel, values, name):
     # the Jacobian of a kernel pass on (..., 6) arrays of real numbers (NaN,
     # inf pass), validated, with its (6, 6) axes moved behind the rows

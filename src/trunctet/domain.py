@@ -64,7 +64,11 @@ def _ndim(values):
 
 def as_finite(value, name, nonnegative=False):
     """Validate and return a finite number, nonnegative if asked, as a float."""
-    if not math.isfinite(value) or (nonnegative and value < 0):
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be a real number, got {value!r}") from None
+    if not finite or (nonnegative and value < 0):
         bounds = "finite and nonnegative" if nonnegative else "finite"
         raise InvalidArgumentError(f"{name} must be {bounds}, got {float(value)!r}")
     return float(value)

@@ -13,13 +13,7 @@ import numpy as np
 
 from . import convert, domain, tetra, volume
 from .errors import DomainError, InvalidArgumentError
-from .tetra import (
-    TIE_TOL,
-    Tetrahedron,
-    regular_from_angle,
-    regular_from_length,
-    rejection_sample,
-)
+from .tetra import TIE_TOL, Tetrahedron, regular_from_angle, regular_from_length
 
 DEFAULT_DT = 1e-3
 MARGIN_TOL = 1e-9
@@ -148,16 +142,6 @@ def sample_T_ell(rng, ell, n, budget=None, require_volume_floor=None):
     return [Tetrahedron(tuple(a), tuple(l), v) for a, l, v in zip(*(r.tolist() for r in rows))]
 
 
-def _record_rows(report, reference, tol, angles, lengths, vols):
-    # one report entry per row; records are made for the witnesses only
-    margins = reference - vols
-
-    def witness(i):
-        return Tetrahedron(tuple(angles[i].tolist()), tuple(lengths[i].tolist()), float(vols[i]))
-
-    report.record_batch(margins, margins >= -tol, witness)
-
-
 # --- deformation flow ----------------------------------------------------
 
 #: flow steps whose candidate rows are chart-tested and evaluated together.
@@ -260,6 +244,21 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
 
 # --- campaigns -----------------------------------------------------------
 
+def _campaign(name, seed, params, reference, tol, notes, **sampling):
+    # the report of one ``tetra._sample_rows`` draw (``sampling`` holds ell and
+    # the proposals): one entry per row, records made for the witnesses only
+    report = VerificationReport(campaign=name, seed=seed, params=params, notes=notes)
+    angles, lengths, vols = tetra._sample_rows(
+        domain.as_count(seed, "seed"), params["n"], **sampling)
+    margins = reference - vols
+
+    def witness(i):
+        return Tetrahedron(tuple(angles[i].tolist()), tuple(lengths[i].tolist()), float(vols[i]))
+
+    report.record_batch(margins, margins >= -tol, witness)
+    return report
+
+
 def verify_theorem(ell, n, seed, tol=MARGIN_TOL):
     """Sample n tetrahedra of T_ell and check vol <= vol of the regular
     tetrahedron of edge length ell (plus tol). For ell > l0 the theorem is
@@ -269,18 +268,10 @@ def verify_theorem(ell, n, seed, tol=MARGIN_TOL):
     if ell <= 0:
         raise DomainError(f"ell must be positive, got {ell!r}")
     reference = regular_from_length(ell).volume
-    report = VerificationReport(
-        campaign="theorem",
-        seed=seed,
-        params={"ell": ell, "n": n, "tol": tol, "reference_volume": reference},
-    )
-    if ell > volume.L0 + 1e-12:
-        report.notes.append(
-            "conjecture regime: ell exceeds l0, outcome recorded, not asserted"
-        )
-    rows = tetra._sample_rows(domain.as_count(seed, "seed"), n, ell=ell)
-    _record_rows(report, reference, tol, *rows)
-    return report
+    params = {"ell": ell, "n": n, "tol": tol, "reference_volume": reference}
+    notes = ["conjecture regime: ell exceeds l0, outcome recorded, not asserted"]
+    return _campaign("theorem", seed, params, reference, tol,
+                     notes if ell > volume.L0 + 1e-12 else [], ell=ell)
 
 
 def verify_fixed_angle_sum(theta_sum, n, seed, tol=MARGIN_TOL):
@@ -289,28 +280,17 @@ def verify_fixed_angle_sum(theta_sum, n, seed, tol=MARGIN_TOL):
     theta_sum = domain.as_finite(theta_sum, "theta_sum")
     tol = domain.as_finite(tol, "tol", nonnegative=True)
     if not 0.0 < theta_sum < 2.0 * math.pi:
-        raise DomainError(
-            f"theta_sum must lie in (0, 2*pi) so the regular comparison "
-            f"tetrahedron exists, got {theta_sum!r}"
-        )
+        raise DomainError(f"theta_sum must lie in (0, 2*pi) so the regular comparison "
+                          f"tetrahedron exists, got {theta_sum!r}")
     reference = regular_from_angle(theta_sum / 6.0).volume
-    report = VerificationReport(
-        campaign="fixed_angle_sum",
-        seed=seed,
-        params={"theta_sum": theta_sum, "n": n, "tol": tol, "reference_volume": reference},
-    )
+    params = {"theta_sum": theta_sum, "n": n, "tol": tol, "reference_volume": reference}
 
-    (angles,) = rejection_sample(
-        domain.as_count(seed, "seed"), n,
-        lambda rng, size: rng.dirichlet(np.ones(6), size=size) * theta_sum,
-        lambda batch: (np.take(batch, domain._in_O_index(batch), axis=0),),
-    )
-    lengths = convert.angles_to_lengths_batch(angles)
-    # NaN rows are the rows the scalar conversion raises on: raise the first's
-    if np.isnan(lengths).any():
-        convert.angles_to_lengths(angles[np.isnan(lengths).any(axis=1).argmax()])
-    _record_rows(report, reference, tol, angles, lengths, volume.ushijima_volume(angles))
-    return report
+    def propose(rng, size):
+        # uniform on the slice of the angle-sum simplex
+        return rng.dirichlet(np.ones(6), size=size) * theta_sum
+
+    return _campaign("fixed_angle_sum", seed, params, reference, tol, [], ell=0.0,
+                     propose=propose)
 
 
 def regular_volume_scan(ell_grid):

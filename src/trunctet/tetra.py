@@ -1,15 +1,17 @@
 """The Tetrahedron record (coherent angle/length pair with cached volume),
 the regular one-parameter family, and the rejection sampler over the angle
 polytope: ``_sample_rows`` makes every accept decision (region, length
-floor, volume floor) for ``sample_O_batch``, ``sample_T_ell`` and the
-theorem campaign. A Generator is drawn in ``_BATCH``-row blocks, an int
-seed in blocks sized from the acceptance seen so far, at most ``_GROW_CAP``
-rows; budgets round up to ``_BATCH``.
+floor, volume floor) for ``sample_O_batch``, ``sample_T_ell`` and both
+campaigns, whatever its ``propose`` draws (the region's uniform box by
+default). A Generator is drawn in ``_BATCH``-row blocks, an int seed in
+blocks sized from the acceptance seen so far, at most ``_GROW_CAP`` rows;
+budgets round up to ``_BATCH``.
 """
 
 import math
 import numbers
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +90,14 @@ class Tetrahedron:
 
     @classmethod
     def from_json_dict(cls, record):
-        """Rebuild a record from its angles, rejecting stored lengths or a
-        stored volume that disagree with them beyond ``ROUND_TRIP_TOL``."""
+        """Rebuild a record (a mapping with angles, lengths and volume) from its
+        angles, rejecting stored lengths or a stored volume that disagree with
+        them beyond ``ROUND_TRIP_TOL``."""
+        if not isinstance(record, Mapping):
+            raise InvalidArgumentError(f"record: expected a mapping, got {record!r}")
+        missing = [key for key in ("angles", "lengths", "volume") if key not in record]
+        if missing:
+            raise InvalidArgumentError(f"record: missing {', '.join(missing)}")
         tet = cls.from_angles(record["angles"])
         lengths = domain.as_vector(record["lengths"], "lengths")
         volume = record["volume"]
@@ -201,15 +209,20 @@ def rejection_sample(rng, n, propose, accept, budget=None):
     return tuple(np.concatenate(parts)[:n] for parts in zip(*chunks))
 
 
-def _sample_rows(rng, n, constraint=INTERIOR, floor=None, ell=None, budget=None):
-    """n rows by ``rejection_sample`` from uniform proposals over [0, pi)^6,
-    or [0, pi/2)^6 under the acute constraints, from a Generator or a seed
-    (blocks sized to the sample), the budget rounded up to a multiple of
-    ``_BATCH``. A block keeps the rows in the region (``_in_O_index``, or
-    ``acute_mask``, necessary for a volume floor at vol(l0) and above), then
-    with ``ell`` those with all lengths >= ell (NaN rows fail), then under
-    ``volume_floor`` those with volume >= ``floor``. Returns ``(angles,)``, or with ``ell``
-    the angles, lengths and volumes (the n rows' volumes from one call)."""
+def _sample_rows(rng, n, constraint=INTERIOR, floor=None, ell=None, budget=None,
+                 propose=None):
+    """n rows by ``rejection_sample`` from ``propose(rng, size)``, by default
+    uniform proposals over [0, pi)^6, or [0, pi/2)^6 under the acute
+    constraints, from a Generator or a seed (blocks sized to the sample), the
+    budget rounded up to a multiple of ``_BATCH``. A block keeps the rows in
+    the region (``_in_O_index``, or ``acute_mask``, necessary for a volume
+    floor at vol(l0) and above), then with ``ell`` those with all lengths >=
+    ell (NaN rows of the batch conversion fail, so ell = 0 keeps the rows
+    it converts), then under ``volume_floor`` those with volume >= ``floor``.
+    Returns ``(angles,)``, or with ``ell`` the angles, lengths and volumes
+    (the n rows' volumes from one call). Both campaigns draw here: the
+    theorem's with uniform proposals and its ell, the angle-sum one with
+    proposals on its slice and ell = 0."""
     if ell is not None:
         ell = domain.as_finite(ell, "ell")
     if constraint not in (INTERIOR, ACUTE, VOLUME_FLOOR):
@@ -232,14 +245,14 @@ def _sample_rows(rng, n, constraint=INTERIOR, floor=None, ell=None, budget=None)
             rows = [r[keep] for r in rows] + [vols[keep]]
         return rows
 
-    def propose(rng, size):
+    def uniform(rng, size):
         # bitwise rng.uniform(0.0, high), which computes 0.0 + high * u
         rows = rng.random((size, 6))
         rows *= high
         return rows
 
     high = math.pi if constraint == INTERIOR else math.pi / 2.0
-    rows = rejection_sample(rng, n, propose, accept, budget)
+    rows = rejection_sample(rng, n, propose or uniform, accept, budget)
     if ell is not None and constraint != VOLUME_FLOOR:
         rows += (volume.ushijima_volume(rows[0]),)
     return rows if ell is not None else rows[:1]

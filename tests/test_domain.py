@@ -2,6 +2,7 @@
 the regular family, samplers, and the Tetrahedron record."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from trunctet import (
     acute_constraints_hold,
     angles_to_lengths,
     angles_to_lengths_batch,
+    deformation_flow,
     in_L,
     in_O,
     lengths_to_angles_batch,
@@ -25,10 +27,19 @@ from trunctet import (
     sample_O_batch,
     sample_T_ell,
     ushijima_volume,
+    verify_theorem,
     vertex_sums,
 )
 from trunctet.convert import chart_angles
-from trunctet.domain import _in_O_index, acute_mask, as_rows, as_vector, compose, in_O_mask
+from trunctet.domain import (
+    _in_O_index,
+    acute_mask,
+    as_finite,
+    as_rows,
+    as_vector,
+    compose,
+    in_O_mask,
+)
 from trunctet.indexing import VERTEX_EDGES
 from trunctet.errors import (
     DomainError,
@@ -41,6 +52,29 @@ from trunctet.errors import (
 
 REGULAR = (math.pi / 6,) * 6
 FLAT = (0.0, 0.0, math.pi, 0.0, 0.0, math.pi)
+
+
+class TestAsFinite:
+    @pytest.mark.parametrize("value", ["0.3", None, 0.3 + 0j, 1j], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda v: as_finite(v, "ell"),
+        lambda v: verify_theorem(v, 3, 0),
+        lambda v: regular_from_length(v),
+        lambda v: deformation_flow(regular_from_length(0.5), 0.3, dt=v),
+        lambda v: in_O(REGULAR, tol=v),
+    ], ids=["as_finite", "verify_theorem", "regular_from_length", "flow_dt", "in_O_tol"])
+    def test_non_numbers_raise_invalid_argument(self, call, value):
+        with pytest.raises(InvalidArgumentError, match=f"must be a real number, got {re.escape(repr(value))}$"):
+            call(value)
+
+    def test_numpy_scalars_nan_and_inf_keep_their_outcomes(self):
+        assert as_finite(np.float32(0.5), "x") == 0.5 and as_finite(np.int64(3), "x") == 3.0
+        assert type(as_finite(np.float64(0.25), "x")) is float
+        for value in (np.float64(math.nan), math.inf, -math.inf):
+            with pytest.raises(InvalidArgumentError, match="^x must be finite, got"):
+                as_finite(value, "x")
+        with pytest.raises(InvalidArgumentError, match="^x must be finite and nonnegative"):
+            as_finite(np.float64(-1.0), "x", nonnegative=True)
 
 
 class TestInO:
@@ -508,6 +542,17 @@ class TestTetrahedronRecord:
         record = Tetrahedron.from_angles((0.3, 0.4, 0.5, 0.35, 0.45, 0.55)).to_json_dict()
         record["lengths"][2] *= 1.01
         with pytest.raises(InconsistencyError):
+            Tetrahedron.from_json_dict(record)
+
+    @pytest.mark.parametrize("record, message", [
+        ([1, 2], r"^record: expected a mapping, got \[1, 2\]$"),
+        ("angles", "^record: expected a mapping, got 'angles'$"),
+        ({"angles": REGULAR}, "^record: missing lengths, volume$"),
+        ({"lengths": REGULAR, "volume": 1.0}, "^record: missing angles$"),
+        ({"angles": REGULAR, "lengths": REGULAR}, "^record: missing volume$"),
+    ])
+    def test_json_rejects_what_is_not_a_record(self, record, message):
+        with pytest.raises(InvalidArgumentError, match=message):
             Tetrahedron.from_json_dict(record)
 
     def test_permuted_matches_rebuilt_record(self, acute_points):

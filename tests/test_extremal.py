@@ -26,7 +26,7 @@ from trunctet import (
     verify_fixed_angle_sum,
     verify_theorem,
 )
-from trunctet import cli, domain, extremal, tetra
+from trunctet import cli, convert, domain, extremal, tetra, volume
 from trunctet.convert import angles_to_lengths, angles_to_lengths_batch, chart_angles
 from trunctet.domain import ALL_PERMUTATIONS, acute_mask, compose, in_O_mask, permute
 from trunctet.errors import DomainError, InvalidArgumentError, SamplingError
@@ -79,6 +79,10 @@ def uniform(high):
     return lambda rng, size: rng.uniform(0.0, high, size=(size, 6))
 
 
+def dirichlet(theta_sum):
+    return lambda rng, size: rng.dirichlet(np.ones(6), size=size) * theta_sum
+
+
 def assert_same_tetrahedra(got, expected):
     # identical angle rows and lengths; volumes from the batch evaluation
     assert len(got) == len(expected)
@@ -124,10 +128,7 @@ class TestBatchVolumesMatchRowByRow:
 
     def test_verify_fixed_angle_sum(self):
         report = verify_fixed_angle_sum(3.0, 150, seed=74)
-        expected = row_by_row(
-            74, 150, lambda rng, size: rng.dirichlet(np.ones(6), size=size) * 3.0,
-            in_O_mask, lambda t: True,
-        )
+        expected = row_by_row(74, 150, dirichlet(3.0), in_O_mask, lambda t: True)
         assert_same_report(report, expected, report.params["reference_volume"])
 
 
@@ -225,11 +226,9 @@ def per_row_T_ell(rng, ell, n, budget=None):
 def per_row_fixed_angle_sum_tets(theta_sum, n, seed):
     # the tetrahedra of verify_fixed_angle_sum as written before the array
     # campaign: per-row items, then one conversion and volume call
-    def propose(rng, size):
-        return rng.dirichlet(np.ones(6), size=size) * theta_sum
-
     rows = per_row_rejection_sample(
-        np.random.default_rng(seed), n, propose, lambda batch: iter(batch[in_O_mask(batch)])
+        np.random.default_rng(seed), n, dirichlet(theta_sum),
+        lambda batch: iter(batch[in_O_mask(batch)]),
     )
     angles = np.array(rows, dtype=float).reshape(-1, 6)
     lengths = angles_to_lengths_batch(angles)
@@ -296,6 +295,82 @@ class TestArrayCampaignsMatchPerRow:
         assert str(got.value) == str(expected.value)
 
 
+def two_pipeline_fixed_angle_sum(theta_sum, n, seed, tol=extremal.MARGIN_TOL):
+    """verify_fixed_angle_sum as written before it drew through
+    ``tetra._sample_rows``: its own rejection loop keeping the rows in the
+    polytope, then one batch conversion (a NaN row raised through the scalar
+    one) and one volume call."""
+    reference = tetra.regular_from_angle(theta_sum / 6.0).volume
+    params = {"theta_sum": theta_sum, "n": n, "tol": tol, "reference_volume": reference}
+    report = VerificationReport("fixed_angle_sum", seed, params)
+    (angles,) = rejection_sample(seed, n, dirichlet(theta_sum), lambda batch: (
+        np.take(batch, domain._in_O_index(batch), axis=0),))
+    lengths = angles_to_lengths_batch(angles)
+    if np.isnan(lengths).any():
+        angles_to_lengths(angles[np.isnan(lengths).any(axis=1).argmax()])
+    vols = ushijima_volume(angles)
+    margins = reference - vols
+    report.record_batch(margins, margins >= -tol, lambda i: Tetrahedron(
+        tuple(angles[i].tolist()), tuple(lengths[i].tolist()), float(vols[i])))
+    return report
+
+
+class TestOneCampaignPipeline:
+    """Both campaigns draw through ``tetra._sample_rows``: anglesum gives the
+    reports of its former pipeline of its own, and a row the batch
+    conversion gives NaN lengths is rejected by either campaign."""
+
+    @pytest.mark.parametrize("theta_sum", [0.5, 1.5, 3.0, 5.0, 5.8])
+    def test_anglesum_reports_of_its_former_pipeline(self, theta_sum):
+        for seed in (0, 1, 7):
+            for n in (0, 1, 250):
+                got = verify_fixed_angle_sum(theta_sum, n, seed)
+                expected = two_pipeline_fixed_angle_sum(theta_sum, n, seed)
+                assert campaign_json(got) == campaign_json(expected)
+
+    def test_each_campaign_makes_one_draw(self, monkeypatch):
+        draws = []
+        original = tetra._sample_rows
+
+        def counting(*args, **kwargs):
+            draws.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tetra, "_sample_rows", counting)
+        verify_theorem(0.3, 20, seed=1)
+        verify_fixed_angle_sum(3.0, 20, seed=1)
+        assert [sorted(kwargs) for kwargs in draws] == [["ell"], ["ell", "propose"]]
+
+    @pytest.mark.parametrize("campaign", [
+        lambda n: verify_theorem(0.3, n, seed=4),
+        lambda n: verify_fixed_angle_sum(3.0, n, seed=4),
+    ], ids=["theorem", "anglesum"])
+    def test_a_row_without_lengths_is_rejected(self, monkeypatch, campaign):
+        # the rows each campaign evaluates, from its one volume call
+        evaluated = []
+        original_volume = volume.ushijima_volume
+
+        def spy(angles):
+            evaluated.append(np.array(angles))
+            return original_volume(angles)
+
+        monkeypatch.setattr(volume, "ushijima_volume", spy)
+        campaign(31)
+        rows = evaluated.pop()
+        # the conversion now gives NaN lengths on the first accepted row
+        original_batch = convert.angles_to_lengths_batch
+
+        def nan_on_first(batch):
+            lengths = original_batch(batch)
+            lengths[(batch == rows[0]).all(axis=1)] = np.nan
+            return lengths
+
+        monkeypatch.setattr(convert, "angles_to_lengths_batch", nan_on_first)
+        report = campaign(30)
+        assert report.samples == 30
+        assert np.array_equal(evaluated.pop(), rows[1:])
+
+
 def t_ell_accept_mask(batch, ell):
     # the rows of a batch in the polytope with all lengths >= ell
     inside = in_O_mask(batch)
@@ -321,7 +396,6 @@ def drawn_blocks(monkeypatch, call):
 
     with monkeypatch.context() as patch:
         patch.setattr(tetra, "rejection_sample", counting)
-        patch.setattr(extremal, "rejection_sample", counting)
         call()
     return sizes
 

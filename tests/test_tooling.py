@@ -6,9 +6,12 @@ and the campaigns and the deformation flow reach the volume through the
 attribute the tracer and the benchmark's self-test wrap, the flow makes one
 chart call, one volume call and one ``in_O_mask`` call per block of at most
 ``_FLOW_BLOCK`` rows, one of each for a path that fits one block,
-a campaign makes records only for its reference and its witnesses, and a
-NaN in any public numeric parameter raises a typed error, without hanging."""
+a campaign makes records only for its reference and its witnesses, a
+NaN in any public numeric parameter raises a typed error, without hanging,
+and every name a package module imports is used."""
 
+import ast
+import glob
 import math
 import os
 import shlex
@@ -334,3 +337,29 @@ def test_campaign_builds_records_only_for_witnesses(monkeypatch):
     assert report.samples == 2000
     # the regular reference and the witnesses, not one record per sample
     assert 0 < len(built) <= report.max_witnesses + 2
+
+
+#: imported names a module keeps without using them: ``volume.dilog`` is the
+#: attribute the benchmark's tracer wraps (``bench/tracer.py``)
+UNUSED_IMPORTS_KEPT = {"volume.py": {"dilog"}}
+
+
+def test_every_imported_name_is_used():
+    # an unused-import lint on the AST: an imported name must be read as a
+    # name in its module, or listed in the module's __all__
+    package = os.path.dirname(trunctet.__file__)
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "__all__" in [
+                    getattr(target, "id", None) for target in node.targets]:
+                used |= set(ast.literal_eval(node.value))
+        name = os.path.basename(path)
+        assert imported - used == UNUSED_IMPORTS_KEPT.get(name, set()), name
