@@ -37,7 +37,8 @@ Each direction has one guard table (``_LENGTH_GUARDS``, ``_ANGLE_GUARDS``)
 of conditions on a kernel pass, entry by entry on the floats of a 6-vector
 or elementwise on columns, and their typed errors. ``_guarded`` applies it:
 a 6-vector raises the error of the first guard it fails, a column that
-fails any turns NaN. The batch functions (``angles_to_lengths_batch``,
+fails any turns NaN; only a 6-vector past them is finished, clamped in
+floats. The batch functions (``angles_to_lengths_batch``,
 ``lengths_to_angles_batch``, ``chart_angles``) transpose (m, 6) rows on
 entry and back on return, and are NaN exactly where the scalar ones raise
 and bitwise equal elsewhere. One pass of ``_ratio_grad`` gives the guards,
@@ -49,6 +50,7 @@ whose chain rule through the sines or hyperbolic sines runs on the (6, 6,
 
 import functools
 import math
+import operator
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -81,10 +83,10 @@ class _Tables(NamedTuple):
     edge_grad: np.ndarray
     #: the two vertices under each edge's root, 0-based (2 x 6)
     ends: np.ndarray
-    #: for the Python floats of a 6-vector, as lists: the member of each
-    #: place q in vertex_grad (3 for the zero), vertex by vertex; the role
-    #: of each place q in edge_grad, edge by edge; the two vertices under
-    #: each edge's root
+    #: for the Python floats of a 6-vector: getters of the member of each
+    #: place q in vertex_grad (3 for the zero), vertex by vertex; as lists,
+    #: the role of each place q in edge_grad, edge by edge, and the two
+    #: vertices under each edge's root
     vertex_members: list
     edge_roles: list
     end_pairs: list
@@ -98,7 +100,8 @@ def _tables(vertex_edges, roles, ends):
     # argsort inverts each edge's column of roles
     edge_grad = np.argsort(roles, axis=0).T * 6 + np.arange(6)[:, None]
     ends = np.array(ends).T - 1
-    lists = (vertex_grad // 4).tolist(), (edge_grad // 6).tolist(), ends.T.tolist()
+    members = [operator.itemgetter(*row) for row in (vertex_grad // 4).tolist()]
+    lists = members, (edge_grad // 6).tolist(), ends.T.tolist()
     return _Tables(triples, vertex_grad, roles, edge_grad, ends, *lists)
 
 
@@ -244,10 +247,9 @@ def _ratio_grad(x, tables):
     if x.ndim == 1:
         # rows of six Python floats, place q taking the member (3: the zero)
         # or the role that the tables name for it
-        logs = []
-        for d, partials, members in zip(vertex, vertex_partials, tables.vertex_members):
-            values = [_log_partial(half, d) for half in (*partials, 0.0)]
-            logs.append([values[k] for k in members])
+        logs = [members((_log_partial(dx, d), _log_partial(dy, d), _log_partial(dz, d),
+                         _log_partial(0.0, d)))
+                for d, (dx, dy, dz), members in zip(vertex, vertex_partials, tables.vertex_members)]
         grad = [_ratio_partial(partials[k], root, r, f, s)
                 for partials, roles, root, r, (a, b) in zip(
                     edge_partials, tables.edge_roles, map(_sqrt, products), ratio, tables.end_pairs)
@@ -268,10 +270,12 @@ def _cosh_lengths(angles):
 
 
 def _cosh_lengths_grad(angles):
-    # _cosh_lengths (bitwise) and, from the same pass, lengths_jacobian
-    d, products, arg, grad = _ratio_grad(np.cos(angles), _ANGLES)
-    sinh_lengths = np.asarray(_each_entry(_sinh_of_cosh, arg))
-    return d, products, arg, grad * -np.sin(angles) / sinh_lengths[:, None]
+    # _cosh_lengths (bitwise) and, from the same pass, lengths_jacobian; inf or NaN
+    # where a sinh vanishes, or where a column rerun of _ratio leaves numpy scalars
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d, products, arg, grad = _ratio_grad(np.cos(angles), _ANGLES)
+        sinh_lengths = np.asarray(_each_entry(_sinh_of_cosh, arg))
+        return d, products, arg, grad * -np.sin(angles) / sinh_lengths[:, None]
 
 
 def lengths_jacobian(angles):
@@ -287,15 +291,19 @@ def lengths_jacobian(angles):
 
 def _cos_angles(lengths):
     # the length -> angle kernel on a 6-vector or (6, m) columns: z_k, the
-    # products z_k z_l and the cosine arguments w_ij / sqrt(z_k z_l)
-    return _ratio(np.cosh(lengths), _LENGTHS)
+    # products z_k z_l and the cosine arguments w_ij / sqrt(z_k z_l); cosh is
+    # inf from about 710, which the guards reject
+    with np.errstate(over="ignore"):
+        return _ratio(np.cosh(lengths), _LENGTHS)
 
 
 def _cos_angles_grad(lengths):
-    # _cos_angles (bitwise) and, from the same pass, angles_jacobian
-    z, products, arg, grad = _ratio_grad(np.cosh(lengths), _LENGTHS)
-    sin_angles = np.asarray(_each_entry(_sin_of_cos, arg))
-    return z, products, arg, grad * np.sinh(lengths) / -sin_angles[:, None]
+    # _cos_angles (bitwise) and, from the same pass, angles_jacobian, inf or
+    # NaN where a sine vanishes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z, products, arg, grad = _ratio_grad(np.cosh(lengths), _LENGTHS)
+        sin_angles = np.asarray(_each_entry(_sin_of_cos, arg))
+        return z, products, arg, grad * np.sinh(lengths) / -sin_angles[:, None]
 
 
 def angles_jacobian(lengths):
@@ -364,24 +372,31 @@ _ANGLE_GUARDS = (
 def _guarded(guards, kernel, finish, x):
     # a validated 6-vector, or (6, m) columns, through a kernel of the guards'
     # direction: finish(ratios) and what else the kernel returns. A column
-    # that fails a guard turns NaN; a 6-vector raises the error of the first,
-    # at the vertex with the smallest coefficient or the first failing edge
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vertex, products, ratio, *rest = kernel(x)
-    k = _Pass(x.tolist() if x.ndim == 1 else x, vertex, products, ratio)
-    out = finish(ratio)
+    # that fails a guard turns NaN, quietly; a 6-vector raises the error of
+    # the first, at the vertex with the smallest coefficient or the first
+    # failing edge, else is finished. Its float pass needs no np.errstate
+    if x.ndim == 2:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vertex, products, ratio, *rest = kernel(x)
+        k = _Pass(x, vertex, products, ratio)
+        out = finish(ratio)
+        for fields, condition, _ in guards:
+            out[:, ~condition(*[getattr(k, field) for field in fields]).all(axis=0)] = np.nan
+        return out, *rest
+    vertex, products, ratio, *rest = kernel(x)
+    k = _Pass(x.tolist(), vertex, products, ratio)
     for fields, condition, error in guards:
-        operands = [getattr(k, field) for field in fields]
-        if x.ndim == 2:
-            out[:, ~condition(*operands).all(axis=0)] = np.nan
-        elif not all(map(condition, *operands)):
+        if not all(map(condition, *[getattr(k, field) for field in fields])):
             k = _Pass(*map(np.array, k))
             holds = condition(*[getattr(k, field) for field in fields])
             raise error(k, int(np.argmin(k.vertex) if holds.size == 4 else np.argmax(~holds)))
-    return out, *rest
+    return finish(ratio), *rest
 
 
 def _arccosh(arg):
+    # a 6-vector's floats, past the guards (no NaN), clamped without numpy
+    if isinstance(arg, list):
+        return np.arccosh([1.0 if r < 1.0 else r for r in arg])
     return np.arccosh(np.maximum(arg, 1.0))
 
 
@@ -408,6 +423,8 @@ def angles_to_lengths_batch(batch):
 
 
 def _arccos(arg):
+    if isinstance(arg, list):
+        return np.arccos([-1.0 if r < -1.0 else 1.0 if r > 1.0 else r for r in arg])
     return np.arccos(np.minimum(np.maximum(arg, -1.0), 1.0))
 
 

@@ -64,14 +64,18 @@ def _ndim(values):
 
 def as_finite(value, name, nonnegative=False):
     """Validate and return a finite number, nonnegative if asked, as a float."""
+    bounds = "finite and nonnegative" if nonnegative else "finite"
     try:
-        finite = math.isfinite(value)
+        finite, number = math.isfinite(value), float(value)
     except TypeError:
         raise InvalidArgumentError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:
+        # an int beyond the floats, whose repr may run to thousands of digits
+        raise InvalidArgumentError(f"{name} must be {bounds}, got a number too large "
+                                   "for a float") from None
     if not finite or (nonnegative and value < 0):
-        bounds = "finite and nonnegative" if nonnegative else "finite"
-        raise InvalidArgumentError(f"{name} must be {bounds}, got {float(value)!r}")
-    return float(value)
+        raise InvalidArgumentError(f"{name} must be {bounds}, got {number!r}")
+    return number
 
 
 def as_count(value, name):

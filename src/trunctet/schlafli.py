@@ -82,8 +82,7 @@ def jacobian_angles_of_lengths(lengths, check=True):
     product strays from the identity or the matrix is too ill-conditioned.
     """
     l = domain.as_vector(lengths, "lengths")
-    angles, jac = convert._row_angles(convert._cos_angles_grad, l)
-    _finite(jac, "angle/length", l)
+    angles, jac = _angles_and_jacobian(l)
     if check:
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > CONDITION_LIMIT:
@@ -101,12 +100,19 @@ def jacobian_angles_of_lengths(lengths, check=True):
     return jac
 
 
+def _angles_and_jacobian(l):
+    # one pass of the length kernel on a validated 6-vector: the angles and
+    # the finite Jacobian, or the typed errors of lengths_to_angles
+    angles, jac = convert._row_angles(convert._cos_angles_grad, l)
+    return angles, _finite(jac, "angle/length", l)
+
+
 def dvol_dlengths(tet):
     """Gradient of volume in the length chart:
     component ij = -1/2 * sum_kl l_kl * d theta_kl / d l_ij."""
-    jac = jacobian_angles_of_lengths(tet.lengths, check=False)
-    values = -0.5 * (np.asarray(tet.lengths) @ jac)
-    return GradientVector(tuple(values.tolist()), "lengths")
+    l = domain.as_vector(tet.lengths, "lengths")
+    _, jac = _angles_and_jacobian(l)
+    return GradientVector(tuple([-0.5 * v for v in (l @ jac).tolist()]), "lengths")
 
 
 _Terms = namedtuple("_Terms", "c13 c14 c24 c23 paired lhs cross rhs chord")

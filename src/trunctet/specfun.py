@@ -3,7 +3,9 @@ functions, guarded arccosh, and 1-D adaptive quadrature.
 
 The dilogarithm sums series whose coefficients are rounded once from exact
 Bernoulli numbers; the Clausen function evaluates a 13-coefficient
-polynomial interpolated at Chebyshev nodes and stored as double literals.
+polynomial interpolated at Chebyshev nodes and stored as double literals,
+on a float as one written-out expression. An argument too large for a
+float raises InvalidArgumentError.
 
 All functions are pure and reentrant.
 """
@@ -113,7 +115,7 @@ def dilog(z):
     """
     if isinstance(z, np.ndarray):
         return _dilog_array(z)
-    return complex(_dilog_array(np.array([complex(z)]))[0])
+    return complex(_dilog_array(np.array([_number(complex, z, "dilog: argument")]))[0])
 
 
 def _dilog_array(z):
@@ -156,38 +158,39 @@ def clausen(theta):
     The argument is reduced to t in [-pi, pi] modulo 2*pi, and Cl2(t) is
     evaluated as t ((1 - log|t|) + s Q(s)), s = t^2, with Q the degree-12
     polynomial ``_CLAUSEN_COEFFS`` (13 Horner steps); within 6e-16 of Cl2 on
-    [-pi, pi].
+    [-pi, pi]. A float (sixteen per volume) takes the array loop's steps
+    written out in one expression, in its order; its logarithm is libm's,
+    where numpy's may differ in the last bit.
     """
-    array = isinstance(theta, np.ndarray)
-    if array:
-        if not theta.ndim:
-            return clausen(theta.reshape(1))[0]
-        # in place where a buffer is free, so that a call holds four arrays
-        # of theta's size (theta, t, t^2 and then log|t| - 1 in its buffer,
-        # acc), not six: a 759-row volume call peaks at 473 KiB, not 663 KiB
-        k = theta / _TWO_PI
-        np.round(k, out=k)
-        t = k * _TWO_PI
-        np.subtract(theta, t, out=t)
-        k *= _TWO_PI_LOW
-        t -= k
-        t2 = np.multiply(t, t, out=k)
-    else:
+    if not isinstance(theta, np.ndarray):
         k = round(theta / _TWO_PI)
         t = theta - k * _TWO_PI - k * _TWO_PI_LOW
-        t2 = t * t
+        s = t * t
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = _CLAUSEN_COEFFS
+        acc = ((((((((((((s * c0 + c1) * s + c2) * s + c3) * s + c4) * s + c5) * s + c6) * s
+                     + c7) * s + c8) * s + c9) * s + c10) * s + c11) * s + c12) * s
+        # t log|t| -> 0 as t -> 0; the floor keeps the logarithm finite at 0
+        return (acc - (math.log(max(abs(t), _TINY)) - 1.0)) * t
+    if not theta.ndim:
+        return clausen(theta.reshape(1))[0]
+    # in place where a buffer is free, so that a call holds four arrays of
+    # theta's size (theta, t, t^2 and then log|t| - 1 in its buffer, acc),
+    # not six: a 759-row volume call peaks at 473 KiB, not 663 KiB
+    k = theta / _TWO_PI
+    np.round(k, out=k)
+    t = k * _TWO_PI
+    np.subtract(theta, t, out=t)
+    k *= _TWO_PI_LOW
+    t -= k
+    t2 = np.multiply(t, t, out=k)
     acc = t2 * _CLAUSEN_HEAD
     for coeff in _CLAUSEN_TAIL:
         acc += coeff
         acc *= t2
-    # t log|t| -> 0 as t -> 0; the floor keeps the logarithm finite at 0
-    if array:
-        log_less_one = np.abs(t, out=t2)
-        np.maximum(log_less_one, _TINY, out=log_less_one)
-        np.log(log_less_one, out=log_less_one)
-        log_less_one -= 1.0
-    else:
-        log_less_one = math.log(max(abs(t), _TINY)) - 1.0
+    log_less_one = np.abs(t, out=t2)
+    np.maximum(log_less_one, _TINY, out=log_less_one)
+    np.log(log_less_one, out=log_less_one)
+    log_less_one -= 1.0
     # acc - (log|t| - 1) has the bits of (1 - log|t|) + acc; log|t| - 1 is
     # exact for |t| in [1.65, 7.3], so where the sum cancels (|t| near pi)
     # it rounds once
@@ -196,9 +199,17 @@ def clausen(theta):
     return acc
 
 
+def _number(kind, x, what):
+    # float(x) or complex(x), with an int beyond the floats a typed error
+    try:
+        return kind(x)
+    except OverflowError:
+        raise InvalidArgumentError(f"{what} is too large for a float") from None
+
+
 def lobachevsky(theta):
     """Lobachevsky function Lob(t) = Cl2(2t) / 2; odd and pi-periodic."""
-    theta = float(theta)
+    theta = _number(float, theta, "lobachevsky: argument")
     if not math.isfinite(theta):
         raise InvalidArgumentError(f"lobachevsky: non-finite argument {theta!r}")
     return 0.5 * clausen(2.0 * theta)
@@ -206,7 +217,7 @@ def lobachevsky(theta):
 
 def acosh_checked(x):
     """arccosh(max(x, 1)), rejecting arguments below 1 - EPS_CLAMP."""
-    x = float(x)
+    x = _number(float, x, "acosh_checked: argument")
     if not math.isfinite(x):
         raise InvalidArgumentError(f"acosh_checked: non-finite argument {x!r}")
     if x < 1.0 - EPS_CLAMP:
@@ -246,11 +257,10 @@ def integrate(f, a, b, tol=1e-10):
     tol. Raises AccuracyError (best estimate attached) if the bisection
     depth or panel budget is exhausted first.
     """
-    a = float(a)
-    b = float(b)
+    a, b = _number(float, a, "integrate: a"), _number(float, b, "integrate: b")
     if not (math.isfinite(a) and math.isfinite(b)) or a > b:
         raise InvalidArgumentError(f"integrate: bad interval [{a!r}, {b!r}]")
-    if not tol > 0:
+    if not _number(float, tol, "integrate: tol") > 0:
         raise InvalidArgumentError("integrate: tol must be positive")
     if a == b:
         return 0.0

@@ -114,7 +114,7 @@ THETA_MAX = math.pi / 3.0
 
 
 def regular_from_angle(theta):
-    theta = float(theta)
+    theta = domain.as_finite(theta, "regular angle")
     if not 0.0 < theta < THETA_MAX:
         raise DomainError(f"regular angle must lie in (0, pi/3), got {theta!r}")
     return Tetrahedron.from_angles([theta] * 6)

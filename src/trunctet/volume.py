@@ -24,7 +24,7 @@ is a signed sum of sixteen real Clausen values:
     V = (u_1 - u_2) / 2,   u_j = sum_k eps_k Cl2(alpha_j + sigma_k) / 2.
 
 ``ushijima_volume`` takes one 6-vector, evaluated in Python floats with
-sixteen scalar ``clausen`` calls, or (m, 6) rows, evaluated as
+sixteen scalar ``clausen`` calls and no np.errstate, or (m, 6) rows, as
 arrays with one ``clausen`` call per block; a one-row array call costs
 several times the 6-vector path that the gradient certificates take.
 ``_phases`` evaluates both shapes up to the phases by the same operations,
@@ -40,9 +40,10 @@ behind a ``row r, angles ...:`` prefix and the diagnostics plus ``row``.
 
 import cmath
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -70,12 +71,9 @@ _PI_LOW = 1.2246467991473532e-16
 
 
 def _left_sum(terms):
-    # terms added left to right: with elementwise operations only, one row
-    # gives the same bits alone and in a batch
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total
+    # floats or array rows added left to right: with elementwise operations
+    # only, one row gives the same bits alone and in a batch
+    return reduce(operator.add, terms)
 
 
 def _alpha(sin_sum, re, im, root):
@@ -84,7 +82,7 @@ def _alpha(sin_sum, re, im, root):
     # they carry one rounding of (-pi, pi] rather than the difference of two
     # angles; root is sqrt(max(-det G, 0)), 0 where rounding makes det G > 0
     s_re, s_im, r_re, r_im = sin_sum * re, sin_sum * im, root * re, root * im
-    return np.arctan2(np.array([s_im + r_re, s_im - r_re]), np.array([r_im - s_re, -r_im - s_re]))
+    return np.arctan2((s_im + r_re, s_im - r_re), (r_im - s_re, -r_im - s_re))
 
 
 #: one evaluation of the formula up to the phases, in Python floats for a
@@ -92,17 +90,18 @@ def _alpha(sin_sum, re, im, root):
 _Evaluation = namedtuple("_Evaluation", "inside det_g sin_sum re im vanishing flat alpha")
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _phases(t):
     # the evaluation up to the phases and the eight offsets sigma_k of the
-    # angles t, one 6-vector or (6, m) columns of rows (quietly on rows that
-    # the closure test rejects), by the same operations on both shapes. The
-    # denominator sums exp(i psi_k) over the opposite pairs, the faces and the
-    # total T, with numpy's cosines and sines, since libm's may differ in the
-    # last bit. The offsets are 0, T minus each opposite pair and each vertex
-    # sum minus pi. A phase of pi is taken as -pi, in two parts: a vertex sum
-    # near pi then gives an offset near 0 with no rounding of its own, where
-    # Cl2 has its steep log |t| slope
+    # angles t, one 6-vector or (6, m) columns of rows, by the same
+    # operations on both shapes. The denominator sums exp(i psi_k) over the
+    # opposite pairs, the faces and the total T, with numpy's cosines and
+    # sines, since libm's may differ in the last bit. The offsets are 0, T
+    # minus each opposite pair and each vertex sum minus pi. A phase of pi is
+    # taken as -pi, in two parts: a vertex sum near pi then gives an offset
+    # near 0 with no rounding of its own, where Cl2 has its steep log |t|
+    # slope. Columns run under _volume_rows' np.errstate; a 6-vector's floats
+    # overflow quietly, and only outside the closure, which raises before the
+    # denominator is read: there its psi_k are NaN, quiet in numpy
     cos, sin = np.cos(t), np.sin(t)
     if t.ndim == 1:
         # one 6-vector: Python floats add faster than numpy scalars
@@ -117,6 +116,8 @@ def _phases(t):
     vertices = [s - math.pi - _PI_LOW for s in sums]
     offsets = [0.0 * total] + [total - pair for pair in pairs] + vertices
     psi = np.array(pairs + faces + [total])
+    if psi.ndim == 1 and not inside:
+        psi[:] = math.nan
     cos_psi, sin_psi = np.cos(psi), np.sin(psi)
     if psi.ndim == 1:
         re, im = _left_sum(cos_psi.tolist()), _left_sum(sin_psi.tolist())
@@ -262,9 +263,10 @@ def ushijima_volume(angles):
     vol = 0.0
     if not e.flat:
         alpha_1, alpha_2 = e.alpha.tolist()
-        diff = [clausen(alpha_1 + sigma) - clausen(alpha_2 + sigma) for sigma in offsets]
-        # the signs + + + + - - - -: adding a negation is subtracting, exactly
-        vol = 0.25 * _left_sum(diff[:4] + [-d for d in diff[4:]])
+        d = [clausen(alpha_1 + sigma) - clausen(alpha_2 + sigma) for sigma in offsets]
+        # the signs + + + + - - - -, left to right as _volume_rows adds the
+        # negations: subtracting is adding a negation, exactly
+        vol = 0.25 * (d[0] + d[1] + d[2] + d[3] - d[4] - d[5] - d[6] - d[7])
     _raise_first(_VOLUME_GUARDS, e, vol)
     return max(vol, 0.0)
 
@@ -281,7 +283,8 @@ def _volume_rows(angles):
     vols = np.empty(len(rows))
     for first in range(0, len(rows), _BLOCK_ROWS):
         block = rows[first:first + _BLOCK_ROWS]
-        e, offsets = _phases(np.ascontiguousarray(block.T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            e, offsets = _phases(np.ascontiguousarray(block.T))
         _raise_first(_PHASE_GUARDS, e, rows=block, first=first)
         cl = clausen(e.alpha[:, None, :] + np.array(offsets))
         diff = cl[0] - cl[1]

@@ -67,6 +67,23 @@ class TestAsFinite:
         with pytest.raises(InvalidArgumentError, match=f"must be a real number, got {re.escape(repr(value))}$"):
             call(value)
 
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["+10**400", "-10**400"])
+    @pytest.mark.parametrize("call", [
+        lambda v: as_finite(v, "ell"),
+        lambda v: as_finite(v, "ell", nonnegative=True),
+        lambda v: verify_theorem(v, 3, 0),
+        lambda v: regular_from_length(v),
+        lambda v: deformation_flow(regular_from_length(0.5), 0.3, dt=v),
+        lambda v: in_O(REGULAR, tol=v),
+    ], ids=["as_finite", "as_finite_nonnegative", "verify_theorem", "regular_from_length",
+            "flow_dt", "in_O_tol"])
+    def test_ints_beyond_the_floats_raise_invalid_argument(self, call, value):
+        # math.isfinite and float() raise OverflowError on them; the message
+        # names no digits, which may run past int's repr limit (10**5000)
+        with pytest.raises(InvalidArgumentError, match="must be finite.*, got a number too "
+                                                       "large for a float$"):
+            call(value)
+
     def test_numpy_scalars_nan_and_inf_keep_their_outcomes(self):
         assert as_finite(np.float32(0.5), "x") == 0.5 and as_finite(np.int64(3), "x") == 3.0
         assert type(as_finite(np.float64(0.25), "x")) is float

@@ -1,7 +1,8 @@
 """Property tests: the permutation table, invariance of the volume and
 equivariance of both gradients under the 24 relabellings, the Python
-floats every Tetrahedron construction path stores, and the 6-vector
-conversions and Jacobians as the batch rows."""
+floats every Tetrahedron construction path stores, the 6-vector
+conversions and Jacobians as the batch rows, and a tuple of Python floats
+as the ndarray of the same vector."""
 
 import math
 import re
@@ -37,6 +38,7 @@ from trunctet import (
     vertex_sums,
 )
 from trunctet import convert
+from trunctet.schlafli import volume_of_lengths
 from trunctet.domain import in_O_mask
 from trunctet.indexing import EDGE_PAIRS, edge_position
 
@@ -158,6 +160,23 @@ def assert_the_batch_row(convert_vector, jacobian_vector, values, fails, convert
             jacobian_vector(values)
 
 
+def outcome(function, values):
+    """The bits of ``function(values)``, or the type, message, diagnostics,
+    index and value of the typed error it raises."""
+    try:
+        return np.asarray(function(values)).tobytes()
+    except TruncTetError as exc:
+        return (type(exc), str(exc), getattr(exc, "diagnostics", None),
+                getattr(exc, "index", None), repr(getattr(exc, "value", None)))
+
+
+def assert_the_tuple_is_the_array(functions, values):
+    """The tuple of Python floats that a Tetrahedron holds gives each
+    function the bits or the error of the ndarray of the same vector."""
+    for function in functions:
+        assert outcome(function, tuple(values)) == outcome(function, np.array(values))
+
+
 #: angles in [0, pi], often exactly 0 or pi, where cosines are +-1 and
 #: vertex coefficients and sines can vanish
 ends_or_angles = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi))
@@ -172,6 +191,8 @@ class TestVectorsAreTheBatchRows:
             jacobian_row = convert.lengths_jacobian([angles])[0]
         assert_the_batch_row(angles_to_lengths, jacobian_lengths_of_angles, angles,
                              np.isnan(lengths).any(), lengths, jacobian_row)
+        assert_the_tuple_is_the_array(
+            (angles_to_lengths, jacobian_lengths_of_angles, ushijima_volume), angles)
 
     @SETTINGS
     @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 150.0)), min_size=6, max_size=6))
@@ -181,5 +202,6 @@ class TestVectorsAreTheBatchRows:
         with np.errstate(all="ignore"):
             jacobian_row = convert.angles_jacobian([lengths])[0]
         fails = not in_O_mask([angles], strict=False, tol=1e-9)[0]
-        assert_the_batch_row(lengths_to_angles, lambda l: jacobian_angles_of_lengths(l, check=False),
-                             lengths, fails, angles, jacobian_row)
+        jacobian = lambda l: jacobian_angles_of_lengths(l, check=False)  # noqa: E731
+        assert_the_batch_row(lengths_to_angles, jacobian, lengths, fails, angles, jacobian_row)
+        assert_the_tuple_is_the_array((lengths_to_angles, jacobian, volume_of_lengths), lengths)

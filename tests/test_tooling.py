@@ -7,8 +7,9 @@ attribute the tracer and the benchmark's self-test wrap, the flow makes one
 chart call, one volume call and one ``in_O_mask`` call per block of at most
 ``_FLOW_BLOCK`` rows, one of each for a path that fits one block,
 a campaign makes records only for its reference and its witnesses, a
-NaN in any public numeric parameter raises a typed error, without hanging,
-and every name a package module imports is used."""
+NaN or an int too large for a float (10**400) in any public numeric
+parameter raises a typed error, without hanging, and every name a package
+module imports is used."""
 
 import ast
 import glob
@@ -133,10 +134,11 @@ def test_cli_prints_no_runtime_warning(argv, code, stderr):
     assert done.stderr == stderr
 
 
-NAN_SWEEP = """
+BAD_VALUE_SWEEP = """
 import math
+import sys
 import trunctet as t
-nan = float("nan")
+nan = eval(sys.argv[1])
 tet = t.Tetrahedron.from_angles([0.4, 0.5, 0.3, 0.45, 0.35, 0.5])
 start = t.Tetrahedron.from_lengths([0.9, 0.8, 0.7, 0.9, 0.8, 0.7])
 calls = {
@@ -163,6 +165,9 @@ calls = {
     "in_O tol": lambda: t.in_O([0.5] * 6, tol=nan),
     "in_O_mask tol": lambda: t.domain.in_O_mask([[0.5] * 6] * 2, tol=nan),
 }
+if isinstance(nan, int):
+    # a huge budget is a valid count
+    calls = {name: call for name, call in calls.items() if not name.endswith("budget")}
 for name, call in calls.items():
     try:
         outcome = f"returned {call()!r}"
@@ -174,16 +179,28 @@ for name, call in calls.items():
 """
 
 
-def test_nan_arguments_raise_typed_errors():
-    # NaN in each public numeric parameter in turn, in a subprocess, so that
-    # a call that loops forever on it fails at the timeout
+def bad_value_outcomes(value):
+    """The sweep's outcome lines with ``value`` (Python source) in each public
+    numeric parameter in turn, in a subprocess, so that a call that loops
+    forever on it fails at the timeout."""
     src = os.path.dirname(os.path.dirname(trunctet.__file__))
     done = subprocess.run(
-        [sys.executable, "-c", NAN_SWEEP], env=dict(os.environ, PYTHONPATH=src),
+        [sys.executable, "-c", BAD_VALUE_SWEEP, value], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=30, check=True,
     )
-    outcomes = done.stdout.splitlines()
+    return done.stdout.splitlines()
+
+
+def test_nan_arguments_raise_typed_errors():
+    outcomes = bad_value_outcomes('float("nan")')
     assert len(outcomes) == 21
+    assert [line for line in outcomes if not line.endswith(": raised")] == []
+
+
+def test_huge_int_arguments_raise_typed_errors():
+    # 10**400 overflows float(): every parameter but the two budgets
+    outcomes = bad_value_outcomes("10**400")
+    assert len(outcomes) == 19
     assert [line for line in outcomes if not line.endswith(": raised")] == []
 
 

@@ -16,6 +16,7 @@ from trunctet import (
     gram_det,
     lobachevsky,
     permute,
+    regular_from_angle,
     regular_volume_l0,
     sample_O_batch,
     sample_T_ell,
@@ -168,6 +169,29 @@ class TestVolume:
 
     def test_nonnegative_on_closure(self):
         assert ushijima_volume((0.0,) * 6) > 0.0
+
+
+class TestApplicationLengths:
+    """The lengths at which the paper's application uses the theorem: l_g,
+    the edge length of the regular tetrahedron with all angles pi/(3g)."""
+
+    @staticmethod
+    def regular(g):
+        return regular_from_angle(math.pi / (3 * g))
+
+    def test_l2_is_l0_and_the_others_lie_below(self):
+        lengths = [self.regular(g).lengths[0] for g in range(2, 9)]
+        assert abs(lengths[0] - L0) <= 1e-12
+        assert all(ell < L0 for ell in lengths[1:])
+        assert all(np.diff(lengths) < 0)
+
+    def test_twice_the_regular_volume_at_l0_is_the_oracle_value(self, monkeypatch):
+        pytest.importorskip("mpmath")
+        monkeypatch.syspath_prepend(os.path.abspath(BENCH))
+        import oracle
+
+        exact = float(2 * oracle.regular_volume(L0))
+        assert abs(2 * self.regular(2).volume - exact) <= 1e-13
 
 
 class TestVolumeRows:
