@@ -22,16 +22,16 @@ bits of its batch row:
 - (6, m) columns, one row per column: each table row gathers one (n, m)
   block by ``x[table]`` and a formula runs once on the blocks;
 - a 6-vector, after one ``np.cos`` or ``np.cosh``: a formula runs with
-  ``map`` over Python floats, once per vertex, edge or Jacobian entry,
-  since a one-row array pays numpy's dispatch on each of 30 to 80
-  operations. A root of a negative reads NaN there (``_sqrt``), and where a
-  float division by zero raises, ``_in_floats`` evaluates the vector again
-  as one column, which gives numpy's inf or NaN.
+  ``map`` over Python floats, once per vertex or edge, since a one-row
+  array pays numpy's dispatch on each of 30 to 80 operations. A root of a
+  negative reads NaN there (``_sqrt``), and where a float division by zero
+  raises, ``_in_floats`` evaluates the vector again as one column, which
+  gives numpy's inf or NaN.
 
 ``_ratio`` gives the vertex coefficients, the products under each edge's
 root and the ratio edge / root; ``_ratio_grad`` adds its exact partials,
 entry (ij, q) = d ratio_ij / d x_q, the stacked partials gathered through
-the tables.
+the tables, on columns (a 6-vector runs as one column).
 
 Each direction has one guard table (``_LENGTH_GUARDS``, ``_ANGLE_GUARDS``)
 of conditions on a kernel pass, entry by entry on the floats of a 6-vector
@@ -45,12 +45,14 @@ and bitwise equal elsewhere. One pass of ``_ratio_grad`` gives the guards,
 the conversion and its Jacobian together (``jacobian_*`` in ``schlafli``),
 whose chain rule through the sines or hyperbolic sines runs on the (6, 6,
 ...) array of partials; the batch Jacobians ``angles_jacobian`` and
-``lengths_jacobian`` move its (6, 6) axes behind the rows.
+``lengths_jacobian`` move its (6, 6) axes behind the rows. ``_cos_angles_along``
+contracts each partial with a direction as it is formed instead, in Python
+floats on a 6-vector: six numbers for ``schlafli.dvol_dlengths`` in place of
+the Jacobian's 36.
 """
 
 import functools
 import math
-import operator
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -83,13 +85,12 @@ class _Tables(NamedTuple):
     edge_grad: np.ndarray
     #: the two vertices under each edge's root, 0-based (2 x 6)
     ends: np.ndarray
-    #: for the Python floats of a 6-vector: getters of the member of each
-    #: place q in vertex_grad (3 for the zero), vertex by vertex; as lists,
-    #: the role of each place q in edge_grad, edge by edge, and the two
-    #: vertices under each edge's root
-    vertex_members: list
-    edge_roles: list
+    #: for the Python floats of a 6-vector: the two vertices under each
+    #: edge's root, as a list of pairs
     end_pairs: list
+    #: triples and roles on x stacked over a direction: each row, then 6 down
+    triples_along: np.ndarray
+    roles_along: np.ndarray
 
 
 def _tables(vertex_edges, roles, ends):
@@ -100,9 +101,8 @@ def _tables(vertex_edges, roles, ends):
     # argsort inverts each edge's column of roles
     edge_grad = np.argsort(roles, axis=0).T * 6 + np.arange(6)[:, None]
     ends = np.array(ends).T - 1
-    members = [operator.itemgetter(*row) for row in (vertex_grad // 4).tolist()]
-    lists = members, (edge_grad // 6).tolist(), ends.T.tolist()
-    return _Tables(triples, vertex_grad, roles, edge_grad, ends, *lists)
+    along = [np.concatenate((table, table + 6)) for table in (triples, roles)]
+    return _Tables(triples, vertex_grad, roles, edge_grad, ends, ends.T.tolist(), *along)
 
 
 #: the opposite edge kl of each edge ij, as a vertex pair
@@ -150,12 +150,12 @@ def _in_floats(kernel):
     # Python floats. A float division by zero raises where numpy returns inf
     # or NaN; there the vector is evaluated as one column, its batch row
     @functools.wraps(kernel)
-    def evaluate(x, tables):
+    def evaluate(x, *args):
         try:
-            return kernel(x, tables)
+            return kernel(x, *args)
         except ZeroDivisionError:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return [np.asarray(part)[..., 0] for part in kernel(x[:, None], tables)]
+                return [np.asarray(part)[..., 0] for part in kernel(x[:, None], *args)]
 
     return evaluate
 
@@ -172,6 +172,12 @@ def _vertex_term(x, y, z):
 def _vertex_partials(x, y, z):
     # half the partials of _vertex_term in x, y and z
     return x + y * z, y + x * z, z + x * y
+
+
+def _vertex_along(x, y, z, dx, dy, dz):
+    # half the derivative of _vertex_term along the direction (dx, dy, dz)
+    px, py, pz = _vertex_partials(x, y, z)
+    return px * dx + py * dy + pz * dz
 
 
 def _edge_term(ij, ik, il, jk, jl, kl):
@@ -191,6 +197,12 @@ def _edge_partials(ij, ik, il, jk, jl, kl):
     )
 
 
+def _edge_along(ij, ik, il, jk, jl, kl, dij, dik, dil, djk, djl, dkl):
+    # the derivative of _edge_term along the direction of its six roles
+    pij, pik, pil, pjk, pjl, pkl = _edge_partials(ij, ik, il, jk, jl, kl)
+    return pij * dij + pik * dik + pil * dil + pjk * djk + pjl * djl + pkl * dkl
+
+
 def _ratio_term(edge, product):
     return edge / _sqrt(product)
 
@@ -203,6 +215,11 @@ def _log_partial(half_partial, vertex):
 def _ratio_partial(edge_partial, root, ratio, first, second):
     # d(e / sqrt(a b)) = de / sqrt(a b) - (e / sqrt(a b)) (da / a + db / b) / 2
     return edge_partial / root - 0.5 * ratio * (first + second)
+
+
+def _angle_partial(cos_partial, sin):
+    # d theta = -d cos theta / sin theta
+    return cos_partial / -sin
 
 
 def _sinh_of_cosh(c):
@@ -236,31 +253,22 @@ def _ratio(x, tables):
     return vertex, products, _each_entry(_ratio_term, edge, products)
 
 
-@_in_floats
 def _ratio_grad(x, tables):
     # _ratio (bitwise) and its derivative in x, (6, 6, ...): the partials
     # stacked member-major (vertex) and role-major (edge), a zero for the
-    # edges off a vertex, gathered through the tables
-    vertex, products, ratio = _ratio(x, tables)
-    vertex_partials = _each(_vertex_partials, x, tables.triples)
-    edge_partials = _each(_edge_partials, x, tables.roles)
-    if x.ndim == 1:
-        # rows of six Python floats, place q taking the member (3: the zero)
-        # or the role that the tables name for it
-        logs = [members((_log_partial(dx, d), _log_partial(dy, d), _log_partial(dz, d),
-                         _log_partial(0.0, d)))
-                for d, (dx, dy, dz), members in zip(vertex, vertex_partials, tables.vertex_members)]
-        grad = [_ratio_partial(partials[k], root, r, f, s)
-                for partials, roles, root, r, (a, b) in zip(
-                    edge_partials, tables.edge_roles, map(_sqrt, products), ratio, tables.end_pairs)
-                for k, f, s in zip(roles, logs[a], logs[b])]
-        return vertex, products, ratio, np.array(grad).reshape(6, 6)
-    stacked = np.concatenate(vertex_partials + (np.zeros((1,) + x.shape[1:]),))
+    # edges off a vertex, gathered through the tables. A 6-vector runs as one
+    # column, its batch row: one tetrahedron's gradient takes _cos_angles_along
+    columns = x[:, None] if x.ndim == 1 else x
+    vertex, products, ratio = _ratio(columns, tables)
+    vertex_partials = _each(_vertex_partials, columns, tables.triples)
+    edge_partials = _each(_edge_partials, columns, tables.roles)
+    stacked = np.concatenate(vertex_partials + (np.zeros((1,) + columns.shape[1:]),))
     logs = _log_partial(stacked[tables.vertex_grad], vertex[:, None])
     first, second = logs[tables.ends]
     edge_grad = np.concatenate(edge_partials)[tables.edge_grad]
     grad = _ratio_partial(edge_grad, np.sqrt(products)[:, None], ratio[:, None], first, second)
-    return vertex, products, ratio, grad
+    parts = vertex, products, ratio, grad
+    return [part[..., 0] for part in parts] if x.ndim == 1 else parts
 
 
 def _cosh_lengths(angles):
@@ -271,7 +279,7 @@ def _cosh_lengths(angles):
 
 def _cosh_lengths_grad(angles):
     # _cosh_lengths (bitwise) and, from the same pass, lengths_jacobian; inf or NaN
-    # where a sinh vanishes, or where a column rerun of _ratio leaves numpy scalars
+    # where a sinh vanishes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d, products, arg, grad = _ratio_grad(np.cos(angles), _ANGLES)
         sinh_lengths = np.asarray(_each_entry(_sinh_of_cosh, arg))
@@ -303,7 +311,27 @@ def _cos_angles_grad(lengths):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z, products, arg, grad = _ratio_grad(np.cosh(lengths), _LENGTHS)
         sin_angles = np.asarray(_each_entry(_sin_of_cos, arg))
-        return z, products, arg, grad * np.sinh(lengths) / -sin_angles[:, None]
+        return z, products, arg, _angle_partial(grad * np.sinh(lengths), sin_angles[:, None])
+
+
+@_in_floats
+def _cos_angles_along(lengths):
+    # _cos_angles (bitwise) and the angles' derivative along the ray (1 + s) l,
+    # angles_jacobian(l) @ l: each partial of _ratio_grad contracted with the
+    # direction d cosh l = l sinh l as it is formed, on x stacked over it; inf
+    # or NaN where a sine vanishes (a float division by zero reruns a column)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.concatenate((np.cosh(lengths), lengths * np.sinh(lengths)))
+        z, products, arg = _ratio(x, _LENGTHS)
+        logs = _each_entry(_log_partial, _each(_vertex_along, x, _LENGTHS.triples_along), z)
+        if x.ndim == 1:
+            first = [logs[a] for a, _ in _LENGTHS.end_pairs]
+            second = [logs[b] for _, b in _LENGTHS.end_pairs]
+        else:
+            first, second = logs[_LENGTHS.ends]
+        edge = _each(_edge_along, x, _LENGTHS.roles_along)
+        cos_along = _each_entry(_ratio_partial, edge, _each_entry(_sqrt, products), arg, first, second)
+        return z, products, arg, _each_entry(_angle_partial, cos_along, _each_entry(_sin_of_cos, arg))
 
 
 def angles_jacobian(lengths):

@@ -2,8 +2,10 @@
 control the sign of the length-derivative along a maximal edge.
 
 The angle-chart gradient is closed form (d vol = -1/2 * sum l_ij d theta_ij,
-Schlafli's formula). The length-chart gradient chains it with the exact
-Jacobian d theta / d l, from the same kernel pass as the angles. The
+Schlafli's formula). The length-chart gradient -1/2 l^T (d theta / d l) is
+-1/2 times the derivative of the angles along the ray (1 + s) l, since the
+Jacobian d theta / d l, -2 times the inverse Hessian of the volume in the
+angles, is symmetric: six numbers from one pass of the length kernel. The
 kernel's formulas are written once in ``convert`` and evaluated two ways:
 on one tetrahedron in Python floats, and on (..., 6) arrays in bulk
 (``convert.angles_jacobian``), with the same bits on every row. With
@@ -52,8 +54,9 @@ def volume_of_lengths(lengths):
 
 
 def _finite(jac, what, x):
-    # the kernels return inf or NaN where a sine or sinh vanishes
-    if not np.isfinite(jac).all():
+    # the kernels return inf or NaN where a sine or sinh vanishes (a list:
+    # a derivative along a ray, in floats)
+    if not (all(map(math.isfinite, jac)) if isinstance(jac, list) else np.isfinite(jac).all()):
         raise NearDegenerateError(f"{what} Jacobian is not finite at {x!r}")
     return jac
 
@@ -82,7 +85,8 @@ def jacobian_angles_of_lengths(lengths, check=True):
     product strays from the identity or the matrix is too ill-conditioned.
     """
     l = domain.as_vector(lengths, "lengths")
-    angles, jac = _angles_and_jacobian(l)
+    angles, jac = convert._row_angles(convert._cos_angles_grad, l)
+    _finite(jac, "angle/length", l)
     if check:
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > CONDITION_LIMIT:
@@ -100,19 +104,15 @@ def jacobian_angles_of_lengths(lengths, check=True):
     return jac
 
 
-def _angles_and_jacobian(l):
-    # one pass of the length kernel on a validated 6-vector: the angles and
-    # the finite Jacobian, or the typed errors of lengths_to_angles
-    angles, jac = convert._row_angles(convert._cos_angles_grad, l)
-    return angles, _finite(jac, "angle/length", l)
-
-
 def dvol_dlengths(tet):
     """Gradient of volume in the length chart:
-    component ij = -1/2 * sum_kl l_kl * d theta_kl / d l_ij."""
+    component ij = -1/2 * sum_kl l_kl * d theta_kl / d l_ij, taken as -1/2
+    d theta_ij along the ray (1 + s) l (the Jacobian is symmetric); it raises
+    where ``jacobian_angles_of_lengths(check=False)`` does."""
     l = domain.as_vector(tet.lengths, "lengths")
-    _, jac = _angles_and_jacobian(l)
-    return GradientVector(tuple([-0.5 * v for v in (l @ jac).tolist()]), "lengths")
+    _, along = convert._row_angles(convert._cos_angles_along, l)
+    _finite(along, "angle/length", l)
+    return GradientVector(tuple([-0.5 * v for v in along]), "lengths")
 
 
 _Terms = namedtuple("_Terms", "c13 c14 c24 c23 paired lhs cross rhs chord")

@@ -45,11 +45,13 @@ class Tetrahedron:
 
     @classmethod
     def from_angles(cls, angles):
+        # validated once; the volume is looked up on the module, where wrappers see it
         a = domain.as_vector(angles, "angles")
-        if not domain.in_O(a, strict=True):
+        xs = a.tolist()
+        if not domain._in_polytope(xs, domain._vertex_sums(xs), True, 0.0):
             raise DomainError(f"angles {a!r} not interior to the angle polytope")
-        lengths = convert.angles_to_lengths(a)
-        return cls(tuple(a.tolist()), tuple(lengths.tolist()), volume.ushijima_volume(a))
+        lengths, = convert._guarded(convert._ANGLE_GUARDS, convert._cosh_lengths, convert._arccosh, a)
+        return cls(tuple(xs), tuple(lengths.tolist()), volume.ushijima_volume(a))
 
     @classmethod
     def from_lengths(cls, lengths):

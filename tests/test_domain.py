@@ -30,6 +30,7 @@ from trunctet import (
     verify_theorem,
     vertex_sums,
 )
+from trunctet import domain as domain_module
 from trunctet.convert import chart_angles
 from trunctet.domain import (
     _in_O_index,
@@ -484,7 +485,43 @@ class TestSamplers:
             sample_T_ell(0, 50.0, 1, budget=budget)
 
 
+def composed_from_angles(angles):
+    """``Tetrahedron.from_angles`` as a composition of public calls, each of
+    which validates the row: the reference for its records and errors."""
+    a = as_vector(angles, "angles")
+    if not in_O(a, strict=True):
+        raise DomainError(f"angles {a!r} not interior to the angle polytope")
+    return Tetrahedron(tuple(a.tolist()), tuple(angles_to_lengths(a).tolist()), ushijima_volume(a))
+
+
+def record_or_error(function, row):
+    # repr gives every float of a record exactly
+    try:
+        return repr(function(row))
+    except TruncTetError as exc:
+        return type(exc), str(exc)
+
+
 class TestTetrahedronRecord:
+    def test_from_angles_is_the_composition_validating_once(self, monkeypatch):
+        # the record, or the type and message of the error, of the public
+        # composition on interior, exterior, boundary and malformed rows; the
+        # row is validated by from_angles and again only by ushijima_volume,
+        # which from_angles still calls on the module
+        rng = np.random.default_rng(29)
+        rows = [*rng.uniform(0.0, math.pi, (200, 6)), *sample_O_batch(rng, 100),
+                *rng.uniform(0.0, 1e-3, (20, 6)), REGULAR, FLAT, (0.0,) * 6, (1e-300,) * 6,
+                (1.0, 1.0, 1.0, 1.0, 1.0, math.pi - 2.0), (math.nan,) * 6, (0.5,) * 5 + (math.inf,),
+                (0.5,) * 5, "angles"]
+        outcomes = [record_or_error(Tetrahedron.from_angles, row) for row in rows]
+        assert outcomes == [record_or_error(composed_from_angles, row) for row in rows]
+        assert {type(o) for o in outcomes} == {str, tuple}
+        calls = []
+        original = domain_module.as_vector
+        monkeypatch.setattr(domain_module, "as_vector", lambda *args: calls.append(args) or original(*args))
+        Tetrahedron.from_angles(REGULAR)
+        assert len(calls) == 2
+
     def test_coherent_fields(self):
         tet = Tetrahedron.from_angles(REGULAR)
         assert tet.volume == pytest.approx(3.226, abs=1e-3)

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trunctet import (
@@ -160,6 +160,13 @@ def assert_the_batch_row(convert_vector, jacobian_vector, values, fails, convert
             jacobian_vector(values)
 
 
+def assert_the_same_bits(got, expected):
+    """The same bits, NaN in the same places (whatever its sign)."""
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
 def outcome(function, values):
     """The bits of ``function(values)``, or the type, message, diagnostics,
     index and value of the typed error it raises."""
@@ -195,13 +202,28 @@ class TestVectorsAreTheBatchRows:
             (angles_to_lengths, jacobian_lengths_of_angles, ushijima_volume), angles)
 
     @SETTINGS
-    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 150.0)), min_size=6, max_size=6))
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 150.0), st.floats(0.0, 1e3)),
+                    min_size=6, max_size=6))
+    @example([800.0] * 6)
+    @example([711.0] + [0.5] * 5)
     def test_lengths(self, lengths):
-        # the batch leaves the closure test of the angles to in_O_mask
+        # the batch leaves the closure test of the angles to in_O_mask; from
+        # about 710 on, cosh of a length overflows
         angles = lengths_to_angles_batch([lengths])[0]
         with np.errstate(all="ignore"):
             jacobian_row = convert.angles_jacobian([lengths])[0]
         fails = not in_O_mask([angles], strict=False, tol=1e-9)[0]
         jacobian = lambda l: jacobian_angles_of_lengths(l, check=False)  # noqa: E731
         assert_the_batch_row(lengths_to_angles, jacobian, lengths, fails, angles, jacobian_row)
-        assert_the_tuple_is_the_array((lengths_to_angles, jacobian, volume_of_lengths), lengths)
+        gradient = lambda l: dvol_dlengths(Tetrahedron((), tuple(l), 0.0)).values  # noqa: E731
+        assert_the_tuple_is_the_array((lengths_to_angles, jacobian, volume_of_lengths, gradient),
+                                      lengths)
+        # the gradient's kernel: a 6-vector's float pass is its column's bits;
+        # the gradient raises the error of -1/2 l^T J wherever that raises
+        vector = convert._cos_angles_along(np.array(lengths))
+        column = convert._cos_angles_along(np.array(lengths)[:, None])
+        for got, expected in zip(vector, column):
+            assert_the_same_bits(np.asarray(got), expected[..., 0])
+        expected = outcome(lambda l: -0.5 * (np.asarray(l) @ jacobian(l)), lengths)
+        got = outcome(gradient, lengths)
+        assert type(got) is type(expected) and (isinstance(got, bytes) or got == expected)

@@ -216,11 +216,13 @@ class TestLengthGradient:
 
     def test_evaluates_the_length_kernel_once(self, acute_points, monkeypatch):
         # one pass of the length -> angle kernel gives the guards, the angles
-        # and the Jacobian: no conversion call, and no second evaluation of
-        # the kernel, which also rules out finite differences
+        # and their derivative along the ray: no conversion call, no Jacobian,
+        # and no second evaluation of the kernel, which also rules out finite
+        # differences
         tet = Tetrahedron.from_angles(acute_points[0])
         calls = []
-        names = ("lengths_to_angles", "angles_to_lengths", "_cos_angles", "_cos_angles_grad", "_edge_poly")
+        names = ("lengths_to_angles", "angles_to_lengths", "_cos_angles", "_cos_angles_grad",
+                 "_cos_angles_along", "_ratio_grad", "_edge_poly")
         for name in names:
             original = getattr(convert, name)
 
@@ -230,7 +232,7 @@ class TestLengthGradient:
 
             monkeypatch.setattr(convert, name, counted)
         dvol_dlengths(tet)
-        assert sorted(calls) == ["_cos_angles_grad", "_edge_poly"]
+        assert sorted(calls) == ["_cos_angles_along", "_edge_poly"]
 
     def test_lengths_of_angles_evaluates_the_angle_kernel_once(self, acute_points, monkeypatch):
         # the guards and the Jacobian d l / d theta come from one _ratio_grad
@@ -357,18 +359,29 @@ class TestOnePassJacobian:
             (-0.5, 0.5, 0.5, 0.5, 0.5, 0.5),
         ]
 
-    def test_bitwise_the_two_pass_jacobian(self):
-        # on criterion 8's rows the one-pass Jacobian, its batch form and
-        # the gradient are bitwise those of the two-pass computation
-        tets = criterion_8_records(2000)
-        lengths = np.array([tet.lengths for tet in tets])
+    @pytest.fixture(scope="class")
+    def records(self):
+        return criterion_8_records(2000)
+
+    def test_bitwise_the_two_pass_jacobian(self, records):
+        # on criterion 8's rows the one-pass Jacobian and its batch form are
+        # bitwise those of the two-pass computation; the gradient, taken
+        # along the ray, is -1/2 l^T J within 1e-11 of its largest component
+        lengths = np.array([tet.lengths for tet in records])
         batch = convert.angles_jacobian(lengths)
-        for tet, row in zip(tets, batch):
+        for tet, row in zip(records, batch):
             expected = two_pass_jacobian(tet.lengths)
             assert np.array_equal(jacobian_angles_of_lengths(tet.lengths, check=False), expected)
             assert np.array_equal(row, expected)
             grad = -0.5 * (np.asarray(tet.lengths) @ expected)
-            assert dvol_dlengths(tet).values == tuple(grad.tolist())
+            assert np.max(np.abs(dvol_dlengths(tet).as_array() - grad)) <= 1e-11 * np.max(np.abs(grad))
+
+    def test_the_jacobian_is_symmetric(self, records):
+        # d theta / d l is -2 times the inverse of the Hessian of the volume
+        # in the angles, so symmetric: what dvol_dlengths rests on
+        for tet in records:
+            jac = jacobian_angles_of_lengths(tet.lengths, check=False)
+            assert np.max(np.abs(jac - jac.T)) <= 1e-11 * np.max(np.abs(jac))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("check", [True, False])
@@ -398,17 +411,41 @@ class TestOnePassJacobian:
         assert len(rejected) >= 100
         assert set(rejected) == {"NotInClosureError", "AccuracyError", "InvalidArgumentError"}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gradient_raises_as_the_jacobian_route_does(self):
+        # dvol_dlengths raises exactly where -1/2 l^T J from
+        # jacobian_angles_of_lengths(check=False) raises, with the same type
+        # and message: on the chart's test rows, the kernel's edge rows (sin
+        # theta = 0 at the octagon, negative zeros, zero lengths, a kernel
+        # overflow) and lengths where cosh overflows; elsewhere it is finite
+        rows = [tuple(row) for row in chart_test_rows()] + EDGE_ROWS[convert.angles_jacobian]
+        raised = []
+        for row in rows + [(800.0,) * 6]:
+            tet = Tetrahedron((), row, 0.0)
+            try:
+                -0.5 * (np.asarray(row) @ jacobian_angles_of_lengths(row, check=False))
+            except TruncTetError as exc:
+                raised.append(type(exc).__name__)
+                with pytest.raises(type(exc)) as got:
+                    dvol_dlengths(tet)
+                assert str(got.value) == str(exc)
+                continue
+            assert all(map(math.isfinite, dvol_dlengths(tet).values))
+        assert len(raised) >= 100
+        assert set(raised) == {"NotInClosureError", "AccuracyError", "NearDegenerateError"}
+
     def test_closure_failure_as_the_conversion_does(self, monkeypatch):
         # no row of the length chart's guards has been seen to fail the
         # closure test; a polytope test that rejects every row shows that
-        # both calls raise the same error there
-        row = regular_from_length(0.8).lengths
+        # the Jacobian and the gradient raise the conversion's error there
+        tet = regular_from_length(0.8)
         monkeypatch.setattr(convert.domain, "in_O", lambda *args, **kwargs: False)
         with pytest.raises(InconsistencyError) as expected:
-            convert.lengths_to_angles(row)
-        with pytest.raises(InconsistencyError) as raised:
-            jacobian_angles_of_lengths(row)
-        assert str(raised.value) == str(expected.value)
+            convert.lengths_to_angles(tet.lengths)
+        for call in (lambda: jacobian_angles_of_lengths(tet.lengths), lambda: dvol_dlengths(tet)):
+            with pytest.raises(InconsistencyError) as raised:
+                call()
+            assert str(raised.value) == str(expected.value)
 
     def test_kernel_on_the_length_tables_is_the_written_out_polynomial(self):
         # the shared kernel, fed the length tables, is bitwise w_ij, z_k and
