@@ -36,19 +36,20 @@ the tables, on columns (a 6-vector runs as one column).
 Each direction has one guard table (``_LENGTH_GUARDS``, ``_ANGLE_GUARDS``)
 of conditions on a kernel pass, entry by entry on the floats of a 6-vector
 or elementwise on columns, and their typed errors. ``_guarded`` applies it:
-a 6-vector raises the error of the first guard it fails, a column that
-fails any turns NaN; only a 6-vector past them is finished, clamped in
-floats. The batch functions (``angles_to_lengths_batch``,
+a 6-vector raises the error of the first guard it fails, the columns that
+fail any turn NaN in one write; only a 6-vector past them is finished,
+clamped in floats. The batch functions (``angles_to_lengths_batch``,
 ``lengths_to_angles_batch``, ``chart_angles``) transpose (m, 6) rows on
 entry and back on return, and are NaN exactly where the scalar ones raise
-and bitwise equal elsewhere. One pass of ``_ratio_grad`` gives the guards,
-the conversion and its Jacobian together (``jacobian_*`` in ``schlafli``),
-whose chain rule through the sines or hyperbolic sines runs on the (6, 6,
-...) array of partials; the batch Jacobians ``angles_jacobian`` and
-``lengths_jacobian`` move its (6, 6) axes behind the rows. ``_cos_angles_along``
-contracts each partial with a direction as it is formed instead, in Python
-floats on a 6-vector: six numbers for ``schlafli.dvol_dlengths`` in place of
-the Jacobian's 36.
+and bitwise equal elsewhere; ``chart_angles`` converts, tests the polytope
+and converts back on the same columns. One pass of ``_ratio_grad`` gives the
+guards, the conversion and its Jacobian together (``jacobian_*`` in
+``schlafli``), whose chain rule through the sines or hyperbolic sines runs
+on the (6, 6, ...) array of partials; the batch Jacobians
+``angles_jacobian`` and ``lengths_jacobian`` move its (6, 6) axes behind the
+rows. ``_cos_angles_along`` contracts each partial with a direction as it is
+formed instead, in Python floats on a 6-vector: six numbers for
+``schlafli.dvol_dlengths`` in place of the Jacobian's 36.
 """
 
 import functools
@@ -399,17 +400,19 @@ _ANGLE_GUARDS = (
 
 def _guarded(guards, kernel, finish, x):
     # a validated 6-vector, or (6, m) columns, through a kernel of the guards'
-    # direction: finish(ratios) and what else the kernel returns. A column
-    # that fails a guard turns NaN, quietly; a 6-vector raises the error of
-    # the first, at the vertex with the smallest coefficient or the first
-    # failing edge, else is finished. Its float pass needs no np.errstate
+    # direction: finish(ratios) and what else the kernel returns. Columns
+    # that fail a guard turn NaN, quietly, in one write; a 6-vector raises the
+    # error of the first, at the vertex with the smallest coefficient or the
+    # first failing edge, else is finished. Its float pass needs no np.errstate
     if x.ndim == 2:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             vertex, products, ratio, *rest = kernel(x)
         k = _Pass(x, vertex, products, ratio)
-        out = finish(ratio)
+        out, ok = finish(ratio), True
         for fields, condition, _ in guards:
-            out[:, ~condition(*[getattr(k, field) for field in fields]).all(axis=0)] = np.nan
+            ok &= condition(*[getattr(k, field) for field in fields]).all(axis=0)
+        if not ok.all():
+            out[:, ~ok] = np.nan
         return out, *rest
     vertex, products, ratio, *rest = kernel(x)
     k = _Pass(x.tolist(), vertex, products, ratio)
@@ -500,17 +503,18 @@ def lengths_to_angles_batch(batch):
 _CHART_TOL = 1e-9
 
 
-def _chart_rows(lengths):
-    # the batch length-chart test on validated (m, 6) rows
-    angles = lengths_to_angles_batch(lengths)
-    ok = domain.in_O_mask(angles, strict=True)
-    back = angles_to_lengths_batch(angles)
-    ok &= (np.abs(back - lengths) < _CHART_TOL).all(axis=1)
+def _chart_rows(columns):
+    # the batch length-chart test on validated (6, m) columns: (m, 6) angles, the mask
+    angles, = _guarded(_LENGTH_GUARDS, _cos_angles, _arccos, columns)
+    ok = domain._in_polytope(angles, domain._vertex_sums(angles), True, 0.0)
+    back, = _guarded(_ANGLE_GUARDS, _cosh_lengths, _arccosh, angles)
+    ok &= (np.abs(back - columns) < _CHART_TOL).all(axis=0)
     # a zero length can convert to angles strictly inside the polytope
     # that convert back to it
-    ok &= (lengths > 0.0).all(axis=1)
-    angles[~ok] = np.nan
-    return angles, ok
+    ok &= (columns > 0.0).all(axis=0)
+    if not ok.all():
+        angles[:, ~ok] = np.nan
+    return angles.T, ok
 
 
 def chart_angles(lengths):
@@ -523,12 +527,12 @@ def chart_angles(lengths):
     NaN on the rows outside the chart, and the (m,) accept mask.
     """
     if domain._ndim(lengths) == 2:
-        return _chart_rows(domain.as_rows(lengths, "lengths"))
+        return _chart_rows(domain.as_rows(lengths, "lengths").T)
     try:
         l = domain.as_vector(lengths, "lengths")
     except InvalidArgumentError:
         return None
-    angles, ok = _chart_rows(l[np.newaxis])
+    angles, ok = _chart_rows(l[:, np.newaxis])
     return angles[0] if ok[0] else None
 
 

@@ -22,6 +22,9 @@ ACUTE_PAIR_BOUND = 7.0 * math.pi / 12.0
 #: all 24 vertex permutations, as tuples (sigma(1), ..., sigma(4))
 ALL_PERMUTATIONS = tuple(itertools.permutations((1, 2, 3, 4)))
 
+#: the three edges at each vertex, one row per member (3 x 4)
+_VERTEX_TRIPLES = np.array(VERTEX_EDGES).T
+
 
 def _as_floats(values, name, expected):
     # values as a float ndarray; a failed conversion raises, and so do complex
@@ -95,8 +98,10 @@ def vertex_sums(angles):
 
 
 def _vertex_sums(xs):
-    # left to right, in VERTEX_EDGES order
-    return [xs[p] + xs[q] + xs[r] for p, q, r in VERTEX_EDGES]
+    # left to right, in VERTEX_EDGES order: a list on floats, (4, m) on columns
+    if isinstance(xs, list):
+        return [xs[p] + xs[q] + xs[r] for p, q, r in VERTEX_EDGES]
+    return functools.reduce(operator.add, xs[_VERTEX_TRIPLES])
 
 
 def in_O(angles, strict=True, tol=0.0):
@@ -112,14 +117,14 @@ def in_O(angles, strict=True, tol=0.0):
 
 
 def _in_polytope(xs, sums, strict, tol):
-    # in_O's test on the entries and vertex sums of finite Python floats, or
-    # elementwise on (6, m) columns of rows, where NaN fails it
-    low = xs.min(axis=0) if isinstance(xs, np.ndarray) else min(xs)
+    # in_O's test on the entries and vertex sums of finite Python floats (no
+    # sum is NaN), or on (6, m) columns and their (m,) sums, where NaN fails it
     above, below = (operator.gt, operator.lt) if strict else (operator.ge, operator.le)
-    ok = above(low, -tol)
-    for s in sums:
-        ok &= below(s, math.pi + tol)
-    return ok
+    if isinstance(xs, np.ndarray):
+        low, high = xs.min(axis=0), functools.reduce(np.maximum, sums)
+    else:
+        low, high = min(xs), max(sums)
+    return above(low, -tol) & below(high, math.pi + tol)
 
 
 def acute_constraints_hold(angles):

@@ -28,14 +28,15 @@ sixteen scalar ``clausen`` calls and no np.errstate, or (m, 6) rows, as
 arrays with one ``clausen`` call per block; a one-row array call costs
 several times the 6-vector path that the gradient certificates take.
 ``_phases`` evaluates both shapes up to the phases by the same operations,
-so a row's phases are the same bits on both paths and an array row's volume
-is the same bits at any place in any block (the scalar ``clausen`` takes its
+on lists of floats or on (6, m) columns with stacked sums and offsets, so a
+row's phases are the same bits on both paths and an array row's volume is
+the same bits at any place in any block (the scalar ``clausen`` takes its
 logarithm from libm, so the volumes may differ in the last bit). Both shapes
 and ``ushijima_intermediates`` run ``_PHASE_GUARDS`` (the closure test, read
-from the vertex sums of the offsets, then the denominator) before any Clausen
-call, and a volume then runs ``_VOLUME_GUARDS``. A 6-vector raises the first
-guard it fails, a block raises it at its first failing row, with the message
-behind a ``row r, angles ...:`` prefix and the diagnostics plus ``row``.
+from the vertex sums of the offsets, then the denominator) before any
+Clausen call, and a volume then runs ``_VOLUME_GUARDS``. A 6-vector raises
+the first guard it fails, a block the same at its first failing row, behind
+a ``row r, angles ...:`` prefix and with ``row`` in the diagnostics.
 """
 
 import cmath
@@ -89,6 +90,9 @@ def _alpha(sin_sum, re, im, root):
 #: 6-vector or (m,) columns for a block of rows
 _Evaluation = namedtuple("_Evaluation", "inside det_g sin_sum re im vanishing flat alpha")
 
+#: the three edges of each vertex's opposite face, one row per member (3 x 4)
+_FACE_TRIPLES = np.array(OPPOSITE_FACE_EDGES).T
+
 
 def _phases(t):
     # the evaluation up to the phases and the eight offsets sigma_k of the
@@ -106,24 +110,25 @@ def _phases(t):
     if t.ndim == 1:
         # one 6-vector: Python floats add faster than numpy scalars
         t, cos, sin = t.tolist(), cos.tolist(), sin.tolist()
+        pairs = [t[p] + t[OPPOSITE[p]] for p in range(3)]
+        faces = [t[p] + t[q] + t[r] for p, q, r in OPPOSITE_FACE_EDGES]
+    else:
+        pairs, faces = t[:3] + t[3:], _left_sum(t[_FACE_TRIPLES])  # OPPOSITE[p] is p + 3
     det_g = _gram_det_fast(*cos)
     sin_sum = sin[0] * sin[3] + sin[1] * sin[4] + sin[2] * sin[5]
-    pairs = [t[p] + t[OPPOSITE[p]] for p in range(3)]
     total = pairs[0] + pairs[1] + pairs[2]
-    faces = [t[p] + t[q] + t[r] for p, q, r in OPPOSITE_FACE_EDGES]
     sums = domain._vertex_sums(t)
     inside = domain._in_polytope(t, sums, strict=False, tol=_CLOSURE_SLACK)
-    vertices = [s - math.pi - _PI_LOW for s in sums]
-    offsets = [0.0 * total] + [total - pair for pair in pairs] + vertices
-    psi = np.array(pairs + faces + [total])
-    if psi.ndim == 1 and not inside:
-        psi[:] = math.nan
-    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
-    if psi.ndim == 1:
-        re, im = _left_sum(cos_psi.tolist()), _left_sum(sin_psi.tolist())
+    if isinstance(t, list):
+        vertices = [s - math.pi - _PI_LOW for s in sums]
+        offsets = [0.0 * total] + [total - pair for pair in pairs] + vertices
+        psi = np.array(pairs + faces + [total] if inside else [math.nan] * 7)
+        re, im = _left_sum(np.cos(psi).tolist()), _left_sum(np.sin(psi).tolist())
         magnitude, root = abs(complex(re, im)), math.sqrt(max(-det_g, 0.0))
     else:
-        re, im = _left_sum(cos_psi), _left_sum(sin_psi)
+        offsets = np.concatenate(([0.0 * total], total - pairs, sums - math.pi - _PI_LOW))
+        psi = np.concatenate((pairs, faces, [total]))
+        re, im = _left_sum(np.cos(psi)), _left_sum(np.sin(psi))
         magnitude, root = np.hypot(re, im), np.sqrt(np.maximum(-det_g, 0.0))
     # the flat configurations, where both numerators vanish with the
     # denominator and the volume is its continuous extension 0
@@ -263,12 +268,14 @@ def ushijima_volume(angles):
     vol = 0.0
     if not e.flat:
         alpha_1, alpha_2 = e.alpha.tolist()
-        d = [clausen(alpha_1 + sigma) - clausen(alpha_2 + sigma) for sigma in offsets]
-        # the signs + + + + - - - -, left to right as _volume_rows adds the
-        # negations: subtracting is adding a negation, exactly
-        vol = 0.25 * (d[0] + d[1] + d[2] + d[3] - d[4] - d[5] - d[6] - d[7])
+        vol = _clausen_sum([clausen(alpha_1 + s) - clausen(alpha_2 + s) for s in offsets])
     _raise_first(_VOLUME_GUARDS, e, vol)
     return max(vol, 0.0)
+
+
+def _clausen_sum(d):
+    # the volume from the eight Clausen differences, floats or (8, m) rows
+    return 0.25 * (d[0] + d[1] + d[2] + d[3] - d[4] - d[5] - d[6] - d[7])
 
 
 #: rows evaluated together, which bounds the temporaries of a large batch
@@ -286,10 +293,9 @@ def _volume_rows(angles):
         with np.errstate(over="ignore", invalid="ignore"):
             e, offsets = _phases(np.ascontiguousarray(block.T))
         _raise_first(_PHASE_GUARDS, e, rows=block, first=first)
-        cl = clausen(e.alpha[:, None, :] + np.array(offsets))
-        diff = cl[0] - cl[1]
-        vol = 0.25 * _left_sum([*diff[:4], *-diff[4:]])
-        vol[e.flat] = 0.0
+        vol = _clausen_sum(np.subtract(*clausen(e.alpha[:, None, :] + offsets)))
+        if e.flat.any():
+            vol[e.flat] = 0.0
         _raise_first(_VOLUME_GUARDS, e, vol, rows=block, first=first)
         vols[first:first + len(block)] = np.maximum(vol, 0.0)
     return vols

@@ -12,16 +12,19 @@ from trunctet import (
     Tetrahedron,
     angles_to_lengths,
     angles_to_lengths_batch,
+    deformation_flow,
     in_L,
     in_O,
     jacobian_lengths_of_angles,
     lengths_to_angles,
     lengths_to_angles_batch,
     permute,
+    regular_volume_l0,
     sample_O_batch,
     sample_T_ell,
 )
 from trunctet.convert import _ANGLES, _LENGTHS, _edge_poly, _ratio, chart_angles
+from trunctet.domain import in_O_mask
 from trunctet.errors import (
     AccuracyError,
     DomainError,
@@ -469,6 +472,54 @@ class TestBatchChartMatchesScalar:
         # a malformed 6-vector is not in the chart, as before
         assert chart_angles((1.0, 2.0, 3.0)) is None
         assert chart_angles((L0, L0, L0, L0, L0, math.nan)) is None
+
+
+def composed_chart_rows(lengths):
+    """The batch length-chart test composed of the public batch calls, as it
+    was before it ran on columns: the conversion, the strict polytope mask,
+    the conversion back and the positivity test."""
+    angles = lengths_to_angles_batch(lengths)
+    ok = in_O_mask(angles, strict=True)
+    back = angles_to_lengths_batch(angles)
+    ok &= (np.abs(back - lengths) < 1e-9).all(axis=1)
+    ok &= (lengths > 0.0).all(axis=1)
+    angles[~ok] = np.nan
+    return angles, ok
+
+
+def test_the_chart_on_columns_is_bitwise_the_composition():
+    # the angles with their NaN pattern and the accept mask, on the test rows
+    # (some in the chart, some not) and on the rows of 20 flows at ell = 0.3
+    rng = np.random.default_rng(45)
+    starts = sample_T_ell(rng, 0.3, 20, require_volume_floor=regular_volume_l0())
+    blocks = [chart_test_rows()] + [deformation_flow(start, 0.3).lengths for start in starts]
+    masks = []
+    for rows in blocks:
+        angles, ok = chart_angles(rows)
+        expected, expected_ok = composed_chart_rows(rows)
+        assert np.array_equal(ok, expected_ok)
+        assert angles.tobytes() == expected.tobytes()
+        masks.append(ok)
+    assert 0 < masks[0].sum() < len(masks[0]) and all(ok.all() for ok in masks[1:])
+
+
+#: a star of angles (x, x, x, y, y, y) next to the vertex-sum face, whose
+#: lengths (9.350, 9.350, 9.350, 18.701, 18.701, 18.701) convert back to it
+STAR = (0.7227,) * 3 + ((math.pi - 0.7227) / 2 - 1e-8,) * 3
+
+
+def test_the_long_star_converts_back():
+    lengths = angles_to_lengths(STAR)
+    assert np.allclose(lengths, (9.350,) * 3 + (18.701,) * 3, atol=1e-3)
+    assert np.abs(lengths_to_angles(lengths) - STAR).max() <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item R")
+def test_the_chart_accepts_the_long_star():
+    # the round trip of its lengths errs by 1.9e-8, beyond the chart's
+    # absolute bound of 1e-9, so the chart test returns None
+    angles = chart_angles(angles_to_lengths(STAR))
+    assert angles is not None and np.abs(angles - STAR).max() <= 1e-12
 
 
 def reference_cosh_args(angles):

@@ -110,6 +110,20 @@ class TestInO:
         sums = vertex_sums((1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         assert np.allclose(sums, [1 + 2 + 3, 1 + 5 + 6, 2 + 4 + 6, 3 + 4 + 5])
 
+    def test_vertex_sums_on_columns_are_the_row_lists(self):
+        # stacked (4, m) sums on (6, m) columns, contiguous or a transposed
+        # view, hold the bits of each row's list of Python floats
+        rng = np.random.default_rng(12)
+        special = [[math.nan, 1.0, 2.0, 3.0, 4.0, 5.0], [math.inf, -math.inf, 1.0, 1.0, 1.0, 1.0],
+                   [1e308] * 6, [-0.0] * 6, [0.1, 0.2, 0.3, -0.0, 0.0, 1e-300]]
+        rows = np.concatenate((rng.uniform(-4.0, 4.0, (200, 6)), sample_O_batch(rng, 50), special))
+        expected = np.array([domain_module._vertex_sums(row.tolist()) for row in rows]).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            for columns in (rows.T, np.ascontiguousarray(rows.T)):
+                got = domain_module._vertex_sums(columns)
+                assert got.shape == (4, len(rows))
+                assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("tol", [math.inf, -math.inf])
     def test_tolerance_must_be_finite(self, tol):
         # an infinite slack made every row pass or fail (NaN: see test_tooling)

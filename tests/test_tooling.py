@@ -4,8 +4,8 @@ numpy RuntimeWarning, the README's command examples parse, every name the
 benchmark's tracer wraps still exists,
 and the campaigns and the deformation flow reach the volume through the
 attribute the tracer and the benchmark's self-test wrap, the flow makes one
-chart call, one volume call and one ``in_O_mask`` call per block of at most
-``_FLOW_BLOCK`` rows, one of each for a path that fits one block,
+chart call, one volume call and one strict polytope test per block of at
+most ``_FLOW_BLOCK`` rows, one of each for a path that fits one block,
 a campaign makes records only for its reference and its witnesses, a
 NaN or an int too large for a float (10**400) in any public numeric
 parameter raises a typed error, without hanging, and every name a package
@@ -299,24 +299,38 @@ def counted(monkeypatch, owner, attr, sizes):
     monkeypatch.setattr(owner, attr, wrapper)
 
 
+def strict_polytope_tests(monkeypatch, sizes):
+    # wrap domain._in_polytope so that each strict test appends the number of
+    # rows it got: the columns of an array, or one 6-vector
+    original = trunctet.domain._in_polytope
+
+    def wrapper(xs, sums, strict, tol):
+        if strict:
+            sizes.append(xs.shape[1] if isinstance(xs, np.ndarray) else 1)
+        return original(xs, sums, strict, tol)
+
+    monkeypatch.setattr(trunctet.domain, "_in_polytope", wrapper)
+
+
 def test_flow_calls_per_block_and_rows_per_call(monkeypatch):
     # one chart call and one volume call per block of _FLOW_BLOCK steps,
     # blocks spanning segment ends; no call gets more than one block. The
-    # chart test is the block's one polytope test: the volume makes none
+    # chart test makes the block's one strict polytope test, on all its
+    # rows: the volume makes none
     rng = np.random.default_rng(7)
     (start,) = sample_T_ell(rng, 0.3, 1, require_volume_floor=regular_volume_l0())
     for dt in (1e-3, 1e-5):
-        charts, vols, masks = [], [], []
+        charts, vols, tests = [], [], []
         counted(monkeypatch, trunctet.convert, "chart_angles", charts)
         counted(monkeypatch, trunctet.volume, "ushijima_volume", vols)
-        counted(monkeypatch, trunctet.domain, "in_O_mask", masks)
+        strict_polytope_tests(monkeypatch, tests)
         traj = deformation_flow(start, 0.3, dt=dt)
         monkeypatch.undo()
-        assert masks == charts
-        counted(monkeypatch, trunctet.domain, "in_O_mask", masks)
+        assert tests == charts
+        strict_polytope_tests(monkeypatch, tests)
         trunctet.volume.ushijima_volume(traj.angles)
         monkeypatch.undo()
-        assert masks == charts
+        assert tests == charts
         steps = len(traj.points) - 1
         assert steps > 100
         bound = math.ceil(steps / _FLOW_BLOCK) + 1
