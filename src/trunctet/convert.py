@@ -15,7 +15,7 @@ formula is written once, as a function of its operands: ``_vertex_term``
 opposite face (z_i), ``_edge_term`` c_ij in the roles ij, ik, il, jk, jl,
 kl of an edge (w_ij is bitwise c_ij with the roles ik and jl exchanged,
 which is all that the length tables change), their partials, and the ratio
-edge / sqrt(product) with its gradient. There are two ways to evaluate
+edge / sqrt(product) with its derivative. There are two ways to evaluate
 them, with the same operations in the same order, so a 6-vector gives the
 bits of its batch row:
 
@@ -29,9 +29,12 @@ bits of its batch row:
   gives numpy's inf or NaN.
 
 ``_ratio`` gives the vertex coefficients, the products under each edge's
-root and the ratio edge / root; ``_ratio_grad`` adds its exact partials,
-entry (ij, q) = d ratio_ij / d x_q, the stacked partials gathered through
-the tables, on columns (a 6-vector runs as one column).
+root and the ratio edge / root. Its derivative is written once, as
+``_ratio_along``: each partial contracted with a direction as it is formed,
+on a 6-vector in floats or on columns. Along the ray d cosh l = l sinh l it
+is the gradient's six numbers; along the six unit directions (``_UNIT``) it
+is ``_ratio_grad``, entry (ij, q) = d ratio_ij / d x_q (a 6-vector runs as
+one column).
 
 Each direction has one guard table (``_LENGTH_GUARDS``, ``_ANGLE_GUARDS``)
 of conditions on a kernel pass, entry by entry on the floats of a 6-vector
@@ -42,14 +45,12 @@ clamped in floats. The batch functions (``angles_to_lengths_batch``,
 ``lengths_to_angles_batch``, ``chart_angles``) transpose (m, 6) rows on
 entry and back on return, and are NaN exactly where the scalar ones raise
 and bitwise equal elsewhere; ``chart_angles`` converts, tests the polytope
-and converts back on the same columns. One pass of ``_ratio_grad`` gives the
-guards, the conversion and its Jacobian together (``jacobian_*`` in
-``schlafli``), whose chain rule through the sines or hyperbolic sines runs
-on the (6, 6, ...) array of partials; the batch Jacobians
-``angles_jacobian`` and ``lengths_jacobian`` move its (6, 6) axes behind the
-rows. ``_cos_angles_along`` contracts each partial with a direction as it is
-formed instead, in Python floats on a 6-vector: six numbers for
-``schlafli.dvol_dlengths`` in place of the Jacobian's 36.
+and converts back on the same columns. One kernel pass gives the guards,
+the conversion and its derivative together: ``_ratio_grad`` for the
+Jacobians (``jacobian_*`` in ``schlafli``, and ``angles_jacobian`` and
+``lengths_jacobian`` on (..., 6) rows, flattened to columns), and
+``_cos_angles_along`` for ``schlafli.dvol_dlengths``; the chain rule through
+the sines or hyperbolic sines follows.
 """
 
 import functools
@@ -76,34 +77,18 @@ class _Tables(NamedTuple):
 
     #: edge positions of each vertex's triple, one row per member (3 x 4)
     triples: np.ndarray
-    #: entry (vertex, q): the place of d/dx_q among the stacked member
-    #: partials (3 x 4, member-major), or of the zero stacked last
-    vertex_grad: np.ndarray
     #: positions of the roles ij, ik, il, jk, jl, kl (rows), edge by edge
     roles: np.ndarray
-    #: entry (ij, q): the place of d/dx_q among the stacked role partials
-    #: (6 x 6, role-major)
-    edge_grad: np.ndarray
     #: the two vertices under each edge's root, 0-based (2 x 6)
     ends: np.ndarray
     #: for the Python floats of a 6-vector: the two vertices under each
     #: edge's root, as a list of pairs
     end_pairs: list
-    #: triples and roles on x stacked over a direction: each row, then 6 down
-    triples_along: np.ndarray
-    roles_along: np.ndarray
 
 
 def _tables(vertex_edges, roles, ends):
-    triples = np.array(vertex_edges).T
-    members, vertices = np.indices(triples.shape)
-    vertex_grad = np.full((4, 6), triples.size)
-    vertex_grad[vertices, triples] = members * 4 + vertices
-    # argsort inverts each edge's column of roles
-    edge_grad = np.argsort(roles, axis=0).T * 6 + np.arange(6)[:, None]
     ends = np.array(ends).T - 1
-    along = [np.concatenate((table, table + 6)) for table in (triples, roles)]
-    return _Tables(triples, vertex_grad, roles, edge_grad, ends, ends.T.tolist(), *along)
+    return _Tables(np.array(vertex_edges).T, roles, ends, ends.T.tolist())
 
 
 #: the opposite edge kl of each edge ij, as a vertex pair
@@ -123,13 +108,20 @@ _ANGLES = _tables(VERTEX_EDGES, _EDGE_ROLES, EDGE_PAIRS)
 _LENGTHS = _tables(OPPOSITE_FACE_EDGES, _EDGE_ROLES[[0, 4, 2, 3, 1, 5]], _OPPOSITE_PAIRS)
 
 
-def _each(term, x, table):
-    # a term on the operands that the rows of an index table gather from x:
-    # once on (n, m) blocks of (6, m) columns, or n times on the Python
-    # floats of a 6-vector
+#: the six unit directions (6, 6, 1), along which (6, 1, m) columns give the Jacobian
+_UNIT = np.eye(6)[:, :, None]
+
+
+def _each(term, table, x, *directions):
+    # a term on the operands that the rows of an index table gather from x,
+    # then from each direction: once on (n, ...) blocks of columns, or n times
+    # on the Python floats of a 6-vector
     if x.ndim == 1:
-        return list(map(term, *x[table].tolist()))
-    return term(*x[table])
+        rows = x[table].tolist()
+        for direction in directions:
+            rows += direction[table].tolist()
+        return list(map(term, *rows))
+    return term(*x[table], *[row for direction in directions for row in direction[table]])
 
 
 def _each_entry(term, *operands):
@@ -232,11 +224,11 @@ def _sin_of_cos(c):
 
 
 def _vertex_poly(x, triples):
-    return _each(_vertex_term, x, triples)
+    return _each(_vertex_term, triples, x)
 
 
 def _edge_poly(x, roles):
-    return _each(_edge_term, x, roles)
+    return _each(_edge_term, roles, x)
 
 
 @_in_floats
@@ -254,21 +246,28 @@ def _ratio(x, tables):
     return vertex, products, _each_entry(_ratio_term, edge, products)
 
 
+def _ratio_along(x, tables, direction):
+    # _ratio (bitwise) and its derivative along a direction, (6, ...), each partial
+    # contracted with it as it is formed: on a 6-vector and a direction in Python
+    # floats, or on columns and directions that broadcast against them
+    vertex, products, ratio = _ratio(x, tables)
+    logs = _each_entry(_log_partial, _each(_vertex_along, tables.triples, x, direction), vertex)
+    if x.ndim == 1:
+        first, second = ([logs[v] for v in ends] for ends in zip(*tables.end_pairs))
+    else:
+        first, second = logs[tables.ends]
+    edge = _each(_edge_along, tables.roles, x, direction)
+    return vertex, products, ratio, _each_entry(
+        _ratio_partial, edge, _each_entry(_sqrt, products), ratio, first, second)
+
+
 def _ratio_grad(x, tables):
-    # _ratio (bitwise) and its derivative in x, (6, 6, ...): the partials
-    # stacked member-major (vertex) and role-major (edge), a zero for the
-    # edges off a vertex, gathered through the tables. A 6-vector runs as one
-    # column, its batch row: one tetrahedron's gradient takes _cos_angles_along
+    # _ratio (bitwise) and its derivative in x, (6, 6, ...): _ratio_along the
+    # six unit directions. A 6-vector runs as one column, its batch row: one
+    # tetrahedron's gradient takes _cos_angles_along
     columns = x[:, None] if x.ndim == 1 else x
-    vertex, products, ratio = _ratio(columns, tables)
-    vertex_partials = _each(_vertex_partials, columns, tables.triples)
-    edge_partials = _each(_edge_partials, columns, tables.roles)
-    stacked = np.concatenate(vertex_partials + (np.zeros((1,) + columns.shape[1:]),))
-    logs = _log_partial(stacked[tables.vertex_grad], vertex[:, None])
-    first, second = logs[tables.ends]
-    edge_grad = np.concatenate(edge_partials)[tables.edge_grad]
-    grad = _ratio_partial(edge_grad, np.sqrt(products)[:, None], ratio[:, None], first, second)
-    parts = vertex, products, ratio, grad
+    vertex, products, ratio, grad = _ratio_along(columns[:, None], tables, _UNIT)
+    parts = vertex[:, 0], products[:, 0], ratio[:, 0], grad
     return [part[..., 0] for part in parts] if x.ndim == 1 else parts
 
 
@@ -283,8 +282,7 @@ def _cosh_lengths_grad(angles):
     # where a sinh vanishes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         d, products, arg, grad = _ratio_grad(np.cos(angles), _ANGLES)
-        sinh_lengths = np.asarray(_each_entry(_sinh_of_cosh, arg))
-        return d, products, arg, grad * -np.sin(angles) / sinh_lengths[:, None]
+        return d, products, arg, grad * -np.sin(angles) / _sinh_of_cosh(arg)[:, None]
 
 
 def lengths_jacobian(angles):
@@ -311,27 +309,17 @@ def _cos_angles_grad(lengths):
     # NaN where a sine vanishes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z, products, arg, grad = _ratio_grad(np.cosh(lengths), _LENGTHS)
-        sin_angles = np.asarray(_each_entry(_sin_of_cos, arg))
-        return z, products, arg, _angle_partial(grad * np.sinh(lengths), sin_angles[:, None])
+        return z, products, arg, _angle_partial(grad * np.sinh(lengths), _sin_of_cos(arg)[:, None])
 
 
 @_in_floats
 def _cos_angles_along(lengths):
     # _cos_angles (bitwise) and the angles' derivative along the ray (1 + s) l,
-    # angles_jacobian(l) @ l: each partial of _ratio_grad contracted with the
-    # direction d cosh l = l sinh l as it is formed, on x stacked over it; inf
-    # or NaN where a sine vanishes (a float division by zero reruns a column)
+    # angles_jacobian(l) @ l: _ratio_along the direction d cosh l = l sinh l;
+    # inf or NaN where a sine vanishes (a float division by zero reruns a column)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = np.concatenate((np.cosh(lengths), lengths * np.sinh(lengths)))
-        z, products, arg = _ratio(x, _LENGTHS)
-        logs = _each_entry(_log_partial, _each(_vertex_along, x, _LENGTHS.triples_along), z)
-        if x.ndim == 1:
-            first = [logs[a] for a, _ in _LENGTHS.end_pairs]
-            second = [logs[b] for _, b in _LENGTHS.end_pairs]
-        else:
-            first, second = logs[_LENGTHS.ends]
-        edge = _each(_edge_along, x, _LENGTHS.roles_along)
-        cos_along = _each_entry(_ratio_partial, edge, _each_entry(_sqrt, products), arg, first, second)
+        direction = lengths * np.sinh(lengths)
+        z, products, arg, cos_along = _ratio_along(np.cosh(lengths), _LENGTHS, direction)
         return z, products, arg, _each_entry(_angle_partial, cos_along, _each_entry(_sin_of_cos, arg))
 
 
@@ -350,11 +338,13 @@ def angles_jacobian(lengths):
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _stacked_jacobian(kernel, values, name):
     # the Jacobian of a kernel pass on (..., 6) arrays of real numbers (NaN,
-    # inf pass), validated, with its (6, 6) axes moved behind the rows
+    # inf pass), validated, as (6, n) columns, with its (6, 6) axes moved
+    # behind the rows of the input's shape
     arr = domain._as_floats(values, name, "(..., 6) arrays of numbers")
     if arr.shape[-1:] != (6,):
         raise InvalidArgumentError(f"{name}: expected (..., 6) arrays, got shape {arr.shape}")
-    return np.moveaxis(kernel(np.moveaxis(arr, -1, 0))[3], (0, 1), (-2, -1))
+    jacobian = kernel(np.moveaxis(arr, -1, 0).reshape(6, -1))[3]
+    return np.moveaxis(jacobian, (0, 1), (-2, -1)).reshape(arr.shape + (6,))
 
 
 #: one kernel pass: the input angles or lengths, the vertex coefficients
@@ -468,7 +458,8 @@ def _row_angles(kernel, lengths):
     # _cos_angles_grad): its angles and whatever else the kernel returns,
     # the closure test of the angles coming after the guards
     angles, *rest = _guarded(_LENGTH_GUARDS, kernel, _arccos, lengths)
-    if not domain.in_O(angles, strict=False, tol=_CLOSURE_TOL):
+    xs = angles.tolist()
+    if not domain._in_polytope(xs, domain._vertex_sums(xs), False, _CLOSURE_TOL):
         raise InconsistencyError(f"angles {angles!r} computed from lengths lie outside the "
                                  "closure of the angle polytope")
     return angles, *rest

@@ -183,12 +183,18 @@ def _coset_rows():
     return tuple(np.array(sorted(c for c in cosets if len(c) == size)) for size in sizes)
 
 
+#: for each edge position {i, j}, the permutation (i, j, rest...), as the
+#: images of (1, 2, 3, 4), that sends it to position 0
+_TO_FRONT = {pos: (i, j, *[v for v in (1, 2, 3, 4) if v not in (i, j)])
+             for pos, (i, j) in enumerate(EDGE_PAIRS)}
+
+
 def permutation_moving_edge_to_front(pos):
-    """A vertex permutation sending edge position ``pos`` to position 0."""
-    i, j = EDGE_PAIRS[pos]
-    rest = [v for v in (1, 2, 3, 4) if v not in (i, j)]
-    # order (i, j, rest...) as images of (1, 2, 3, 4)
-    return (i, j, rest[0], rest[1])
+    """A vertex permutation sending edge position ``pos``, an integer 0-5, to position 0."""
+    try:
+        return _TO_FRONT[operator.index(pos)]
+    except (TypeError, KeyError):
+        raise InvalidArgumentError(f"edge position must be an integer 0-5, got {pos!r}") from None
 
 
 # --- vectorized helpers for the samplers -------------------------------

@@ -96,6 +96,8 @@ class VerificationReport:
         held, which arrived earlier.
         """
         margins = np.asarray(margins, dtype=float)
+        if len(passed) != len(margins):
+            raise InvalidArgumentError(f"{len(margins)} margins but {len(passed)} pass flags")
         if not len(margins):
             return
         self.samples += len(margins)

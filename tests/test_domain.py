@@ -369,6 +369,18 @@ class TestPermute:
             with pytest.raises(InvalidArgumentError, match="not a permutation of 1..4"):
                 call(sigma)
 
+    @pytest.mark.parametrize("pos", [-1, 6, 7, 1.5, "0", None], ids=repr)
+    def test_moving_to_front_rejects_what_is_not_an_edge_position(self, pos):
+        # -1 would index edge 5 from the end, 6 past the table
+        with pytest.raises(InvalidArgumentError, match="edge position must be an integer 0-5, got "):
+            domain_module.permutation_moving_edge_to_front(pos)
+
+    def test_moving_to_front_sends_the_edge_to_position_0(self):
+        a = np.arange(6.0)
+        for pos in (*range(6), np.int64(3)):
+            sigma = domain_module.permutation_moving_edge_to_front(pos)
+            assert permute(sigma, a)[0] == a[pos]
+
     def test_numpy_integers_are_entries(self):
         a = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
         sigma = np.array([2, 1, 3, 4])

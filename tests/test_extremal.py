@@ -533,6 +533,14 @@ class TestRecordBatch:
             first += size
         assert got.samples == len(margins)
 
+    @pytest.mark.parametrize("margins, passed", [([1.0], [True, True]), ([1.0, 2.0], [True]),
+                                                 ([], [False])])
+    def test_margins_and_flags_of_different_lengths_raise(self, margins, passed):
+        report = VerificationReport("t", 0, {})
+        with pytest.raises(InvalidArgumentError, match="margins but"):
+            report.record_batch(margins, passed, lambda i: i)
+        assert (report.samples, report.passes, report.witnesses) == (0, 0, [])
+
     def test_empty_batch_changes_nothing(self):
         report = VerificationReport("t", 0, {})
         report.record_batch(np.empty(0), np.empty(0, dtype=bool), None)

@@ -439,7 +439,7 @@ class TestOnePassJacobian:
         # closure test; a polytope test that rejects every row shows that
         # the Jacobian and the gradient raise the conversion's error there
         tet = regular_from_length(0.8)
-        monkeypatch.setattr(convert.domain, "in_O", lambda *args, **kwargs: False)
+        monkeypatch.setattr(convert.domain, "_in_polytope", lambda *args, **kwargs: False)
         with pytest.raises(InconsistencyError) as expected:
             convert.lengths_to_angles(tet.lengths)
         for call in (lambda: jacobian_angles_of_lengths(tet.lengths), lambda: dvol_dlengths(tet)):

@@ -9,7 +9,7 @@ most ``_FLOW_BLOCK`` rows, one of each for a path that fits one block,
 a campaign makes records only for its reference and its witnesses, a
 NaN or an int too large for a float (10**400) in any public numeric
 parameter raises a typed error, without hanging, and every name a package
-module imports is used."""
+module imports is used, and every private definition is read."""
 
 import ast
 import glob
@@ -394,3 +394,40 @@ def test_every_imported_name_is_used():
                 used |= set(ast.literal_eval(node.value))
         name = os.path.basename(path)
         assert imported - used == UNUSED_IMPORTS_KEPT.get(name, set()), name
+
+
+def _loaded(node, kind, field):
+    # the names (ast.Name, "id") or attributes (ast.Attribute, "attr") a node reads
+    return {getattr(n, field) for n in ast.walk(node)
+            if isinstance(n, kind) and isinstance(n.ctx, ast.Load)}
+
+
+def _defined_names(node):
+    # the names a module-level function, class or assignment defines
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [n.id for target in targets if target is not None
+            for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def test_every_private_definition_is_read():
+    # a dead-code lint on the AST: a module-level private function, class or
+    # assignment of the package is read somewhere in it beyond its own
+    # definition, and every field of convert._Tables is read as an attribute
+    package = os.path.dirname(trunctet.__file__)
+    statements = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            statements += [(os.path.basename(path), node) for node in ast.parse(f.read()).body]
+    attributes = [_loaded(node, ast.Attribute, "attr") for _, node in statements]
+    reads = [_loaded(node, ast.Name, "id") | attrs
+             for (_, node), attrs in zip(statements, attributes)]
+    for k, (module, node) in enumerate(statements):
+        for name in _defined_names(node):
+            if name.startswith("_") and not name.startswith("__"):
+                assert any(name in read for j, read in enumerate(reads) if j != k), (module, name)
+    tables = next(node for module, node in statements
+                  if module == "convert.py" and _defined_names(node) == ["_Tables"])
+    fields = [item.target.id for item in tables.body if isinstance(item, ast.AnnAssign)]
+    assert fields and set(fields) <= set().union(*attributes)
