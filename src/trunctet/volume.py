@@ -51,9 +51,10 @@ import numpy as np
 from . import domain
 from .errors import EvaluationError, InvalidArgumentError
 from .indexing import OPPOSITE, OPPOSITE_FACE_EDGES
-# ``dilog`` is not called here; it stays a module attribute because the
-# benchmark's tracer wraps ``trunctet.volume.dilog``
-from .specfun import acosh_checked, clausen, dilog, integrate, lobachevsky  # noqa: F401
+from .specfun import acosh_checked, clausen, integrate, lobachevsky
+
+# a placeholder for the ``specfun.dilog`` trace point of ``bench/tracer.py``
+dilog = None
 
 #: cosh of the edge length of the regular tetrahedron with all angles pi/6
 COSH_L0 = (3.0 + math.sqrt(3.0)) / 4.0

@@ -161,7 +161,6 @@ calls = {
     "conjecture_prima_test ell": lambda: t.conjecture_prima_test(tet, nan),
     "conjecture_prima2_test ell": lambda: t.conjecture_prima2_test(tet, nan),
     "lobachevsky": lambda: t.lobachevsky(nan),
-    "dilog": lambda: t.dilog(nan),
     "in_O tol": lambda: t.in_O([0.5] * 6, tol=nan),
     "in_O_mask tol": lambda: t.domain.in_O_mask([[0.5] * 6] * 2, tol=nan),
 }
@@ -193,14 +192,14 @@ def bad_value_outcomes(value):
 
 def test_nan_arguments_raise_typed_errors():
     outcomes = bad_value_outcomes('float("nan")')
-    assert len(outcomes) == 21
+    assert len(outcomes) == 20
     assert [line for line in outcomes if not line.endswith(": raised")] == []
 
 
 def test_huge_int_arguments_raise_typed_errors():
     # 10**400 overflows float(): every parameter but the two budgets
     outcomes = bad_value_outcomes("10**400")
-    assert len(outcomes) == 19
+    assert len(outcomes) == 18
     assert [line for line in outcomes if not line.endswith(": raised")] == []
 
 
@@ -227,7 +226,7 @@ def test_public_names_are_the_contract():
         "Tetrahedron", "Trajectory", "TruncTetError", "VerificationReport",
         "acute_constraints_hold", "angles_to_lengths", "angles_to_lengths_batch",
         "conjecture_prima2_test", "conjecture_prima_test", "deformation_flow",
-        "degeneration_path", "dilog", "dvol_dangles", "dvol_dlengths", "empirical_k",
+        "degeneration_path", "dvol_dangles", "dvol_dlengths", "empirical_k",
         "gram", "gram_det", "in_L", "in_O", "integrate", "jacobian_angles_of_lengths",
         "jacobian_lengths_of_angles", "key_bracket", "lemma_gaps", "lengths_to_angles",
         "lengths_to_angles_batch", "lobachevsky", "permutation_moving_edge_to_front",
@@ -370,9 +369,8 @@ def test_campaign_builds_records_only_for_witnesses(monkeypatch):
     assert 0 < len(built) <= report.max_witnesses + 2
 
 
-#: imported names a module keeps without using them: ``volume.dilog`` is the
-#: attribute the benchmark's tracer wraps (``bench/tracer.py``)
-UNUSED_IMPORTS_KEPT = {"volume.py": {"dilog"}}
+#: imported names a module keeps without using them, by module file name
+UNUSED_IMPORTS_KEPT = {}
 
 
 def test_every_imported_name_is_used():

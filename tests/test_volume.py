@@ -1,6 +1,7 @@
 """Volume evaluation: Ushijima's formula in its Clausen form, checked
-against the complex-dilogarithm evaluation it replaced; the closed form for
-the canonical regular tetrahedron, Gram matrices, and truncation area."""
+against the complex-dilogarithm evaluation it replaced (with scipy's Li2);
+the closed form for the canonical regular tetrahedron, Gram matrices, and
+truncation area."""
 
 import cmath
 import math
@@ -27,7 +28,6 @@ from trunctet import (
 import trunctet.volume as volume_module
 from trunctet.errors import EvaluationError
 from trunctet.indexing import VERTEX_EDGES
-from trunctet.specfun import dilog
 from trunctet.volume import L0, _gram_det_fast
 
 REGULAR = (math.pi / 6,) * 6
@@ -371,14 +371,16 @@ def reference_terms(rows):
 
 def reference_volume(rows):
     """The replaced evaluator: Im(U(z_1) - U(z_2)) / 2 with U the sum of
-    eight complex dilogarithms, all 16 arguments in one ``dilog`` call."""
+    eight complex dilogarithms, all 16 arguments in one call of scipy's
+    ``spence``, Li2(z) = spence(1 - z)."""
+    spence = pytest.importorskip("scipy.special").spence
     (a, b, c, d, e, f), _, _, _, z = reference_terms(rows)
     factors = np.stack(
         [np.ones_like(a), a * b * d * e, a * c * d * f, b * c * e * f,
          -a * b * c, -a * e * f, -b * d * f, -c * d * e],
         axis=1,
     )
-    li = dilog(z[:, :, None] * factors[:, None, :]).imag
+    li = spence(1.0 - z[:, :, None] * factors[:, None, :]).imag
     u = 0.5 * (li[..., 0] + li[..., 1] + li[..., 2] + li[..., 3]
                - li[..., 4] - li[..., 5] - li[..., 6] - li[..., 7])
     return np.maximum(0.5 * (u[:, 0] - u[:, 1]), 0.0)
