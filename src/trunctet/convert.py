@@ -45,12 +45,12 @@ clamped in floats. The batch functions (``angles_to_lengths_batch``,
 ``lengths_to_angles_batch``, ``chart_angles``) transpose (m, 6) rows on
 entry and back on return, and are NaN exactly where the scalar ones raise
 and bitwise equal elsewhere; ``chart_angles`` converts, tests the polytope
-and converts back on the same columns. One kernel pass gives the guards,
-the conversion and its derivative together: ``_ratio_grad`` for the
-Jacobians (``jacobian_*`` in ``schlafli``, and ``angles_jacobian`` and
-``lengths_jacobian`` on (..., 6) rows, flattened to columns), and
-``_cos_angles_along`` for ``schlafli.dvol_dlengths``; the chain rule through
-the sines or hyperbolic sines follows.
+and converts back on the same columns (``_chart_rows``, the flow's entry).
+One kernel pass gives the guards, the conversion and its derivative
+together: ``_ratio_grad`` for the Jacobians (``jacobian_*`` in ``schlafli``,
+and ``angles_jacobian`` and ``lengths_jacobian`` on (..., 6) rows, flattened
+to columns), and ``_cos_angles_along`` for ``schlafli.dvol_dlengths``; the
+chain rule through the sines or hyperbolic sines follows.
 """
 
 import functools
@@ -388,15 +388,15 @@ _ANGLE_GUARDS = (
 )
 
 
-def _guarded(guards, kernel, finish, x):
-    # a validated 6-vector, or (6, m) columns, through a kernel of the guards'
+def _guarded(guards, kernel, finish, x, *args):
+    # a validated 6-vector, or (6, m) columns, through kernel(x, *args) of the guards'
     # direction: finish(ratios) and what else the kernel returns. Columns
     # that fail a guard turn NaN, quietly, in one write; a 6-vector raises the
     # error of the first, at the vertex with the smallest coefficient or the
     # first failing edge, else is finished. Its float pass needs no np.errstate
     if x.ndim == 2:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vertex, products, ratio, *rest = kernel(x)
+            vertex, products, ratio, *rest = kernel(x, *args)
         k = _Pass(x, vertex, products, ratio)
         out, ok = finish(ratio), True
         for fields, condition, _ in guards:
@@ -404,7 +404,7 @@ def _guarded(guards, kernel, finish, x):
         if not ok.all():
             out[:, ~ok] = np.nan
         return out, *rest
-    vertex, products, ratio, *rest = kernel(x)
+    vertex, products, ratio, *rest = kernel(x, *args)
     k = _Pass(x.tolist(), vertex, products, ratio)
     for fields, condition, error in guards:
         if not all(map(condition, *[getattr(k, field) for field in fields])):
@@ -495,17 +495,20 @@ _CHART_TOL = 1e-9
 
 
 def _chart_rows(columns):
-    # the batch length-chart test on validated (6, m) columns: (m, 6) angles, the mask
+    # the chart test on validated (6, m) columns: the (6, m) angles, NaN outside
+    # the chart, the (m,) mask, and the angles' cosines and (4, m) vertex sums
     angles, = _guarded(_LENGTH_GUARDS, _cos_angles, _arccos, columns)
-    ok = domain._in_polytope(angles, domain._vertex_sums(angles), True, 0.0)
-    back, = _guarded(_ANGLE_GUARDS, _cosh_lengths, _arccosh, angles)
+    sums = domain._vertex_sums(angles)
+    ok = domain._in_polytope(angles, sums, True, 0.0)
+    cos = np.cos(angles)
+    back, = _guarded(_ANGLE_GUARDS, _ratio, _arccosh, cos, _ANGLES)
     ok &= (np.abs(back - columns) < _CHART_TOL).all(axis=0)
     # a zero length can convert to angles strictly inside the polytope
     # that convert back to it
     ok &= (columns > 0.0).all(axis=0)
     if not ok.all():
         angles[:, ~ok] = np.nan
-    return angles.T, ok
+    return angles, ok, cos, sums
 
 
 def chart_angles(lengths):
@@ -518,13 +521,14 @@ def chart_angles(lengths):
     NaN on the rows outside the chart, and the (m,) accept mask.
     """
     if domain._ndim(lengths) == 2:
-        return _chart_rows(domain.as_rows(lengths, "lengths").T)
+        angles, ok, _, _ = _chart_rows(domain.as_rows(lengths, "lengths").T)
+        return angles.T, ok
     try:
         l = domain.as_vector(lengths, "lengths")
     except InvalidArgumentError:
         return None
-    angles, ok = _chart_rows(l[:, np.newaxis])
-    return angles[0] if ok[0] else None
+    angles, ok, _, _ = _chart_rows(l[:, np.newaxis])
+    return angles[:, 0] if ok[0] else None
 
 
 def in_L(lengths):

@@ -220,13 +220,23 @@ def _in_O_index(A, strict=True, tol=0.0):
     return idx[_in_polytope(cols, [cols[p] + cols[q] + cols[r] for p, q, r in rest], strict, tol)]
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def acute_mask(batch):
     """Acute-region membership for (m, 6) angle rows validated by ``as_rows``."""
     A = as_rows(batch, "angles")
-    ok = A.sum(axis=1) <= math.pi
-    ok &= np.all(A < math.pi / 2, axis=1)
-    for edges in VERTEX_EDGES:
-        x, y, z = (A[:, p] for p in edges)
-        ok &= (x + y < ACUTE_PAIR_BOUND) & (x + z < ACUTE_PAIR_BOUND) & (y + z < ACUTE_PAIR_BOUND)
+    ok = np.zeros(len(A), dtype=bool)
+    ok[_acute_index(A)] = True
     return ok
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _acute_index(A):
+    # acute_mask's row indices of unvalidated float rows: the total first, added
+    # left to right as A.sum(axis=1) adds six entries, then the rows within pi
+    # (~9% of uniform acute proposals) gathered once for the other tests
+    idx = np.flatnonzero(A[:, 0] + A[:, 1] + A[:, 2] + A[:, 3] + A[:, 4] + A[:, 5] <= math.pi)
+    cols = np.take(A, idx, axis=0).T
+    ok = (cols < math.pi / 2).all(axis=0)
+    for edges in VERTEX_EDGES:
+        x, y, z = (cols[p] for p in edges)
+        ok &= (x + y < ACUTE_PAIR_BOUND) & (x + z < ACUTE_PAIR_BOUND) & (y + z < ACUTE_PAIR_BOUND)
+    return idx[ok]

@@ -129,6 +129,14 @@ class VerificationReport:
         }
 
 
+def _positive_ell(ell):
+    # a length floor ell, finite and positive as every public ell parameter
+    ell = domain.as_finite(ell, "ell")
+    if ell <= 0:
+        raise DomainError(f"ell must be positive, got {ell!r}")
+    return ell
+
+
 # --- sampling T_ell ------------------------------------------------------
 
 def sample_T_ell(rng, ell, n, budget=None, require_volume_floor=None):
@@ -137,10 +145,10 @@ def sample_T_ell(rng, ell, n, budget=None, require_volume_floor=None):
     Proposals are drawn over the full angle polytope (the set of length
     vectors above the floor meets every angle-sum regime, so acute
     restriction would miss most of it), unless ``require_volume_floor``
-    also asks for volume above a floor. An int ``rng`` is taken as a seed.
+    also asks for volume above a floor, for ell > 0. An int ``rng`` is taken as a seed.
     """
     constraint = tetra.INTERIOR if require_volume_floor is None else tetra.VOLUME_FLOOR
-    rows = tetra._sample_rows(rng, n, constraint, require_volume_floor, ell, budget)
+    rows = tetra._sample_rows(rng, n, constraint, require_volume_floor, _positive_ell(ell), budget)
     return [Tetrahedron(tuple(a), tuple(l), v) for a, l, v in zip(*(r.tolist() for r in rows))]
 
 
@@ -166,7 +174,7 @@ def _flow_schedule(current, dt, max_steps):
     # second-largest value in steps of dt and ends on it exactly, so the
     # segments follow from the (at most six) distinct start lengths
     current = [float(x) for x in current]
-    levels, increments = [np.empty(0)], [np.zeros(1)]
+    segments, counts, finals = [], [], {}
     budget = max_steps
     while budget > 0:
         lmax, lmin = max(current), min(current)
@@ -178,16 +186,20 @@ def _flow_schedule(current, dt, max_steps):
             # clipped before the ceil, which overflows on seg_len / dt = inf
             n_sub = max(1, math.ceil(min(seg_len / dt, budget + 1)))
             count = min(n_sub, budget)
+            segments.append((lmax, seg_len, max_steps - budget))
+            counts.append(count)
             budget -= count
-            shift = np.minimum(np.arange(count + 1) * dt, seg_len)
-            level = lmax - shift[1:]
             if count == n_sub:
-                level[-1] = second
-            levels.append(level)
-            increments.append(shift[1:] - shift[:-1])
+                finals[max_steps - budget - 1] = second  # its last step lands on it
         current = [second if x >= lmax - TIE_TOL else x for x in current]
+    # the k-th step of a segment lowers its level by min(k dt, seg_len) in all
+    top, span, first = np.repeat(np.reshape(segments, (-1, 3)).T, counts, axis=1)
+    done = np.arange(max_steps - budget) - first
+    before, after = np.minimum(done * dt, span), np.minimum((done + 1) * dt, span)
+    levels = top - after
+    levels[list(finals)] = list(finals.values())
     # accumulate adds left to right: each time holds the bits of a running sum
-    return np.concatenate(levels), np.cumsum(np.concatenate(increments))
+    return levels, np.cumsum(np.concatenate(([0.0], after - before)))
 
 
 def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
@@ -204,14 +216,14 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
 
     Every step lowers the longest edges to a level that follows from the
     start lengths alone, so the levels of the whole path are computed
-    first, one float per step. The length rows are formed from them in
-    blocks of ``_FLOW_BLOCK`` steps, as the start lengths capped at each
-    level, and each block is evaluated by one batch ``chart_angles`` call
-    and one batch volume call up to its first row outside the chart; no row
-    past a boundary exit is formed. A path of at most ``_FLOW_BLOCK`` steps,
-    as nearly every flow at ell = 0.3 and the default dt is, makes one call
-    of each. The path is returned as arrays; records are built only when
-    ``Trajectory.points`` is read.
+    first, one float per step. Blocks of ``_FLOW_BLOCK`` steps are formed
+    from them as (6, m) columns of the start lengths capped at each level.
+    One ``convert._chart_rows`` test per block gives the angles, cosines and
+    vertex sums that one ``volume._volume_columns`` call takes up to the first
+    column outside the chart; no block past it is formed. A path of at most
+    ``_FLOW_BLOCK`` steps, as nearly every flow at ell = 0.3 and the default
+    dt is, makes one call of each. The path is returned as arrays; records
+    are built only when ``Trajectory.points`` is read.
     """
     dt, ell_floor = domain.as_finite(dt, "dt"), domain.as_finite(ell_floor, "ell_floor")
     if dt <= 0:
@@ -223,25 +235,25 @@ def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):
         )
     max_steps = domain.as_count(max_steps, "max_steps")
     levels, t = _flow_schedule(start.lengths, dt, max_steps)
-    # the start and each block's rows, angles and volumes up to its first
-    # row outside the chart
+    # the start and each block's (6, m) length and angle columns and volumes
+    # up to its first column outside the chart
     start_lengths = np.array(start.lengths)
-    lengths, angles = [start_lengths[None, :]], [np.array([start.angles])]
+    lengths, angles = [start_lengths[:, None]], [np.array(start.angles)[:, None]]
     vols = [np.array([start.volume])]
     steps = len(levels)
     reason = TERMINATED_BUDGET if steps >= max_steps else TERMINATED_REGULAR
     for first in range(0, steps, _FLOW_BLOCK):
-        rows = np.minimum(start_lengths, levels[first:first + _FLOW_BLOCK, None])
-        block_angles, ok = convert.chart_angles(rows)
+        columns = np.minimum(start_lengths[:, None], levels[None, first:first + _FLOW_BLOCK])
+        block_angles, ok, cos, sums = convert._chart_rows(columns)
         inside = len(ok) if ok.all() else int(ok.argmin())
-        lengths.append(rows[:inside])
-        angles.append(block_angles[:inside])
-        vols.append(volume.ushijima_volume(block_angles[:inside]))
+        lengths.append(columns[:, :inside])
+        angles.append(block_angles[:, :inside])
+        vols.append(volume._volume_columns(angles[-1], cos[:, :inside], sums[:, :inside], first))
         if inside < len(ok):
             steps, reason = first + inside, TERMINATED_BOUNDARY
             break
-    lengths, angles, vols = (np.concatenate(x) for x in (lengths, angles, vols))
-    return Trajectory(t[:steps + 1], angles, lengths, vols, ell_floor, dt, reason)
+    lengths, angles = (np.concatenate(x, axis=1).T for x in (lengths, angles))
+    return Trajectory(t[:steps + 1], angles, lengths, np.concatenate(vols), ell_floor, dt, reason)
 
 
 # --- campaigns -----------------------------------------------------------
@@ -265,10 +277,8 @@ def verify_theorem(ell, n, seed, tol=MARGIN_TOL):
     """Sample n tetrahedra of T_ell and check vol <= vol of the regular
     tetrahedron of edge length ell (plus tol). For ell > l0 the theorem is
     only conjectured; the report is flagged accordingly."""
-    ell = domain.as_finite(ell, "ell")
+    ell = _positive_ell(ell)
     tol = domain.as_finite(tol, "tol", nonnegative=True)
-    if ell <= 0:
-        raise DomainError(f"ell must be positive, got {ell!r}")
     reference = regular_from_length(ell).volume
     params = {"ell": ell, "n": n, "tol": tol, "reference_volume": reference}
     notes = ["conjecture regime: ell exceeds l0, outcome recorded, not asserted"]
@@ -326,8 +336,8 @@ def degeneration_path(steps):
 
 def conjecture_prima_test(tet, ell):
     """Average-angle regularization test: holds when the regular tetrahedron
-    with the mean dihedral angle keeps its edge length above ell."""
-    ell = domain.as_finite(ell, "ell")
+    with the mean dihedral angle keeps its edge length above ell > 0."""
+    ell = _positive_ell(ell)
     theta_mean = sum(tet.angles) / 6.0
     if theta_mean >= math.pi / 3.0:
         raise DomainError(
@@ -344,10 +354,10 @@ def conjecture_prima2_test(tet, ell):
     (``domain._coset_rows``), by one batch conversion. The whole orbit's comes first:
     it is the regular tetrahedron of the mean angle, as in ``conjecture_prima_test``.
     Returns (nonempty, witness), the first hit; a False result is inconclusive,
-    not a refutation: the candidates are finitely many points of the hull."""
+    not a refutation: the candidates are finitely many points of the hull; ell > 0."""
     if tet.is_regular():
         raise DomainError("conjecture requires a non-regular tetrahedron")
-    ell = domain.as_finite(ell, "ell")
+    ell = _positive_ell(ell)
     orbit = np.asarray(tet.angles)[[domain._EDGE_IMAGES[s] for s in domain.ALL_PERMUTATIONS]]
     # one coset size at a time: a row's points are summed in index order
     points = np.concatenate([orbit[rows].mean(axis=1) for rows in domain._coset_rows()])

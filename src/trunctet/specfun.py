@@ -138,9 +138,9 @@ _GAUSS7_NODES, _GAUSS7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 
 
 def _panel(f, a, b):
-    # 15-point Gauss-Legendre estimate and a 7-point based error estimate.
-    # Endpoints are never evaluated, so integrable endpoint singularities
-    # (the Lobachevsky integrand at 0) are handled by refinement alone.
+    # 15-point Gauss-Legendre estimate and a 7-point based error estimate of at
+    # least 8 ulps of it. Endpoints are never evaluated, so integrable endpoint
+    # singularities (the Lobachevsky integrand at 0) are handled by refinement.
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     g15 = half * math.fsum(
@@ -149,7 +149,7 @@ def _panel(f, a, b):
     g7 = half * math.fsum(
         w * f(mid + half * x) for x, w in zip(_GAUSS7_NODES, _GAUSS7_WEIGHTS)
     )
-    return g15, abs(g15 - g7)
+    return g15, max(abs(g15 - g7), 8.0 * math.ulp(g15))
 
 
 #: bisection depth and panel count at which ``integrate`` gives up
@@ -161,9 +161,10 @@ def integrate(f, a, b, tol=1e-10):
     """Adaptive quadrature of f on [a, b] to estimated absolute error tol.
 
     Globally adaptive bisection: the panel with the largest 15-vs-7-point
-    Gauss discrepancy is split until the summed discrepancies fall below
-    tol. Raises AccuracyError (best estimate attached) if the bisection
-    depth or panel budget is exhausted first.
+    Gauss discrepancy, floored at 8 ulps of its 15-point sum, is split until
+    the summed discrepancies fall below tol. Raises AccuracyError (best
+    estimate attached) if the bisection depth or panel budget is exhausted
+    first, as it is for a tol below the rounding of the sums.
     """
     a, b = _number(a, "integrate: a"), _number(b, "integrate: b")
     # finite 2a and 2b keep every panel's lo + hi and hi - lo finite

@@ -217,7 +217,7 @@ def _sample_rows(rng, n, constraint=INTERIOR, floor=None, ell=None, budget=None,
     uniform proposals over [0, pi)^6, or [0, pi/2)^6 under the acute
     constraints, from a Generator or a seed (blocks sized to the sample), the
     budget rounded up to a multiple of ``_BATCH``. A block keeps the rows in
-    the region (``_in_O_index``, or ``acute_mask``, necessary for a volume
+    the region (``_in_O_index``, or ``_acute_index``, necessary for a volume
     floor at vol(l0) and above), then with ``ell`` those with all lengths >=
     ell (NaN rows of the batch conversion fail, so ell = 0 keeps the rows
     it converts), then under ``volume_floor`` those with volume >= ``floor``.
@@ -235,8 +235,8 @@ def _sample_rows(rng, n, constraint=INTERIOR, floor=None, ell=None, budget=None,
         floor = domain.as_finite(floor, "volume floor")
 
     def accept(batch):
-        rows = [np.take(batch, domain._in_O_index(batch), axis=0) if constraint == INTERIOR
-                else np.compress(domain.acute_mask(batch), batch, axis=0)]
+        index = domain._in_O_index if constraint == INTERIOR else domain._acute_index
+        rows = [np.take(batch, index(batch), axis=0)]
         if ell is not None:
             lengths = convert.angles_to_lengths_batch(rows[0])
             ok = (lengths >= ell).all(axis=1)  # NaN rows compare False

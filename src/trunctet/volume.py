@@ -23,14 +23,14 @@ is a signed sum of sixteen real Clausen values:
 
     V = (u_1 - u_2) / 2,   u_j = sum_k eps_k Cl2(alpha_j + sigma_k) / 2.
 
-``ushijima_volume`` takes one 6-vector, evaluated in Python floats with
-sixteen scalar ``clausen`` calls and no np.errstate, or (m, 6) rows, as
-arrays with one ``clausen`` call per block; a one-row array call costs
-several times the 6-vector path that the gradient certificates take.
+``ushijima_volume`` takes one 6-vector, in Python floats with sixteen
+scalar ``clausen`` calls and no np.errstate, or (m, 6) rows, as (6, m)
+columns (``_volume_columns``, which the flow calls too) with one ``clausen``
+call per block; a one-row array call costs several times the 6-vector path.
 ``_phases`` evaluates both shapes up to the phases by the same operations,
-on lists of floats or on (6, m) columns with stacked sums and offsets, so a
-row's phases are the same bits on both paths and an array row's volume is
-the same bits at any place in any block (the scalar ``clausen`` takes its
+on lists of floats or on columns with stacked sums and offsets, so a row's
+phases are the same bits on both paths and an array row's volume is the
+same bits at any place in any block (the scalar ``clausen`` takes its
 logarithm from libm, so the volumes may differ in the last bit). Both shapes
 and ``ushijima_intermediates`` run ``_PHASE_GUARDS`` (the closure test, read
 from the vertex sums of the offsets, then the denominator) before any
@@ -82,9 +82,17 @@ def _alpha(sin_sum, re, im, root):
     # (2, ...): the phases of z_j = -2 (S -+ i sqrt(-det G)) / denominator,
     # as arg((-S +- i root) conj(denominator)) in one arctan2 each, so that
     # they carry one rounding of (-pi, pi] rather than the difference of two
-    # angles; root is sqrt(max(-det G, 0)), 0 where rounding makes det G > 0
+    # angles; root is sqrt(max(-det G, 0)), 0 where rounding makes det G > 0.
+    # Columns write their operands into one array, not a tuple numpy converts
     s_re, s_im, r_re, r_im = sin_sum * re, sin_sum * im, root * re, root * im
-    return np.arctan2((s_im + r_re, s_im - r_re), (r_im - s_re, -r_im - s_re))
+    if isinstance(re, float):
+        return np.arctan2((s_im + r_re, s_im - r_re), (r_im - s_re, -r_im - s_re))
+    y, x = np.empty((2, 2, len(re)))
+    np.add(s_im, r_re, out=y[0])
+    np.subtract(s_im, r_re, out=y[1])
+    np.subtract(r_im, s_re, out=x[0])
+    np.subtract(np.negative(r_im, out=x[1]), s_re, out=x[1])
+    return np.arctan2(y, x, out=y)
 
 
 #: one evaluation of the formula up to the phases, in Python floats for a
@@ -95,22 +103,20 @@ _Evaluation = namedtuple("_Evaluation", "inside det_g sin_sum re im vanishing fl
 _FACE_TRIPLES = np.array(OPPOSITE_FACE_EDGES).T
 
 
-def _phases(t):
+def _phases(t, cos, sin, sums):
     # the evaluation up to the phases and the eight offsets sigma_k of the
-    # angles t, one 6-vector or (6, m) columns of rows, by the same
-    # operations on both shapes. The denominator sums exp(i psi_k) over the
-    # opposite pairs, the faces and the total T, with numpy's cosines and
-    # sines, since libm's may differ in the last bit. The offsets are 0, T
-    # minus each opposite pair and each vertex sum minus pi. A phase of pi is
-    # taken as -pi, in two parts: a vertex sum near pi then gives an offset
-    # near 0 with no rounding of its own, where Cl2 has its steep log |t|
-    # slope. Columns run under _volume_rows' np.errstate; a 6-vector's floats
-    # overflow quietly, and only outside the closure, which raises before the
-    # denominator is read: there its psi_k are NaN, quiet in numpy
-    cos, sin = np.cos(t), np.sin(t)
-    if t.ndim == 1:
-        # one 6-vector: Python floats add faster than numpy scalars
-        t, cos, sin = t.tolist(), cos.tolist(), sin.tolist()
+    # angles t, given their cosines, sines and vertex sums as Python floats
+    # (one 6-vector) or (6, m) columns and (4, m) sums, by the same operations
+    # on both. The denominator sums exp(i psi_k) over the opposite pairs, the
+    # faces and the total T, with numpy's cosines and sines, since libm's may
+    # differ in the last bit. The offsets are 0, T minus each opposite pair and
+    # each vertex sum minus pi. A phase of pi is taken as -pi, in two parts: a
+    # vertex sum near pi then gives an offset near 0 with no rounding of its
+    # own, where Cl2 has its steep log |t| slope. Columns run under
+    # _volume_columns' np.errstate; a 6-vector's floats overflow quietly, and
+    # only outside the closure, which raises before the denominator is read:
+    # there its psi_k are NaN, quiet in numpy
+    if isinstance(t, list):
         pairs = [t[p] + t[OPPOSITE[p]] for p in range(3)]
         faces = [t[p] + t[q] + t[r] for p, q, r in OPPOSITE_FACE_EDGES]
     else:
@@ -118,7 +124,6 @@ def _phases(t):
     det_g = _gram_det_fast(*cos)
     sin_sum = sin[0] * sin[3] + sin[1] * sin[4] + sin[2] * sin[5]
     total = pairs[0] + pairs[1] + pairs[2]
-    sums = domain._vertex_sums(t)
     inside = domain._in_polytope(t, sums, strict=False, tol=_CLOSURE_SLACK)
     if isinstance(t, list):
         vertices = [s - math.pi - _PI_LOW for s in sums]
@@ -240,7 +245,9 @@ def _checked(validate, angles):
 
 def _row_phases(angles):
     # _phases of one 6-vector, validated, past _PHASE_GUARDS
-    e, offsets = _phases(_checked(domain.as_vector, angles))
+    a = _checked(domain.as_vector, angles)
+    t = a.tolist()
+    e, offsets = _phases(t, np.cos(a).tolist(), np.sin(a).tolist(), domain._vertex_sums(t))
     _raise_first(_PHASE_GUARDS, e)
     return e, offsets
 
@@ -285,21 +292,29 @@ _BLOCK_ROWS = 4096
 
 
 def _volume_rows(angles):
-    # _phases and the Clausen sum on (m, 6) rows a block at a time, one row
-    # per column of (6, m) working arrays, a block's phases in one clausen call
+    # _volume_columns on (m, 6) rows a block at a time, one row per column of
+    # (6, m) working arrays
     rows = _checked(domain.as_rows, angles)
     vols = np.empty(len(rows))
     for first in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[first:first + _BLOCK_ROWS]
+        t = np.ascontiguousarray(rows[first:first + _BLOCK_ROWS].T)
         with np.errstate(over="ignore", invalid="ignore"):
-            e, offsets = _phases(np.ascontiguousarray(block.T))
-        _raise_first(_PHASE_GUARDS, e, rows=block, first=first)
-        vol = _clausen_sum(np.subtract(*clausen(e.alpha[:, None, :] + offsets)))
-        if e.flat.any():
-            vol[e.flat] = 0.0
-        _raise_first(_VOLUME_GUARDS, e, vol, rows=block, first=first)
-        vols[first:first + len(block)] = np.maximum(vol, 0.0)
+            cos, sums = np.cos(t), domain._vertex_sums(t)
+        vols[first:first + t.shape[1]] = _volume_columns(t, cos, sums, first)
     return vols
+
+
+def _volume_columns(t, cos, sums, first):
+    # the (m,) volumes of (6, m) angle columns t, given their cosines and (4, m)
+    # vertex sums, by one clausen call; a failing column raises as row first + r
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, offsets = _phases(t, cos, np.sin(t), sums)
+    _raise_first(_PHASE_GUARDS, e, rows=t.T, first=first)
+    vol = _clausen_sum(np.subtract(*clausen(e.alpha[:, None, :] + offsets)))
+    if e.flat.any():
+        vol[e.flat] = 0.0
+    _raise_first(_VOLUME_GUARDS, e, vol, rows=t.T, first=first)
+    return np.maximum(vol, 0.0)
 
 
 #: absolute error target of the quadrature in ``regular_volume_l0``

@@ -137,6 +137,13 @@ class TestOtherSubcommands:
         assert code == 0
         assert json.loads(out)["holds"] is True
 
+    @pytest.mark.parametrize("name", ["prima", "prima2"])
+    @pytest.mark.parametrize("ell", ["0", "-1", "-1e300"])
+    def test_conjecture_rejects_nonpositive_ell(self, name, ell):
+        code, out, err = run(["conjecture", name, "--angles", A, "--ell", ell])
+        assert (code, out) == (2, "")
+        assert err == f"numerical error: ell must be positive, got {float(ell)!r}\n"
+
 
 A = "0.4,0.5,0.3,0.45,0.35,0.5"
 

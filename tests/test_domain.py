@@ -33,6 +33,8 @@ from trunctet import (
 from trunctet import domain as domain_module
 from trunctet.convert import chart_angles
 from trunctet.domain import (
+    ACUTE_PAIR_BOUND,
+    _acute_index,
     _in_O_index,
     acute_mask,
     as_finite,
@@ -298,6 +300,65 @@ class TestInOMaskMatchesPerVertexGather:
         assert not in_O_mask(rows[0::2]).any()
         assert in_O_mask(rows[0::2], strict=False).all()
         assert not in_O_mask(rows[1::2], strict=False).any()
+
+
+def three_pass_acute_mask(A):
+    """``acute_mask`` as written before it tested the total first and gathered
+    the rows within pi: the total, the right-angle bound and the vertex pairs,
+    each on every row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = A.sum(axis=1) <= math.pi
+        ok &= np.all(A < math.pi / 2, axis=1)
+        for edges in VERTEX_EDGES:
+            x, y, z = (A[:, p] for p in edges)
+            ok &= (x + y < ACUTE_PAIR_BOUND) & (x + z < ACUTE_PAIR_BOUND) & (y + z < ACUTE_PAIR_BOUND)
+    return ok
+
+
+def acute_test_batches():
+    """Uniform acute proposals and [0, pi)^6 rows, with NaN and +-inf entries
+    scattered through them, rows on each bound, and the polytope mask batches."""
+    rng = np.random.default_rng(23)
+    batches = []
+    for k in range(40):
+        batch = rng.random((1024, 6)) * (math.pi / 2 if k % 2 else math.pi)
+        for value, count in ((np.nan, 20), (np.inf, 5), (-np.inf, 5)):
+            batch[rng.integers(0, 1024, count), rng.integers(0, 6, count)] = value
+        batches.append(batch)
+    # a total of exactly pi, an angle of pi / 2 and a pair at the bound, each
+    # alone and one ulp either side
+    bounds = []
+    for row in ((math.pi / 6,) * 6, (math.pi / 2, 0.1, 0.1, 0.1, 0.1, 0.1),
+                (ACUTE_PAIR_BOUND / 2,) * 2 + (0.1,) * 4):
+        for scale in (1.0, 1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52):
+            bounds.append(np.array(row) * scale)
+    return batches + [np.array(bounds)] + mask_test_batches()
+
+
+class TestAcuteMaskMatchesThreePasses:
+    def test_same_decisions(self):
+        decided = set()
+        for batch in acute_test_batches():
+            got = acute_mask(batch)
+            assert got.dtype == bool and got.shape == (len(batch),)
+            assert np.array_equal(got, three_pass_acute_mask(batch))
+            decided |= set(got.tolist())
+        assert decided == {False, True}
+
+    def test_rows_gathered_by_index_are_the_masked_rows(self):
+        # the samplers gather np.take(batch, _acute_index(batch))
+        for batch in acute_test_batches():
+            got = np.take(batch, _acute_index(batch), axis=0)
+            expected = batch[three_pass_acute_mask(batch)]
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_the_total_adds_as_the_row_sum_does(self):
+        # left to right column adds give the values of A.sum(axis=1) on six
+        # entries, NaN included; only a row of -0.0 differs, in the sign of its 0
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for batch in acute_test_batches():
+                total = batch[:, 0] + batch[:, 1] + batch[:, 2] + batch[:, 3] + batch[:, 4] + batch[:, 5]
+                assert np.array_equal(total, batch.sum(axis=1), equal_nan=True)
 
 
 class TestAcuteConstraints:

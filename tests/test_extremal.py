@@ -795,6 +795,101 @@ class TestFlowMatchesPerStepLoop:
             assert [tet.volume for _, tet in flow.points[1:]] == alone
 
 
+def segment_schedule(current, dt, max_steps):
+    """``_flow_schedule`` as written before it formed all its steps together:
+    each segment's levels and time increments from their own numpy calls."""
+    current = [float(x) for x in current]
+    levels, increments = [np.empty(0)], [np.zeros(1)]
+    budget = max_steps
+    while budget > 0:
+        lmax, lmin = max(current), min(current)
+        if lmax - lmin < TIE_TOL:
+            break
+        second = max(x for x in current if x < lmax - TIE_TOL)
+        seg_len = lmax - second
+        if seg_len > TIE_TOL:
+            n_sub = max(1, math.ceil(min(seg_len / dt, budget + 1)))
+            count = min(n_sub, budget)
+            budget -= count
+            shift = np.minimum(np.arange(count + 1) * dt, seg_len)
+            level = lmax - shift[1:]
+            if count == n_sub:
+                level[-1] = second
+            levels.append(level)
+            increments.append(shift[1:] - shift[:-1])
+        current = [second if x >= lmax - TIE_TOL else x for x in current]
+    return np.concatenate(levels), np.cumsum(np.concatenate(increments))
+
+
+def block_flow(start, ell_floor, dt=1e-3, max_steps=200_000):
+    """The flow as per-block ``chart_angles`` and ``ushijima_volume`` calls
+    on (m, 6) rows, as written before the chart handed the volume its
+    cosines and vertex sums: (t, angles, lengths, volumes, reason)."""
+    levels, t = segment_schedule(start.lengths, dt, max_steps)
+    start_lengths = np.array(start.lengths)
+    lengths, angles = [start_lengths[None, :]], [np.array([start.angles])]
+    vols = [np.array([start.volume])]
+    steps = len(levels)
+    reason = TERMINATED_BUDGET if steps >= max_steps else TERMINATED_REGULAR
+    for first in range(0, steps, _FLOW_BLOCK):
+        rows = np.minimum(start_lengths, levels[first:first + _FLOW_BLOCK, None])
+        block_angles, ok = chart_angles(rows)
+        inside = len(ok) if ok.all() else int(ok.argmin())
+        lengths.append(rows[:inside])
+        angles.append(block_angles[:inside])
+        vols.append(ushijima_volume(block_angles[:inside]))
+        if inside < len(ok):
+            steps, reason = first + inside, TERMINATED_BOUNDARY
+            break
+    return (t[:steps + 1], *(np.concatenate(x) for x in (angles, lengths, vols)), reason)
+
+
+def assert_flow_is_block_flow(got, expected):
+    # every array bitwise, with its shape and dtype, and the reason
+    *arrays, reason = expected
+    assert got.reason == reason
+    for field, want in zip((got.t, got.angles, got.lengths, got.volumes), arrays):
+        assert field.shape == want.shape and field.dtype == want.dtype
+        assert field.tobytes() == want.tobytes()
+
+
+class TestFlowIsTheBlockComposition:
+    def test_floor_starts(self):
+        # the criterion-9 starts at ell = 0.3, at the default dt and at
+        # 3e-4, where some take more than one block
+        for start in criterion_9_starts(60):
+            for dt in (1e-3, 3e-4):
+                assert_flow_is_block_flow(deformation_flow(start, 0.3, dt=dt),
+                                          block_flow(start, 0.3, dt=dt))
+
+    def test_boundary_exits_and_their_budgets(self):
+        # starts 68 and 130 of this draw leave the chart mid-block at dt = 1e-2
+        starts = sample_T_ell(np.random.default_rng(3), 0.3, 131)
+        for index in (68, 130):
+            expected = block_flow(starts[index], 0.3, dt=1e-2)
+            assert expected[-1] == TERMINATED_BOUNDARY
+            assert_flow_is_block_flow(deformation_flow(starts[index], 0.3, dt=1e-2), expected)
+            exit_step = len(expected[0]) - 1
+            for max_steps in (1, exit_step - 1, exit_step, exit_step + 1):
+                assert_flow_is_block_flow(
+                    deformation_flow(starts[index], 0.3, dt=1e-2, max_steps=max_steps),
+                    block_flow(starts[index], 0.3, dt=1e-2, max_steps=max_steps))
+
+    def test_multi_block_paths_and_budget_cuts(self):
+        # at dt = 1e-4 a start takes several blocks; cuts on both sides of
+        # each block end and inside blocks
+        start = criterion_9_starts(4)[3]
+        full = block_flow(start, 0.3, dt=1e-4)
+        steps = len(full[0]) - 1
+        assert full[-1] == TERMINATED_REGULAR and steps > 4 * _FLOW_BLOCK
+        assert_flow_is_block_flow(deformation_flow(start, 0.3, dt=1e-4), full)
+        cuts = {0, 1, 500, steps - 1, steps, steps + 1}
+        cuts |= {end + d for end in range(_FLOW_BLOCK, steps, _FLOW_BLOCK) for d in (-1, 0, 1)}
+        for max_steps in sorted(cuts):
+            assert_flow_is_block_flow(deformation_flow(start, 0.3, dt=1e-4, max_steps=max_steps),
+                                      block_flow(start, 0.3, dt=1e-4, max_steps=max_steps))
+
+
 def tiled_schedule(current, dt, max_steps):
     """The schedule the levels replaced: the (n, 6) length rows of the first
     n <= max_steps steps, each segment tiled from the current lengths with
@@ -852,6 +947,29 @@ class TestFlowSchedule:
                 assert np.array_equal(times, np.cumsum(np.concatenate([[0.0], increments])))
                 assert times.dtype == levels.dtype == float
 
+    def test_levels_and_times_are_the_segment_loop(self):
+        # random starts, with ties inside and outside TIE_TOL and regular
+        # starts, at several dt and budgets: the same bits as one numpy
+        # pass per segment
+        rng = np.random.default_rng(34)
+        starts = [tuple(x) for x in self.starts()]
+        for k in range(1500):
+            lengths = rng.uniform(0.3, 3.0, 6)
+            if k % 3 == 1:
+                i, j = rng.choice(6, 2, replace=False)
+                lengths[i] = lengths[j] + rng.choice([0.0, 1e-10, -1e-10, 5e-10, 2e-9])
+            if k % 7 == 2:
+                lengths[:] = lengths[0]
+            starts.append(tuple(lengths.tolist()))
+        for k, lengths in enumerate(starts):
+            dt = (1e-3, 3e-4, 1e-2, 0.3, 5.0)[k % 5]
+            for max_steps in (0, 1, 5, 37, 500, 200_000):
+                levels, times = _flow_schedule(lengths, dt, max_steps)
+                want_levels, want_times = segment_schedule(lengths, dt, max_steps)
+                assert levels.dtype == times.dtype == float
+                assert levels.tobytes() == want_levels.tobytes()
+                assert times.tobytes() == want_times.tobytes()
+
     def test_no_step_raises_an_edge(self):
         # below TIE_TOL a step is shorter than the gap inside the tied set;
         # capping at the level leaves the lower tied edge where it starts
@@ -904,6 +1022,17 @@ class TestVerifyTheorem:
         state = rng.bit_generator.state
         with pytest.raises(InvalidArgumentError, match="must be finite"):
             sample_T_ell(rng, ell, 1, require_volume_floor=floor)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("ell", [0.0, -0.0, -1.0, -1e300])
+    def test_T_ell_rejects_nonpositive_ell_before_any_draw(self, ell):
+        rng = np.random.default_rng(72)
+        state = rng.bit_generator.state
+        for floor in (None, regular_volume_l0()):
+            with pytest.raises(DomainError, match="ell must be positive"):
+                sample_T_ell(rng, ell, 2, require_volume_floor=floor)
+            with pytest.raises(DomainError, match="ell must be positive"):
+                sample_T_ell(0, ell, 2, require_volume_floor=floor)
         assert rng.bit_generator.state == state
 
     def test_json_shape(self):
@@ -1008,6 +1137,14 @@ class TestConjectures:
         nonempty, witness = conjecture_prima2_test(tet, tet.min_length)
         assert nonempty
         assert witness.min_length >= tet.min_length - 1e-9
+
+    @pytest.mark.parametrize("ell", [0.0, -1.0, -1e300])
+    def test_probes_reject_nonpositive_ell(self, ell):
+        # a floor at or below 0 is no floor: prima once reported (True, 1e300)
+        with pytest.raises(DomainError, match="ell must be positive"):
+            conjecture_prima_test(regular_from_length(0.5), ell)
+        with pytest.raises(DomainError, match="ell must be positive"):
+            conjecture_prima2_test(Tetrahedron.from_angles((0.4, 0.5, 0.3, 0.45, 0.35, 0.5)), ell)
 
     def test_prima2_rejects_regular_input(self):
         with pytest.raises(DomainError):

@@ -10,6 +10,7 @@ import pytest
 from trunctet import specfun
 from trunctet.errors import AccuracyError, DomainError, InvalidArgumentError
 from trunctet.specfun import acosh_checked, clausen, integrate, lobachevsky
+from trunctet.volume import regular_volume_l0
 
 
 class TestClausen:
@@ -245,6 +246,20 @@ class TestIntegrate:
         # a NaN tol fails every comparison: it once returned the one-panel estimate
         with pytest.raises(InvalidArgumentError, match="tol must be positive"):
             integrate(math.sin, 0.0, 100.0, tol)
+
+    @pytest.mark.parametrize("tol", [5e-324, 1e-300, 1e-18])
+    def test_a_tolerance_below_the_rounding_of_the_sums_is_not_met(self, tol):
+        # the 15- and 7-point sums of sin agree to the last bit on every panel,
+        # so an unfloored error estimate read 0 and any tol was "met"
+        with pytest.raises(AccuracyError, match="not reached") as err:
+            integrate(math.sin, 0.0, 1.0, tol)
+        assert abs(err.value.best_estimate - (1.0 - math.cos(1.0))) < 1e-15
+
+    def test_the_floor_leaves_the_regular_volume_quadrature(self):
+        # eight ulps of each panel's sum are far below its tolerance of 1e-9:
+        # the same panels are split, and the closed form keeps its bits
+        assert regular_volume_l0.__wrapped__() == 3.2259951354175156
+        assert integrate(math.sin, 0.0, 1.0) == 0.45969769413186023
 
     def test_non_convergence_carries_estimate(self):
         # an integrable singularity with an absurd tolerance must fail

@@ -272,12 +272,14 @@ def test_campaign_volumes_go_through_the_module_attribute(monkeypatch):
 
 
 def test_flow_volumes_go_through_the_module_attribute(monkeypatch):
+    # the flow evaluates its columns by the volume module's column entry,
+    # looked up on the module, where a wrapper sees it
     shift = 1e-6
     rng = np.random.default_rng(7)
     (start,) = sample_T_ell(rng, 0.3, 1, require_volume_floor=regular_volume_l0())
     before = deformation_flow(start, 0.3, dt=1e-2)
-    original = trunctet.volume.ushijima_volume
-    monkeypatch.setattr(trunctet.volume, "ushijima_volume", lambda a: original(a) + shift)
+    original = trunctet.volume._volume_columns
+    monkeypatch.setattr(trunctet.volume, "_volume_columns", lambda *a: original(*a) + shift)
     after = deformation_flow(start, 0.3, dt=1e-2)
     assert len(after.points) == len(before.points) > 10
     # the start is given, not evaluated; every step's volume moves
@@ -288,12 +290,13 @@ def test_flow_volumes_go_through_the_module_attribute(monkeypatch):
 
 
 def counted(monkeypatch, owner, attr, sizes):
-    # wrap owner.attr so that each call appends the number of rows it got
+    # wrap owner.attr, which takes (6, m) columns first, so that each call
+    # appends the number of columns it got
     original = getattr(owner, attr)
 
-    def wrapper(rows, **kwargs):
-        sizes.append(len(rows))
-        return original(rows, **kwargs)
+    def wrapper(columns, *args):
+        sizes.append(columns.shape[1])
+        return original(columns, *args)
 
     monkeypatch.setattr(owner, attr, wrapper)
 
@@ -312,16 +315,16 @@ def strict_polytope_tests(monkeypatch, sizes):
 
 
 def test_flow_calls_per_block_and_rows_per_call(monkeypatch):
-    # one chart call and one volume call per block of _FLOW_BLOCK steps,
-    # blocks spanning segment ends; no call gets more than one block. The
-    # chart test makes the block's one strict polytope test, on all its
-    # rows: the volume makes none
+    # one chart call and one volume call per block of _FLOW_BLOCK steps, on
+    # columns, blocks spanning segment ends; no call gets more than one
+    # block. The chart test makes the block's one strict polytope test, on
+    # all its rows: the volume makes none
     rng = np.random.default_rng(7)
     (start,) = sample_T_ell(rng, 0.3, 1, require_volume_floor=regular_volume_l0())
     for dt in (1e-3, 1e-5):
         charts, vols, tests = [], [], []
-        counted(monkeypatch, trunctet.convert, "chart_angles", charts)
-        counted(monkeypatch, trunctet.volume, "ushijima_volume", vols)
+        counted(monkeypatch, trunctet.convert, "_chart_rows", charts)
+        counted(monkeypatch, trunctet.volume, "_volume_columns", vols)
         strict_polytope_tests(monkeypatch, tests)
         traj = deformation_flow(start, 0.3, dt=dt)
         monkeypatch.undo()
@@ -345,8 +348,8 @@ def test_a_flow_within_one_block_makes_one_chart_and_one_volume_call(monkeypatch
     (start,) = sample_T_ell(rng, 0.3, 1, require_volume_floor=regular_volume_l0())
     for dt, max_steps in ((1e-3, 200_000), (1e-4, _FLOW_BLOCK)):
         charts, vols = [], []
-        counted(monkeypatch, trunctet.convert, "chart_angles", charts)
-        counted(monkeypatch, trunctet.volume, "ushijima_volume", vols)
+        counted(monkeypatch, trunctet.convert, "_chart_rows", charts)
+        counted(monkeypatch, trunctet.volume, "_volume_columns", vols)
         traj = deformation_flow(start, 0.3, dt=dt, max_steps=max_steps)
         monkeypatch.undo()
         steps = len(traj.points) - 1
