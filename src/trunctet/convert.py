@@ -388,15 +388,15 @@ _ANGLE_GUARDS = (
 )
 
 
-def _guarded(guards, kernel, finish, x, *args):
-    # a validated 6-vector, or (6, m) columns, through kernel(x, *args) of the guards'
+def _guarded(guards, kernel, finish, x):
+    # a validated 6-vector, or (6, m) columns, through a kernel of the guards'
     # direction: finish(ratios) and what else the kernel returns. Columns
     # that fail a guard turn NaN, quietly, in one write; a 6-vector raises the
     # error of the first, at the vertex with the smallest coefficient or the
     # first failing edge, else is finished. Its float pass needs no np.errstate
     if x.ndim == 2:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vertex, products, ratio, *rest = kernel(x, *args)
+            vertex, products, ratio, *rest = kernel(x)
         k = _Pass(x, vertex, products, ratio)
         out, ok = finish(ratio), True
         for fields, condition, _ in guards:
@@ -404,7 +404,7 @@ def _guarded(guards, kernel, finish, x, *args):
         if not ok.all():
             out[:, ~ok] = np.nan
         return out, *rest
-    vertex, products, ratio, *rest = kernel(x, *args)
+    vertex, products, ratio, *rest = kernel(x)
     k = _Pass(x.tolist(), vertex, products, ratio)
     for fields, condition, error in guards:
         if not all(map(condition, *[getattr(k, field) for field in fields])):
@@ -501,7 +501,7 @@ def _chart_rows(columns):
     sums = domain._vertex_sums(angles)
     ok = domain._in_polytope(angles, sums, True, 0.0)
     cos = np.cos(angles)
-    back, = _guarded(_ANGLE_GUARDS, _ratio, _arccosh, cos, _ANGLES)
+    back, = _guarded(_ANGLE_GUARDS, lambda c: _ratio(c, _ANGLES), _arccosh, cos)
     ok &= (np.abs(back - columns) < _CHART_TOL).all(axis=0)
     # a zero length can convert to angles strictly inside the polytope
     # that convert back to it

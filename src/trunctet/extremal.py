@@ -174,7 +174,7 @@ def _flow_schedule(current, dt, max_steps):
     # second-largest value in steps of dt and ends on it exactly, so the
     # segments follow from the (at most six) distinct start lengths
     current = [float(x) for x in current]
-    segments, counts, finals = [], [], {}
+    levels, increments = [np.empty(0)], [np.zeros(1)]
     budget = max_steps
     while budget > 0:
         lmax, lmin = max(current), min(current)
@@ -186,20 +186,16 @@ def _flow_schedule(current, dt, max_steps):
             # clipped before the ceil, which overflows on seg_len / dt = inf
             n_sub = max(1, math.ceil(min(seg_len / dt, budget + 1)))
             count = min(n_sub, budget)
-            segments.append((lmax, seg_len, max_steps - budget))
-            counts.append(count)
             budget -= count
+            shift = np.minimum(np.arange(count + 1) * dt, seg_len)
+            level = lmax - shift[1:]
             if count == n_sub:
-                finals[max_steps - budget - 1] = second  # its last step lands on it
+                level[-1] = second
+            levels.append(level)
+            increments.append(shift[1:] - shift[:-1])
         current = [second if x >= lmax - TIE_TOL else x for x in current]
-    # the k-th step of a segment lowers its level by min(k dt, seg_len) in all
-    top, span, first = np.repeat(np.reshape(segments, (-1, 3)).T, counts, axis=1)
-    done = np.arange(max_steps - budget) - first
-    before, after = np.minimum(done * dt, span), np.minimum((done + 1) * dt, span)
-    levels = top - after
-    levels[list(finals)] = list(finals.values())
     # accumulate adds left to right: each time holds the bits of a running sum
-    return levels, np.cumsum(np.concatenate(([0.0], after - before)))
+    return np.concatenate(levels), np.cumsum(np.concatenate(increments))
 
 
 def deformation_flow(start, ell_floor, dt=DEFAULT_DT, max_steps=200_000):

@@ -82,17 +82,9 @@ def _alpha(sin_sum, re, im, root):
     # (2, ...): the phases of z_j = -2 (S -+ i sqrt(-det G)) / denominator,
     # as arg((-S +- i root) conj(denominator)) in one arctan2 each, so that
     # they carry one rounding of (-pi, pi] rather than the difference of two
-    # angles; root is sqrt(max(-det G, 0)), 0 where rounding makes det G > 0.
-    # Columns write their operands into one array, not a tuple numpy converts
+    # angles; root is sqrt(max(-det G, 0)), 0 where rounding makes det G > 0
     s_re, s_im, r_re, r_im = sin_sum * re, sin_sum * im, root * re, root * im
-    if isinstance(re, float):
-        return np.arctan2((s_im + r_re, s_im - r_re), (r_im - s_re, -r_im - s_re))
-    y, x = np.empty((2, 2, len(re)))
-    np.add(s_im, r_re, out=y[0])
-    np.subtract(s_im, r_re, out=y[1])
-    np.subtract(r_im, s_re, out=x[0])
-    np.subtract(np.negative(r_im, out=x[1]), s_re, out=x[1])
-    return np.arctan2(y, x, out=y)
+    return np.arctan2((s_im + r_re, s_im - r_re), (r_im - s_re, -r_im - s_re))
 
 
 #: one evaluation of the formula up to the phases, in Python floats for a

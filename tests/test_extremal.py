@@ -795,37 +795,11 @@ class TestFlowMatchesPerStepLoop:
             assert [tet.volume for _, tet in flow.points[1:]] == alone
 
 
-def segment_schedule(current, dt, max_steps):
-    """``_flow_schedule`` as written before it formed all its steps together:
-    each segment's levels and time increments from their own numpy calls."""
-    current = [float(x) for x in current]
-    levels, increments = [np.empty(0)], [np.zeros(1)]
-    budget = max_steps
-    while budget > 0:
-        lmax, lmin = max(current), min(current)
-        if lmax - lmin < TIE_TOL:
-            break
-        second = max(x for x in current if x < lmax - TIE_TOL)
-        seg_len = lmax - second
-        if seg_len > TIE_TOL:
-            n_sub = max(1, math.ceil(min(seg_len / dt, budget + 1)))
-            count = min(n_sub, budget)
-            budget -= count
-            shift = np.minimum(np.arange(count + 1) * dt, seg_len)
-            level = lmax - shift[1:]
-            if count == n_sub:
-                level[-1] = second
-            levels.append(level)
-            increments.append(shift[1:] - shift[:-1])
-        current = [second if x >= lmax - TIE_TOL else x for x in current]
-    return np.concatenate(levels), np.cumsum(np.concatenate(increments))
-
-
 def block_flow(start, ell_floor, dt=1e-3, max_steps=200_000):
     """The flow as per-block ``chart_angles`` and ``ushijima_volume`` calls
     on (m, 6) rows, as written before the chart handed the volume its
     cosines and vertex sums: (t, angles, lengths, volumes, reason)."""
-    levels, t = segment_schedule(start.lengths, dt, max_steps)
+    levels, t = _flow_schedule(start.lengths, dt, max_steps)
     start_lengths = np.array(start.lengths)
     lengths, angles = [start_lengths[None, :]], [np.array([start.angles])]
     vols = [np.array([start.volume])]
@@ -946,29 +920,6 @@ class TestFlowSchedule:
                 assert np.array_equal(np.minimum(lengths, levels[:, None]), rows)
                 assert np.array_equal(times, np.cumsum(np.concatenate([[0.0], increments])))
                 assert times.dtype == levels.dtype == float
-
-    def test_levels_and_times_are_the_segment_loop(self):
-        # random starts, with ties inside and outside TIE_TOL and regular
-        # starts, at several dt and budgets: the same bits as one numpy
-        # pass per segment
-        rng = np.random.default_rng(34)
-        starts = [tuple(x) for x in self.starts()]
-        for k in range(1500):
-            lengths = rng.uniform(0.3, 3.0, 6)
-            if k % 3 == 1:
-                i, j = rng.choice(6, 2, replace=False)
-                lengths[i] = lengths[j] + rng.choice([0.0, 1e-10, -1e-10, 5e-10, 2e-9])
-            if k % 7 == 2:
-                lengths[:] = lengths[0]
-            starts.append(tuple(lengths.tolist()))
-        for k, lengths in enumerate(starts):
-            dt = (1e-3, 3e-4, 1e-2, 0.3, 5.0)[k % 5]
-            for max_steps in (0, 1, 5, 37, 500, 200_000):
-                levels, times = _flow_schedule(lengths, dt, max_steps)
-                want_levels, want_times = segment_schedule(lengths, dt, max_steps)
-                assert levels.dtype == times.dtype == float
-                assert levels.tobytes() == want_levels.tobytes()
-                assert times.tobytes() == want_times.tobytes()
 
     def test_no_step_raises_an_edge(self):
         # below TIE_TOL a step is shorter than the gap inside the tied set;

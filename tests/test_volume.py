@@ -29,7 +29,7 @@ import trunctet.volume as volume_module
 from trunctet.errors import EvaluationError
 from trunctet.indexing import VERTEX_EDGES
 from trunctet.domain import _vertex_sums
-from trunctet.volume import L0, _alpha, _gram_det_fast, _volume_columns
+from trunctet.volume import L0, _gram_det_fast, _volume_columns
 
 REGULAR = (math.pi / 6,) * 6
 ASYMMETRIC = (math.pi / 2, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -271,31 +271,9 @@ class TestVolumeRows:
         assert raised.value.diagnostics == {"row": 0}
 
 
-def tuple_alpha(sin_sum, re, im, root):
-    """``_alpha`` as written before columns wrote their operands with out=:
-    numpy converts two tuples of arrays."""
-    s_re, s_im, r_re, r_im = sin_sum * re, sin_sum * im, root * re, root * im
-    return np.arctan2((s_im + r_re, s_im - r_re), (r_im - s_re, -r_im - s_re))
-
-
 class TestColumnEntry:
     """``_volume_columns``, which the flow calls on the angles, cosines and
     vertex sums of its chart test, and ``_volume_rows`` once per block."""
-
-    def test_alpha_on_columns_is_the_tuple_form(self):
-        rng = np.random.default_rng(42)
-        operands = rng.normal(size=(4, 1000))
-        operands[3] = np.abs(operands[3])
-        operands[:, :50] = 0.0  # the flat branch's zeros, and -0.0 products
-        operands[0, 50:60] = -0.0
-        operands[:, 60:70] = [[math.nan], [1.0], [math.inf], [1e308]]
-        for m in (0, 1, 7, 1000):
-            got = _alpha(*operands[:, :m])
-            assert got.shape == (2, m)
-            assert got.tobytes() == tuple_alpha(*operands[:, :m]).tobytes()
-        # a 6-vector's floats keep the tuple form
-        floats = operands[:, 100].tolist()
-        assert _alpha(*floats).tobytes() == tuple_alpha(*floats).tobytes()
 
     def test_volumes_are_those_of_the_rows(self):
         # every row of TestVolumeRows, as contiguous columns and as the
